@@ -25,6 +25,7 @@ from .models import (
     NarmaxModel,
     NbjModel,
     SignalKind,
+    SimulationDivergedError,
     TermIndexSets,
     canonicalize,
     classify,

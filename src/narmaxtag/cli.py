@@ -17,7 +17,6 @@ from .generate import GenBounds, SampleConfig, enumerate_models, sample_model
 from .models import (
     CLASS_TAG_ORDER,
     Mode,
-    ModelError,
     classify,
     format_model_text,
     parse_model_text,
@@ -25,8 +24,6 @@ from .models import (
 )
 from .narmax import (
     GrammarPreset,
-    UnrepresentableModelError,
-    YieldError,
     build_nbj_grammar,
     derived_to_model,
     model_to_derivation,
@@ -34,7 +31,6 @@ from .narmax import (
     roundtrip_check,
 )
 from .treeio import (
-    TextFormatError,
     format_derivation,
     format_grammar,
     format_tree,
@@ -44,7 +40,9 @@ from .treeio import (
 )
 from .trees import TagError, derive, validate_grammar, yield_of
 
-_DOMAIN_ERRORS = (TagError, ModelError, YieldError, UnrepresentableModelError, TextFormatError, OSError)
+# every domain error of the package (models, yields, text formats, bounds)
+# subclasses ValueError
+_DOMAIN_ERRORS = (TagError, ValueError, OSError)
 
 
 def _read(path: str) -> str:
@@ -144,13 +142,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         noise = _read_numbers(args.xi)
         length = len(noise)
     else:
-        length = args.n if args.n else (len(inputs) if inputs is not None else None)
+        length = args.n
+        if length is None and inputs is not None:
+            length = len(inputs)
         if length is None:
             print(
                 "simulate: need --xi, --n or --u to fix the record length",
                 file=sys.stderr,
             )
             return 2
+        if length < 0:
+            raise ValueError("--n must be >= 0")
         rng = random.Random(args.noise_seed)
         noise = [rng.gauss(0.0, args.noise_std) for _ in range(length)]
         print(
@@ -183,6 +185,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         max_exponent=args.max_exponent,
         mode=_mode(args.mode),
     )
+    if args.count < 0:
+        raise ValueError("--count must be >= 0")
     for i in range(args.count):
         config = SampleConfig(bounds=bounds, seed=args.seed + i)
         print(format_model_text(sample_model(config, _preset(args.preset))))

@@ -7,28 +7,30 @@ lists each derivation with at most the requested number of adjunctions
 exactly once, in a fixed order (slots by address, candidates by name,
 smaller derivations first within a slot).
 
-Sampling grows a random derivation over the polynomial-model grammar
-(or one of its presets) extension by extension, tracking the model
-content it implies, so the drawn model respects the structural bounds
-by construction and is reproducible from the seed.
+Sampling grows a random model over the polynomial-model grammar (or one
+of its presets) extension by extension, tracking each term's factor
+occurrences in the order they were grown, so the drawn model respects
+the structural bounds by construction and is reproducible from the
+seed.  The derivation is then built from those lists by the builder
+that :func:`~narmaxtag.narmax.model_to_derivation` uses.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
-from .models import Mode, NarmaxModel, SignalKind
+from .models import FactorKey, Mode, NarmaxModel, SignalKind
 from .narmax import (
     GrammarPreset,
     SumRoles,
+    _narmax_derivation,
     build_narmax_grammar,
     derived_to_model,
     restrict,
 )
 from .trees import (
-    ROOT_ADDRESS,
     DerivationEdge,
     DerivationTree,
     ElementaryTree,
@@ -190,42 +192,6 @@ def enumerate_models(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Draft:
-    name: str
-    edges: list[tuple[Operation, GornAddress, "_Draft"]] = field(default_factory=list)
-
-    def freeze(self) -> DerivationTree:
-        frozen = tuple(
-            DerivationEdge(op, address, child.freeze())
-            for op, address, child in sorted(
-                self.edges, key=lambda item: (item[1], item[2].name)
-            )
-        )
-        return DerivationTree(self.name, frozen)
-
-
-@dataclass
-class _FactorDraft:
-    signal: SignalKind
-    delay: int
-    host: _Draft
-    slot: GornAddress
-    chain_tail: _Draft | None = None
-
-
-@dataclass
-class _TermDraft:
-    additive: _Draft
-    factors: list[_FactorDraft]
-    mult_tail: _Draft | None = None
-
-    def exponent(self, signal: SignalKind, delay: int) -> int:
-        return sum(
-            1 for f in self.factors if f.signal is signal and f.delay == delay
-        )
-
-
 class _GrowthSampler:
     """Random derivation growth under structural bounds.
 
@@ -253,7 +219,8 @@ class _GrowthSampler:
             if self.roles.multiplicative[sig] in available
         ]
         self.has_delay = self.roles.delay_tree in available
-        self.terms: list[_TermDraft] = []
+        # factor occurrences (signal, delay) per term, leading factor first
+        self.terms: list[list[FactorKey]] = []
 
     def _base_delay(self, signal: SignalKind) -> int:
         if signal in self.roles.causal_signals:
@@ -267,21 +234,20 @@ class _GrowthSampler:
         built_in = signal in self.roles.causal_signals
         return 2 if (not built_in and self._base_delay(signal) == 1) else 1
 
-    def _factor_fits(self, term: _TermDraft | None, signal: SignalKind) -> bool:
+    def _factor_fits(self, term: list[FactorKey], signal: SignalKind) -> bool:
         base = self._base_delay(signal)
         if base > self.bounds.max_delay:
             return False
         if base == 1 and signal not in self.roles.causal_signals and not self.has_delay:
             return False
-        current = term.exponent(signal, base) if term is not None else 0
-        return current + 1 <= self.bounds.max_exponent
+        return term.count((signal, base)) + 1 <= self.bounds.max_exponent
 
     def options(self, budget: int) -> list[tuple]:
         out: list[tuple] = []
         if self.bounds.max_exponent >= 1:
             if len(self.terms) < self.bounds.max_terms:
                 for sig in self.additive_signals:
-                    if self._cost(sig) <= budget and self._factor_fits(None, sig):
+                    if self._cost(sig) <= budget and self._factor_fits([], sig):
                         out.append(("term", sig.value))
             for index, term in enumerate(self.terms):
                 for sig in self.mult_signals:
@@ -289,60 +255,31 @@ class _GrowthSampler:
                         out.append(("factor", index, sig.value))
         if self.has_delay and budget >= 1:
             for t_index, term in enumerate(self.terms):
-                for f_index, factor in enumerate(term.factors):
-                    deeper = factor.delay + 1
+                for f_index, (signal, delay) in enumerate(term):
+                    deeper = delay + 1
                     if (
                         deeper <= self.bounds.max_delay
-                        and term.exponent(factor.signal, deeper) + 1
+                        and term.count((signal, deeper)) + 1
                         <= self.bounds.max_exponent
                     ):
                         out.append(("delay", t_index, f_index))
         return out
 
-    def _attach_delay(self, factor: _FactorDraft) -> None:
-        node = _Draft(self.roles.delay_tree)
-        if factor.chain_tail is None:
-            factor.host.edges.append((Operation.ADJUNCTION, factor.slot, node))
-        else:
-            factor.chain_tail.edges.append((Operation.ADJUNCTION, ROOT_ADDRESS, node))
-        factor.chain_tail = node
-        factor.delay += 1
-
     def apply(self, option: tuple) -> int:
-        roles = self.roles
+        if option[0] == "delay":
+            _, t_index, f_index = option
+            signal, delay = self.terms[t_index][f_index]
+            self.terms[t_index][f_index] = (signal, delay + 1)
+            return 1
+        signal = SignalKind(option[-1])
         if option[0] == "term":
-            signal = SignalKind(option[1])
-            node = _Draft(roles.additive[signal])
-            built_in = 1 if signal in roles.causal_signals else 0
-            factor = _FactorDraft(signal, built_in, node, roles.additive_factor_slot)
-            term = _TermDraft(node, [factor])
-            self.terms.append(term)
-            cost = 1
-            if self._cost(signal) == 2:
-                self._attach_delay(factor)
-                cost = 2
-            return cost
-        if option[0] == "factor":
-            _, index, raw = option
-            signal = SignalKind(raw)
-            term = self.terms[index]
-            node = _Draft(roles.multiplicative[signal])
-            if term.mult_tail is None:
-                term.additive.edges.append((Operation.ADJUNCTION, roles.term_slot, node))
-            else:
-                term.mult_tail.edges.append((Operation.ADJUNCTION, ROOT_ADDRESS, node))
-            term.mult_tail = node
-            built_in = 1 if signal in roles.causal_signals else 0
-            factor = _FactorDraft(signal, built_in, node, roles.mult_factor_slot)
-            term.factors.append(factor)
-            cost = 1
-            if self._cost(signal) == 2:
-                self._attach_delay(factor)
-                cost = 2
-            return cost
-        _, t_index, f_index = option
-        self._attach_delay(self.terms[t_index].factors[f_index])
-        return 1
+            self.terms.append([])
+            term = self.terms[-1]
+        else:
+            term = self.terms[option[1]]
+        # strict-mode noise factors come with their first delay tree
+        term.append((signal, self._base_delay(signal)))
+        return self._cost(signal)
 
     def grow(self) -> DerivationTree:
         target = self.rng.randint(0, self.bounds.max_adjunctions)
@@ -352,15 +289,7 @@ class _GrowthSampler:
             if not options:
                 break
             spent += self.apply(self.rng.choice(options))
-        root = _Draft("alpha1")
-        chain: _Draft | None = None
-        for term in self.terms:
-            if chain is not None:
-                term.additive.edges.append((Operation.ADJUNCTION, ROOT_ADDRESS, chain))
-            chain = term.additive
-        if chain is not None:
-            root.edges.append((Operation.ADJUNCTION, ROOT_ADDRESS, chain))
-        return root.freeze()
+        return _narmax_derivation(self.terms)
 
 
 def sample_derivation(

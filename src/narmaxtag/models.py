@@ -14,6 +14,7 @@ also admits the current noise sample inside products.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -34,6 +35,14 @@ class ModelSyntaxError(ModelError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class SimulationDivergedError(ModelError):
+    """The simulated output left the finite floats at ``step``."""
+
+    def __init__(self, step: int):
+        super().__init__(f"simulation diverged at step {step}")
+        self.step = step
 
 
 class SignalKind(Enum):
@@ -223,7 +232,9 @@ def simulate(
     """Run the model recursion over equal-length input and noise records.
 
     Out-of-range (pre-record) samples read as zero.  When
-    ``coefficients`` is None each term's attached value is used.
+    ``coefficients`` is None each term's attached value is used.  The
+    first step whose output is not a finite float (or overflows while
+    being computed) raises :class:`SimulationDivergedError`.
     """
     if len(inputs) != len(noise):
         raise ModelError(
@@ -255,8 +266,13 @@ def simulate(
                     sample = out[idx]
                 else:
                     sample = float(noise[idx])
-                product *= sample**exponent
+                try:
+                    product *= sample**exponent
+                except OverflowError:
+                    raise SimulationDivergedError(k) from None
             value += product
+        if not math.isfinite(value):
+            raise SimulationDivergedError(k)
         out.append(value)
     return out
 

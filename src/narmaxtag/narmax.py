@@ -11,9 +11,9 @@ feedback is causal by construction.
 Both directions of the model/derivation correspondence live here:
 :func:`model_to_derivation` builds a derivation tree for any
 representable canonical model, and :func:`derived_to_model` parses a
-saturated derived tree's yield back into a model.  A parallel catalog
-extends the construction to the two-equation nonlinear Box-Jenkins
-structure.
+saturated derived tree's yield back into a model.  The two-equation
+nonlinear Box-Jenkins catalog is built from the same sum-family table,
+one family per equation, and shares the same derivation builder.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .models import (
+    FactorKey,
     Mode,
     Monomial,
     NarmaxModel,
@@ -120,18 +121,6 @@ class NarmaxCatalog:
     grammar: Grammar
     roles: SumRoles
 
-    @property
-    def additive(self) -> Mapping[SignalKind, str]:
-        return self.roles.additive
-
-    @property
-    def multiplicative(self) -> Mapping[SignalKind, str]:
-        return self.roles.multiplicative
-
-    @property
-    def delay_tree(self) -> str:
-        return self.roles.delay_tree
-
 
 @dataclass(frozen=True, eq=False)
 class NbjCatalog:
@@ -169,6 +158,68 @@ def _find_slot(tree: SyntacticTree, name: str) -> GornAddress:
     return tree.address_of(hits[0])
 
 
+_SIGNAL_ORDER = (SignalKind.INPUT, SignalKind.OUTPUT, SignalKind.NOISE)
+
+
+def _sum_family(
+    side: str,
+    tokens: Mapping[str, SignalKind],
+    end_token: str,
+    nonterminals: frozenset[str],
+    terminals: frozenset[str],
+) -> tuple[list[ElementaryTree], SumRoles]:
+    """Auxiliary trees and role map of one sum-shaped expression.
+
+    Trees are named ``beta<side><k>``: k = 1-3 prepend a term and
+    k = 4-6 append a factor (input, output, noise order), k = 7
+    postfixes one backshift to a factor.  Nonterminals are
+    ``expr0<side>`` (sum), ``expr1<side>`` (term) and ``expr2<side>``
+    (factor).  Signals without a token get no trees; output factors
+    carry one built-in backshift.
+    """
+    sum_nt, term_nt, factor_nt = (f"expr{level}{side}" for level in range(3))
+    factors = {
+        signal: f"{token} {DELAY_TOKEN}" if signal is SignalKind.OUTPUT else token
+        for token, signal in tokens.items()
+    }
+
+    def auxiliary(k: int, source: str) -> ElementaryTree:
+        return _elementary(
+            f"beta{side}{k}", TreeKind.AUXILIARY, source, nonterminals, terminals
+        )
+
+    additive = {
+        signal: auxiliary(
+            k,
+            f"{sum_nt}({term_nt}(par(c) op(×) {factor_nt}({factors[signal]})) "
+            f"op(+) {sum_nt}★)",
+        )
+        for k, signal in enumerate(_SIGNAL_ORDER, start=1)
+        if signal in factors
+    }
+    multiplicative = {
+        signal: auxiliary(
+            k, f"{term_nt}({term_nt}★ op(×) {factor_nt}({factors[signal]}))"
+        )
+        for k, signal in enumerate(_SIGNAL_ORDER, start=4)
+        if signal in factors
+    }
+    delay = auxiliary(7, f"{factor_nt}({factor_nt}★ {DELAY_TOKEN})")
+    some_additive = additive[SignalKind.INPUT].tree
+    roles = SumRoles(
+        additive={signal: tree.name for signal, tree in additive.items()},
+        multiplicative={signal: tree.name for signal, tree in multiplicative.items()},
+        delay_tree=delay.name,
+        term_slot=_find_slot(some_additive, term_nt),
+        additive_factor_slot=_find_slot(some_additive, factor_nt),
+        mult_factor_slot=_find_slot(multiplicative[SignalKind.INPUT].tree, factor_nt),
+        signal_tokens=dict(tokens),
+        causal_signals=frozenset({SignalKind.OUTPUT}),
+        end_token=end_token,
+    )
+    return [*additive.values(), *multiplicative.values(), delay], roles
+
+
 @lru_cache(maxsize=1)
 def build_narmax_grammar() -> NarmaxCatalog:
     """Construct the single-output polynomial model grammar."""
@@ -184,52 +235,19 @@ def build_narmax_grammar() -> NarmaxCatalog:
             DELAY_TOKEN,
         }
     )
-
-    def initial(name: str, source: str) -> ElementaryTree:
-        return _elementary(name, TreeKind.INITIAL, source, nts, ts)
-
-    def auxiliary(name: str, source: str) -> ElementaryTree:
-        return _elementary(name, TreeKind.AUXILIARY, source, nts, ts)
-
-    alpha1 = initial("alpha1", "expr0(ξ)")
-    beta1 = auxiliary("beta1", "expr0(expr1(par(c) op(×) expr2(u)) op(+) expr0★)")
-    beta2 = auxiliary("beta2", "expr0(expr1(par(c) op(×) expr2(y q⁻¹)) op(+) expr0★)")
-    beta3 = auxiliary("beta3", "expr0(expr1(par(c) op(×) expr2(ξ)) op(+) expr0★)")
-    beta4 = auxiliary("beta4", "expr1(expr1★ op(×) expr2(u))")
-    beta5 = auxiliary("beta5", "expr1(expr1★ op(×) expr2(y q⁻¹))")
-    beta6 = auxiliary("beta6", "expr1(expr1★ op(×) expr2(ξ))")
-    beta7 = auxiliary("beta7", "expr2(expr2★ q⁻¹)")
-
-    grammar = Grammar(
-        nts,
-        ts,
-        "expr0",
-        (alpha1,),
-        (beta1, beta2, beta3, beta4, beta5, beta6, beta7),
-    )
-    roles = SumRoles(
-        additive={
-            SignalKind.INPUT: "beta1",
-            SignalKind.OUTPUT: "beta2",
-            SignalKind.NOISE: "beta3",
-        },
-        multiplicative={
-            SignalKind.INPUT: "beta4",
-            SignalKind.OUTPUT: "beta5",
-            SignalKind.NOISE: "beta6",
-        },
-        delay_tree="beta7",
-        term_slot=_find_slot(beta1.tree, "expr1"),
-        additive_factor_slot=_find_slot(beta1.tree, "expr2"),
-        mult_factor_slot=_find_slot(beta4.tree, "expr2"),
-        signal_tokens={
+    alpha1 = _elementary("alpha1", TreeKind.INITIAL, "expr0(ξ)", nts, ts)
+    auxiliaries, roles = _sum_family(
+        "",
+        {
             INPUT_TOKEN: SignalKind.INPUT,
             OUTPUT_TOKEN: SignalKind.OUTPUT,
             NOISE_TOKEN: SignalKind.NOISE,
         },
-        causal_signals=frozenset({SignalKind.OUTPUT}),
-        end_token=NOISE_TOKEN,
+        NOISE_TOKEN,
+        nts,
+        ts,
     )
+    grammar = Grammar(nts, ts, "expr0", (alpha1,), tuple(auxiliaries))
     return NarmaxCatalog(grammar, roles)
 
 
@@ -273,31 +291,34 @@ def restrict(preset: GrammarPreset) -> Grammar:
 # ---------------------------------------------------------------------------
 
 
-def _delay_chain(roles: SumRoles, count: int) -> DerivationTree | None:
-    """Chain of ``count`` delay-tree nodes, each adjoined at its parent's root."""
+def _node(
+    name: str, *children: tuple[GornAddress, DerivationTree | None]
+) -> DerivationTree:
+    """Derivation node with one adjunction per present child, by address."""
+    edges = [
+        DerivationEdge(Operation.ADJUNCTION, address, child)
+        for address, child in children
+        if child is not None
+    ]
+    return DerivationTree(name, tuple(sorted(edges, key=lambda e: e.address)))
+
+
+def _delay_chain(
+    roles: SumRoles, signal: SignalKind, delay: int
+) -> DerivationTree | None:
+    """Delay trees beyond the built-in backshift, each adjoined at its parent's root."""
     node: DerivationTree | None = None
-    for _ in range(count):
-        edges = (
-            (DerivationEdge(Operation.ADJUNCTION, ROOT_ADDRESS, node),)
-            if node is not None
-            else ()
-        )
-        node = DerivationTree(roles.delay_tree, edges)
+    for _ in range(delay - 1 if signal in roles.causal_signals else delay):
+        node = _node(roles.delay_tree, (ROOT_ADDRESS, node))
     return node
 
 
-def _chain_length(signal: SignalKind, delay: int, roles: SumRoles) -> int:
-    return delay - 1 if signal in roles.causal_signals else delay
-
-
-def _term_fragment(term: Monomial, roles: SumRoles) -> DerivationTree:
-    """Derivation fragment for one term, headed by its additive tree.
+def _factor_order(term: Monomial) -> list[FactorKey]:
+    """A term's factor occurrences in canonical order, leading factor first.
 
     The leading factor is the lowest-delay input factor if any, else
-    noise, else output; its exponent is consumed once by the additive
-    tree itself.  Remaining factor occurrences become a chain of
-    multiplicative trees in signal-then-delay order, every factor with
-    its own delay chain.
+    noise, else output; its exponent is consumed once by the lead.  The
+    remaining occurrences follow in signal-then-delay order.
     """
     sets = index_sets(term)
     if sets.input_delays:
@@ -310,12 +331,7 @@ def _term_fragment(term: Monomial, roles: SumRoles) -> DerivationTree:
         raise UnrepresentableModelError(
             "a constant term has no factor to hang the grammar's product on"
         )
-    if first[0] not in roles.additive:
-        raise UnrepresentableModelError(
-            f"no additive tree introduces {first[0].value} factors here"
-        )
-
-    remaining: list[tuple[SignalKind, int]] = []
+    order = [first]
     for signal in (SignalKind.INPUT, SignalKind.NOISE, SignalKind.OUTPUT):
         for delay in sorted(
             d for (sig, d) in term.factors if sig is signal
@@ -323,65 +339,65 @@ def _term_fragment(term: Monomial, roles: SumRoles) -> DerivationTree:
             exponent = term.factors[(signal, delay)]
             if (signal, delay) == first:
                 exponent -= 1
-            remaining.extend([(signal, delay)] * exponent)
+            order.extend([(signal, delay)] * exponent)
+    return order
 
+
+def _term_fragment(factors: Sequence[FactorKey], roles: SumRoles) -> DerivationTree:
+    """Derivation fragment for one term, factors in the given order.
+
+    The first factor comes with the term's additive tree; every later
+    one is a multiplicative tree, the second adjoined at the term slot
+    and each next at its predecessor's root.  Every factor carries its
+    own delay chain.
+    """
+    lead, lead_delay = factors[0]
+    if lead not in roles.additive:
+        raise UnrepresentableModelError(
+            f"no additive tree introduces {lead.value} factors here"
+        )
     mult_chain: DerivationTree | None = None
-    for signal, delay in reversed(remaining):
+    for signal, delay in reversed(factors[1:]):
         if signal not in roles.multiplicative:
             raise UnrepresentableModelError(
                 f"no multiplicative tree introduces {signal.value} factors here"
             )
-        edges = []
-        chain = _delay_chain(roles, _chain_length(signal, delay, roles))
-        if chain is not None:
-            edges.append(
-                DerivationEdge(Operation.ADJUNCTION, roles.mult_factor_slot, chain)
-            )
-        if mult_chain is not None:
-            edges.append(
-                DerivationEdge(Operation.ADJUNCTION, ROOT_ADDRESS, mult_chain)
-            )
-        mult_chain = DerivationTree(
+        mult_chain = _node(
             roles.multiplicative[signal],
-            tuple(sorted(edges, key=lambda e: e.address)),
+            (roles.mult_factor_slot, _delay_chain(roles, signal, delay)),
+            (ROOT_ADDRESS, mult_chain),
         )
-
-    edges = []
-    first_chain = _delay_chain(roles, _chain_length(first[0], first[1], roles))
-    if first_chain is not None:
-        edges.append(
-            DerivationEdge(
-                Operation.ADJUNCTION, roles.additive_factor_slot, first_chain
-            )
-        )
-    if mult_chain is not None:
-        edges.append(DerivationEdge(Operation.ADJUNCTION, roles.term_slot, mult_chain))
-    return DerivationTree(
-        roles.additive[first[0]], tuple(sorted(edges, key=lambda e: e.address))
+    return _node(
+        roles.additive[lead],
+        (roles.additive_factor_slot, _delay_chain(roles, lead, lead_delay)),
+        (roles.term_slot, mult_chain),
     )
 
 
 def _sum_chain(
-    terms: Iterable[Monomial], roles: SumRoles
+    terms: Iterable[Sequence[FactorKey]], roles: SumRoles
 ) -> DerivationTree | None:
-    """Additive chain for a term list; the first term sits deepest.
+    """Additive chain for a list of terms' factor lists; the first term sits deepest.
 
     Every link adjoins at its parent's root and therefore prepends its
     term, so the saturated yield lists terms in the given order and the
     left-to-right coefficient numbering survives a round trip.
     """
     chain: DerivationTree | None = None
-    for term in terms:
-        fragment = _term_fragment(term, roles)
-        if chain is not None:
-            edges = fragment.edges + (
-                DerivationEdge(Operation.ADJUNCTION, ROOT_ADDRESS, chain),
-            )
-            fragment = DerivationTree(
-                fragment.tree_name, tuple(sorted(edges, key=lambda e: e.address))
-            )
-        chain = fragment
+    for factors in terms:
+        head = _term_fragment(factors, roles)
+        chain = _node(
+            head.tree_name,
+            *((edge.address, edge.child) for edge in head.edges),
+            (ROOT_ADDRESS, chain),
+        )
     return chain
+
+
+def _narmax_derivation(terms: Iterable[Sequence[FactorKey]]) -> DerivationTree:
+    """The initial tree with the terms' sum chain adjoined at its root."""
+    chain = _sum_chain(terms, build_narmax_grammar().roles)
+    return _node("alpha1", (ROOT_ADDRESS, chain))
 
 
 def model_to_derivation(model: NarmaxModel) -> DerivationTree:
@@ -392,15 +408,7 @@ def model_to_derivation(model: NarmaxModel) -> DerivationTree:
     are not representable: every term of the tree language carries at
     least one signal factor.
     """
-    catalog = build_narmax_grammar()
-    ordered = canonicalize(model)
-    chain = _sum_chain(ordered.terms, catalog.roles)
-    edges = (
-        (DerivationEdge(Operation.ADJUNCTION, ROOT_ADDRESS, chain),)
-        if chain is not None
-        else ()
-    )
-    return DerivationTree("alpha1", edges)
+    return _narmax_derivation(map(_factor_order, canonicalize(model).terms))
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +523,10 @@ def build_nbj_grammar() -> NbjCatalog:
     """Construct the two-equation (process + noise) grammar.
 
     The initial tree yields ``0 , ξ``: an empty process sum and a bare
-    noise equation, comma-separated.  Each side gets its own copy of
-    the additive/multiplicative/delay families; the process side ranges
-    over inputs and the delayed simulated output, the noise side over
-    inputs, the delayed disturbance and noise.
+    noise equation, comma-separated.  Each side gets its own sum family
+    (``betaf*`` and ``betag*``): the process side ranges over inputs and
+    the delayed simulated output, so it has no ``betaf3``/``betaf6``; the
+    noise side ranges over inputs, the delayed disturbance and noise.
     """
     nts = frozenset(
         {
@@ -547,76 +555,29 @@ def build_nbj_grammar() -> NbjCatalog:
             COMMA_TOKEN,
         }
     )
-
-    def initial(name: str, source: str) -> ElementaryTree:
-        return _elementary(name, TreeKind.INITIAL, source, nts, ts)
-
-    def auxiliary(name: str, source: str) -> ElementaryTree:
-        return _elementary(name, TreeKind.AUXILIARY, source, nts, ts)
-
-    def additive_src(side: str, factor: str) -> str:
-        return (
-            f"expr0{side}(expr1{side}(par(c) op(×) expr2{side}({factor})) "
-            f"op(+) expr0{side}★)"
-        )
-
-    def mult_src(side: str, factor: str) -> str:
-        return f"expr1{side}(expr1{side}★ op(×) expr2{side}({factor}))"
-
-    alpha1 = initial("alpha1", 'exprbj(expr0f(0) "," expr0g(ξ))')
-    trees = [
-        auxiliary("betaf1", additive_src("f", "u")),
-        auxiliary("betaf2", additive_src("f", "ŷ q⁻¹")),
-        auxiliary("betaf4", mult_src("f", "u")),
-        auxiliary("betaf5", mult_src("f", "ŷ q⁻¹")),
-        auxiliary("betaf7", "expr2f(expr2f★ q⁻¹)"),
-        auxiliary("betag1", additive_src("g", "u")),
-        auxiliary("betag2", additive_src("g", "v q⁻¹")),
-        auxiliary("betag3", additive_src("g", "ξ")),
-        auxiliary("betag4", mult_src("g", "u")),
-        auxiliary("betag5", mult_src("g", "v q⁻¹")),
-        auxiliary("betag6", mult_src("g", "ξ")),
-        auxiliary("betag7", "expr2g(expr2g★ q⁻¹)"),
-    ]
-    grammar = Grammar(nts, ts, "exprbj", (alpha1,), tuple(trees))
-
-    by_name = {tree.name: tree for tree in trees}
-    process_roles = SumRoles(
-        additive={SignalKind.INPUT: "betaf1", SignalKind.OUTPUT: "betaf2"},
-        multiplicative={SignalKind.INPUT: "betaf4", SignalKind.OUTPUT: "betaf5"},
-        delay_tree="betaf7",
-        term_slot=_find_slot(by_name["betaf1"].tree, "expr1f"),
-        additive_factor_slot=_find_slot(by_name["betaf1"].tree, "expr2f"),
-        mult_factor_slot=_find_slot(by_name["betaf4"].tree, "expr2f"),
-        signal_tokens={
-            INPUT_TOKEN: SignalKind.INPUT,
-            PROCESS_OUTPUT_TOKEN: SignalKind.OUTPUT,
-        },
-        causal_signals=frozenset({SignalKind.OUTPUT}),
-        end_token=EMPTY_SUM_TOKEN,
+    alpha1 = _elementary(
+        "alpha1", TreeKind.INITIAL, 'exprbj(expr0f(0) "," expr0g(ξ))', nts, ts
     )
-    noise_roles = SumRoles(
-        additive={
-            SignalKind.INPUT: "betag1",
-            SignalKind.OUTPUT: "betag2",
-            SignalKind.NOISE: "betag3",
-        },
-        multiplicative={
-            SignalKind.INPUT: "betag4",
-            SignalKind.OUTPUT: "betag5",
-            SignalKind.NOISE: "betag6",
-        },
-        delay_tree="betag7",
-        term_slot=_find_slot(by_name["betag1"].tree, "expr1g"),
-        additive_factor_slot=_find_slot(by_name["betag1"].tree, "expr2g"),
-        mult_factor_slot=_find_slot(by_name["betag4"].tree, "expr2g"),
-        signal_tokens={
+    process_trees, process_roles = _sum_family(
+        "f",
+        {INPUT_TOKEN: SignalKind.INPUT, PROCESS_OUTPUT_TOKEN: SignalKind.OUTPUT},
+        EMPTY_SUM_TOKEN,
+        nts,
+        ts,
+    )
+    noise_trees, noise_roles = _sum_family(
+        "g",
+        {
             INPUT_TOKEN: SignalKind.INPUT,
             NOISE_FEEDBACK_TOKEN: SignalKind.OUTPUT,
             NOISE_TOKEN: SignalKind.NOISE,
         },
-        causal_signals=frozenset({SignalKind.OUTPUT}),
-        end_token=NOISE_TOKEN,
+        NOISE_TOKEN,
+        nts,
+        ts,
+    )
+    grammar = Grammar(
+        nts, ts, "exprbj", (alpha1,), (*process_trees, *noise_trees)
     )
     return NbjCatalog(
         grammar=grammar,
@@ -667,15 +628,16 @@ def nbj_model_to_derivation(model: NbjModel) -> DerivationTree:
     catalog = build_nbj_grammar()
     process = canonicalize(NarmaxModel(model.process_terms, Mode.EXTENDED)).terms
     noise = canonicalize(NarmaxModel(model.noise_terms, model.mode)).terms
-    edges = []
-    chain = _sum_chain(process, catalog.process_roles)
-    if chain is not None:
-        edges.append(DerivationEdge(Operation.ADJUNCTION, catalog.process_slot, chain))
-    chain = _sum_chain(noise, catalog.noise_roles)
-    if chain is not None:
-        edges.append(DerivationEdge(Operation.ADJUNCTION, catalog.noise_slot, chain))
-    return DerivationTree(
-        catalog.initial_name, tuple(sorted(edges, key=lambda e: e.address))
+    return _node(
+        catalog.initial_name,
+        (
+            catalog.process_slot,
+            _sum_chain(map(_factor_order, process), catalog.process_roles),
+        ),
+        (
+            catalog.noise_slot,
+            _sum_chain(map(_factor_order, noise), catalog.noise_roles),
+        ),
     )
 
 

@@ -92,10 +92,6 @@ class NodeLabel:
     def epsilon() -> "NodeLabel":
         return NodeLabel(LabelKind.EPSILON, EPSILON)
 
-    def same_symbol(self, other: "NodeLabel") -> bool:
-        """Kind/name agreement, ignoring markers."""
-        return self.kind is other.kind and self.name == other.name
-
     def key(self) -> tuple:
         return (self.kind.value, self.name, self.substitution_marker, self.foot_marker)
 
@@ -330,9 +326,6 @@ class DerivationTree:
         yield self.tree_name
         for edge in self.edges:
             yield from edge.child.node_names()
-
-    def operation_count(self) -> int:
-        return sum(1 + edge.child.operation_count() for edge in self.edges)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,27 @@ class TestSimulateCommand:
         code, _, err = run(capsys, "simulate", "xi")
         assert code == 2
 
+    def test_zero_length_is_an_empty_record(self, capsys):
+        code, out, err = run(capsys, "simulate", "xi", "--n", "0")
+        assert code == 0
+        assert out == ""
+        assert "noise-seed=0" in err
+
+    def test_divergence_is_domain_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "simulate",
+            "c1*y[-1]^2 + c2*u[0] + xi",
+            "--coeffs",
+            "2.0,1.0",
+            "--n",
+            "50",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == "error: simulation diverged at step 21"
+        assert "Traceback" not in err
+
 
 class TestSampleCommand:
     def test_reproducible(self, capsys):
@@ -209,6 +230,27 @@ class TestGrammarShow:
         assert code == 0
         assert "exprbj" in out
         assert out.count("auxiliary beta") == 12
+
+
+class TestDomainErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["enumerate", "--max", "-1"], "max_adjunctions must be >= 0"),
+            (["sample", "--max-delay", "-1"], "max_delay must be >= 0"),
+            (["sample", "--count", "-1"], "--count must be >= 0"),
+            (["simulate", "xi", "--n", "-2"], "--n must be >= 0"),
+            (
+                ["simulate", "c1*u[0] + xi", "--coeffs", "abc", "--n", "3"],
+                "could not convert string to float: 'abc'",
+            ),
+        ],
+    )
+    def test_exit_one_with_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
 
 
 class TestUsageErrors:

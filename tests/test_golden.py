@@ -1,0 +1,199 @@
+"""Byte-level golden outputs of the grammar catalogs, the sampler and the
+model-to-derivation direction.
+
+The digests were captured from the implementation that predates the
+shared sum-family table and derivation builder; any change to a
+catalog's text, to the sampler's random-call sequence or to the shape
+of a built derivation shows up here as a digest mismatch.
+"""
+
+import hashlib
+
+import pytest
+
+from narmaxtag.cli import main
+from narmaxtag.generate import (
+    GenBounds,
+    SampleConfig,
+    enumerate_derivations,
+    enumerate_models,
+    sample_derivation,
+)
+from narmaxtag.models import Mode
+from narmaxtag.narmax import (
+    GrammarPreset,
+    build_nbj_grammar,
+    model_to_derivation,
+    nbj_derived_to_model,
+    nbj_model_to_derivation,
+    restrict,
+)
+from narmaxtag.treeio import format_derivation
+from narmaxtag.trees import derive
+
+NARMAX_SHOW = """\
+nonterminals: expr0 expr1 expr2 op par
+terminals: + c q⁻¹ u y × ξ
+start: expr0
+initial alpha1 = expr0(ξ)
+auxiliary beta1 = expr0(expr1(par(c) op(×) expr2(u)) op(+) expr0★)
+auxiliary beta2 = expr0(expr1(par(c) op(×) expr2(y q⁻¹)) op(+) expr0★)
+auxiliary beta3 = expr0(expr1(par(c) op(×) expr2(ξ)) op(+) expr0★)
+auxiliary beta4 = expr1(expr1★ op(×) expr2(u))
+auxiliary beta5 = expr1(expr1★ op(×) expr2(y q⁻¹))
+auxiliary beta6 = expr1(expr1★ op(×) expr2(ξ))
+auxiliary beta7 = expr2(expr2★ q⁻¹)
+"""
+
+NBJ_SHOW = """\
+nonterminals: expr0f expr0g expr1f expr1g expr2f expr2g exprbj op par
+terminals: + , 0 c q⁻¹ u v × ŷ ξ
+start: exprbj
+initial alpha1 = exprbj(expr0f(0) , expr0g(ξ))
+auxiliary betaf1 = expr0f(expr1f(par(c) op(×) expr2f(u)) op(+) expr0f★)
+auxiliary betaf2 = expr0f(expr1f(par(c) op(×) expr2f(ŷ q⁻¹)) op(+) expr0f★)
+auxiliary betaf4 = expr1f(expr1f★ op(×) expr2f(u))
+auxiliary betaf5 = expr1f(expr1f★ op(×) expr2f(ŷ q⁻¹))
+auxiliary betaf7 = expr2f(expr2f★ q⁻¹)
+auxiliary betag1 = expr0g(expr1g(par(c) op(×) expr2g(u)) op(+) expr0g★)
+auxiliary betag2 = expr0g(expr1g(par(c) op(×) expr2g(v q⁻¹)) op(+) expr0g★)
+auxiliary betag3 = expr0g(expr1g(par(c) op(×) expr2g(ξ)) op(+) expr0g★)
+auxiliary betag4 = expr1g(expr1g★ op(×) expr2g(u))
+auxiliary betag5 = expr1g(expr1g★ op(×) expr2g(v q⁻¹))
+auxiliary betag6 = expr1g(expr1g★ op(×) expr2g(ξ))
+auxiliary betag7 = expr2g(expr2g★ q⁻¹)
+"""
+
+SHOW_DIGESTS = {
+    "arx": "a49b3fc19c291f0daf3863600959c151084df354b6b89dc46ecab284266cc42c",
+    "narx": "a3e3005f081dc87246b037bfc672ff05708f3a23e5c4e269673c33d29f172e12",
+    "fir": "4f97097201bc343bc1148d86f9998031c464a9b58fd9baa98aeb881459bb5320",
+    "volterra": "3991afa3eb7db988883114ad637582d26af0174f459215726f25277e1a2b15fe",
+}
+
+# sample --count 200 at the default bounds, then at wider bounds from seed 1000
+WIDE_BOUNDS = [
+    "--max-adjunctions", "12", "--max-terms", "4",
+    "--max-delay", "5", "--max-exponent", "3", "--seed", "1000",
+]
+SAMPLE_DIGESTS = {
+    ("narmax", "extended"): (
+        "3a2e9426a341726efc2c493887009def00ba4f2aabe435d821edf7ed851d2c08",
+        "f4055dd1965ad2ada8dbcd318f7776d257b6b1a483bd804f0afaeadd776c02d4",
+    ),
+    ("narmax", "strict"): (
+        "718819ca70aeb2819998d7d37b3c6a815f2b74bb5d67154e8ca136ff2264d01c",
+        "67e0b38d4a568d433f10b65b7b7c09a807efccbd0e90e014499748459fbc3763",
+    ),
+    ("arx", "extended"): (
+        "dd1e64a839464a56560be8fdc62cb275c8c2795a5ba7a9b1b8e06771fed59339",
+        "3076e52c928f1dbcb788e59dc0c5b2b4f993e045413ebfaeae053996ea4174aa",
+    ),
+    ("arx", "strict"): (
+        "dd1e64a839464a56560be8fdc62cb275c8c2795a5ba7a9b1b8e06771fed59339",
+        "3076e52c928f1dbcb788e59dc0c5b2b4f993e045413ebfaeae053996ea4174aa",
+    ),
+    ("narx", "extended"): (
+        "3c21efb2f78a1fb7096acc2ea11a7bc1fc44291c804dc5755f91c4f74c209c7b",
+        "8b39ff7628633c766763957e5b9c3df703bcc9348f10274df376716317eba035",
+    ),
+    ("narx", "strict"): (
+        "3c21efb2f78a1fb7096acc2ea11a7bc1fc44291c804dc5755f91c4f74c209c7b",
+        "8b39ff7628633c766763957e5b9c3df703bcc9348f10274df376716317eba035",
+    ),
+    ("fir", "extended"): (
+        "21ed716b48463a75819c8082ad0edb47976f65068150da5054b4afc04f199fce",
+        "134558d3675081e3bf5c657b1daa80ce8b3c83e7283b70122067730ede82fb19",
+    ),
+    ("fir", "strict"): (
+        "21ed716b48463a75819c8082ad0edb47976f65068150da5054b4afc04f199fce",
+        "134558d3675081e3bf5c657b1daa80ce8b3c83e7283b70122067730ede82fb19",
+    ),
+    ("volterra", "extended"): (
+        "3f07f66c7f2be4b5f94ab2df0c7a6cb4f8a0450899388b91e481c502b6e688cd",
+        "295908a833ca6dcc5b404d3ac9865da7f85b64ceee04581b79baa1b70c124b70",
+    ),
+    ("volterra", "strict"): (
+        "3f07f66c7f2be4b5f94ab2df0c7a6cb4f8a0450899388b91e481c502b6e688cd",
+        "295908a833ca6dcc5b404d3ac9865da7f85b64ceee04581b79baa1b70c124b70",
+    ),
+}
+
+# format_derivation(sample_derivation(...)) over seeds 0-199, newline-joined
+DERIVATION_DIGESTS = {
+    ("narmax", "extended"): "715cfacc67b9954cf4dae672a3505125e3e02817df4e2f0035880a8aba7cec1e",
+    ("narmax", "strict"): "343ff673e5f796cc72625f1f7ff78d4ac8b20ba97f6197ece97f9084dc21ca71",
+    ("arx", "extended"): "576e2d9d4ec6ad8d6c705b64445eab4ae71cf9b49d9157331d77f75d15eb7069",
+    ("arx", "strict"): "576e2d9d4ec6ad8d6c705b64445eab4ae71cf9b49d9157331d77f75d15eb7069",
+    ("narx", "extended"): "3c2c1a8564ba890d0e4bfc44032b3d086dde67ce6ba4d5a3ea572c2795ed51b2",
+    ("narx", "strict"): "3c2c1a8564ba890d0e4bfc44032b3d086dde67ce6ba4d5a3ea572c2795ed51b2",
+    ("fir", "extended"): "d0b380f37f5f601dd7b4b5798a18761da00d5feb1835f41fbd4d7c70974a3a5f",
+    ("fir", "strict"): "d0b380f37f5f601dd7b4b5798a18761da00d5feb1835f41fbd4d7c70974a3a5f",
+    ("volterra", "extended"): "dea21cbf7c3c2f5b188abbdfc1f5218799400b8299d394fa8159882236a4732c",
+    ("volterra", "strict"): "dea21cbf7c3c2f5b188abbdfc1f5218799400b8299d394fa8159882236a4732c",
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def stdout_of(capsys, *argv) -> str:
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def test_grammar_show_narmax(capsys):
+    assert stdout_of(capsys, "grammar-show", "--preset", "narmax") == NARMAX_SHOW
+
+
+def test_grammar_show_nbj(capsys):
+    assert stdout_of(capsys, "grammar-show", "--preset", "nbj") == NBJ_SHOW
+
+
+@pytest.mark.parametrize("preset", sorted(SHOW_DIGESTS))
+def test_grammar_show_presets(capsys, preset):
+    out = stdout_of(capsys, "grammar-show", "--preset", preset)
+    assert sha256(out) == SHOW_DIGESTS[preset]
+
+
+@pytest.mark.parametrize("preset, mode", sorted(SAMPLE_DIGESTS))
+def test_sample_stdout(capsys, preset, mode):
+    base = ["sample", "--preset", preset, "--mode", mode, "--count", "200"]
+    default, wide = SAMPLE_DIGESTS[(preset, mode)]
+    assert sha256(stdout_of(capsys, *base)) == default
+    assert sha256(stdout_of(capsys, *base, *WIDE_BOUNDS)) == wide
+
+
+@pytest.mark.parametrize("preset, mode", sorted(DERIVATION_DIGESTS))
+def test_sample_derivation_text(preset, mode):
+    bounds = GenBounds(max_adjunctions=8, mode=Mode(mode))
+    text = "\n".join(
+        format_derivation(sample_derivation(SampleConfig(bounds, seed), GrammarPreset(preset)))
+        for seed in range(200)
+    )
+    assert sha256(text) == DERIVATION_DIGESTS[(preset, mode)]
+
+
+def test_model_to_derivation_over_enumeration():
+    grammar = restrict(GrammarPreset.NARMAX)
+    lines = [
+        format_derivation(model_to_derivation(model))
+        for _, model in enumerate_models(grammar, GenBounds(max_adjunctions=4))
+    ]
+    assert len(lines) == 1201
+    assert sha256("\n".join(lines)) == (
+        "b5fbf84d280f2afb9ca4abff368e969b2723c48daded033964d78524a180dc09"
+    )
+
+
+def test_nbj_model_to_derivation_over_enumeration():
+    grammar = build_nbj_grammar().grammar
+    lines = [
+        format_derivation(nbj_model_to_derivation(nbj_derived_to_model(derive(d, grammar))))
+        for d in enumerate_derivations(grammar, GenBounds(max_adjunctions=3))
+    ]
+    assert len(lines) == 312
+    assert sha256("\n".join(lines)) == (
+        "c1bc36927cbc1f0cad2ea452ed4a37dfca787a648377e3cce3b5c01da9bcee2d"
+    )

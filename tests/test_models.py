@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from narmaxtag import (
@@ -13,6 +13,7 @@ from narmaxtag import (
     NarmaxModel,
     NbjModel,
     SignalKind,
+    SimulationDivergedError,
     canonicalize,
     classify,
     format_model_text,
@@ -180,11 +181,39 @@ class TestSimulate:
         with pytest.raises(ModelError):
             simulate(parse_model_text(FIG_A), (1.0,), (0.0,), (0.0,))
 
+    def test_power_overflow_is_divergence(self):
+        # y: 1, 2, 8, 128, ..., ~9e307 at step 10; squaring it overflows
+        model = parse_model_text("c1*y[-1]^2 + xi")
+        with pytest.raises(SimulationDivergedError) as caught:
+            simulate(model, (2.0,), [0.0] * 50, [1.0] + [0.0] * 49)
+        assert caught.value.step == 11
+        assert str(caught.value) == "simulation diverged at step 11"
+
+    def test_infinite_sample_is_divergence(self):
+        model = parse_model_text("c1*y[-1] + xi")
+        with pytest.raises(SimulationDivergedError) as caught:
+            simulate(model, (1e308,), [0.0] * 5, [1.0, 0.0, 0.0, 0.0, 0.0])
+        assert caught.value.step == 2
+        assert isinstance(caught.value, ModelError)
+
     @given(models())
+    # a squared-feedback model whose run overflows a float within 30 steps
+    @example(
+        NarmaxModel(
+            (
+                Monomial(1, {}),
+                Monomial(2, {(SignalKind.OUTPUT, 1): 2}),
+                Monomial(3, {}),
+                Monomial(4, {}),
+            ),
+            Mode.EXTENDED,
+        )
+    )
     @settings(max_examples=60, deadline=None)
     def test_canonicalize_preserves_simulation(self, model):
         # values travel with their terms, so reordering and like-term
-        # merging may only reorder sums and products
+        # merging may only reorder sums and products: both runs agree,
+        # or both diverge at the same step
         rng = random.Random(7)
         valued = NarmaxModel(
             tuple(
@@ -195,8 +224,18 @@ class TestSimulate:
         )
         u = [rng.uniform(-1.0, 1.0) for _ in range(30)]
         xi = [rng.uniform(-0.2, 0.2) for _ in range(30)]
-        a = simulate(valued, None, u, xi)
-        b = simulate(canonicalize(valued), None, u, xi)
+
+        def run(m):
+            try:
+                return simulate(m, None, u, xi)
+            except SimulationDivergedError as exc:
+                return exc.step
+
+        a = run(valued)
+        b = run(canonicalize(valued))
+        if isinstance(a, int) or isinstance(b, int):
+            assert a == b
+            return
         for x, y in zip(a, b):
             assert x == pytest.approx(y, rel=1e-9, abs=1e-12)
 
