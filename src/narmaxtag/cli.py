@@ -141,6 +141,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.xi:
         noise = _read_numbers(args.xi)
         length = len(noise)
+        if args.n is not None and args.n != length:
+            raise ValueError(f"--n {args.n} differs from the {length} samples in --xi")
     else:
         length = args.n
         if length is None and inputs is not None:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
+from .treeio import _Scanner
+
 
 class ModelError(ValueError):
     """Invalid model content or inconsistent operation arguments."""
@@ -62,7 +64,7 @@ class Mode(Enum):
 FactorKey = tuple[SignalKind, int]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Monomial:
     """One model term: a coefficient slot times a product of delayed factors.
 
@@ -96,15 +98,6 @@ class Monomial:
     def sort_key(self) -> tuple:
         return (self.total_degree(), _factor_key(self.factors))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return (
-            self.coeff_id == other.coeff_id
-            and self.factors == other.factors
-            and self.coeff_value == other.coeff_value
-        )
-
 
 def _factor_key(factors: Mapping[FactorKey, int]) -> tuple:
     return tuple(
@@ -119,7 +112,7 @@ def _sorted_factors(factors: Mapping[FactorKey, int]) -> dict[FactorKey, int]:
     }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NarmaxModel:
     """Sum of monomials plus the implicit additive current-noise term.
 
@@ -139,11 +132,6 @@ class NarmaxModel:
                     raise CausalityError(
                         "strict mode forbids the current noise sample in products"
                     )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NarmaxModel):
-            return NotImplemented
-        return self.terms == other.terms and self.mode is other.mode
 
     def __str__(self) -> str:
         return format_model_text(self)
@@ -312,63 +300,21 @@ CLASS_TAG_ORDER = ("FIR", "Volterra", "ARX", "ARMAX", "NARX", "NARMAX")
 _SIGNAL_TOKEN = {"u": SignalKind.INPUT, "y": SignalKind.OUTPUT, "xi": SignalKind.NOISE}
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def expect(self, literal: str) -> None:
-        if not self.take(literal):
-            raise ModelSyntaxError(f"expected {literal!r}", self.pos)
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ModelSyntaxError("expected an integer", start)
-        return int(self.text[start : self.pos])
-
-    def real(self) -> float:
-        self.skip_ws()
-        match = re.match(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?", self.text[self.pos :])
-        if not match:
-            raise ModelSyntaxError("expected a number", self.pos)
-        self.pos += match.end()
-        return float(match.group())
+_INTEGER_RE = re.compile(r"\d+")
+_REAL_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 
 
 def _parse_factor(scanner: _Scanner, factors: dict[FactorKey, int]) -> None:
     scanner.skip_ws()
     start = scanner.pos
-    for token, signal in (("xi", SignalKind.NOISE), ("u", SignalKind.INPUT), ("y", SignalKind.OUTPUT)):
+    for token, signal in _SIGNAL_TOKEN.items():
         if scanner.take(token):
             break
     else:
         raise ModelSyntaxError("expected a signal (u, y or xi)", start)
     scanner.expect("[")
     negative = scanner.take("-")
-    offset = scanner.integer()
+    offset = int(scanner.match(_INTEGER_RE, "an integer"))
     scanner.expect("]")
     delay = offset if negative else -offset
     if delay < 0:
@@ -379,7 +325,7 @@ def _parse_factor(scanner: _Scanner, factors: dict[FactorKey, int]) -> None:
         raise CausalityError(f"y[0] violates causality (position {start})")
     exponent = 1
     if scanner.take("^"):
-        exponent = scanner.integer()
+        exponent = int(scanner.match(_INTEGER_RE, "an integer"))
         if exponent < 1:
             raise ModelSyntaxError("exponents must be >= 1", scanner.pos)
     key = (signal, delay)
@@ -395,26 +341,25 @@ def parse_model_text(text: str, mode: Mode = Mode.EXTENDED) -> NarmaxModel:
     negative (``u[0]`` is the current input, ``y[-1]`` the previous
     output).
     """
-    scanner = _Scanner(text)
+    scanner = _Scanner(text, ModelSyntaxError)
     terms: list[Monomial] = []
     while True:
         scanner.skip_ws()
-        if scanner.text.startswith("xi", scanner.pos):
-            after = scanner.pos + 2
-            rest = scanner.text[after:].lstrip()
-            if not rest.startswith("["):
-                scanner.pos = after
-                if not scanner.at_end():
+        start = scanner.pos
+        if scanner.take("xi"):
+            following = scanner.peek()
+            if following != "[":
+                if following:
                     raise ModelSyntaxError(
                         "the trailing noise term must end the model", scanner.pos
                     )
                 break
-        start = scanner.pos
+            scanner.pos = start
         scanner.expect("c")
-        coeff_id = scanner.integer()
+        coeff_id = int(scanner.match(_INTEGER_RE, "an integer"))
         value = None
         if scanner.take(":"):
-            value = scanner.real()
+            value = float(scanner.match(_REAL_RE, "a number"))
         factors: dict[FactorKey, int] = {}
         while scanner.take("*"):
             _parse_factor(scanner, factors)
@@ -426,17 +371,13 @@ def parse_model_text(text: str, mode: Mode = Mode.EXTENDED) -> NarmaxModel:
     return canonicalize(NarmaxModel(tuple(terms), mode))
 
 
-def _format_value(value: float) -> str:
-    return repr(value)
-
-
 def format_model_text(model: NarmaxModel) -> str:
     """Canonical single-space rendering; inverse of :func:`parse_model_text`."""
     parts = []
     for term in model.terms:
         text = f"c{term.coeff_id}"
         if term.coeff_value is not None:
-            text += f":{_format_value(term.coeff_value)}"
+            text += f":{term.coeff_value!r}"
         for (signal, delay), exponent in sorted(
             term.factors.items(), key=lambda item: (_SIGNAL_RANK[item[0][0]], item[0][1])
         ):
@@ -453,7 +394,7 @@ def format_model_text(model: NarmaxModel) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NbjModel:
     """Process/noise equation pair for the nonlinear Box-Jenkins structure.
 
@@ -482,12 +423,3 @@ class NbjModel:
                     raise CausalityError(
                         "strict mode forbids the current noise sample in products"
                     )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NbjModel):
-            return NotImplemented
-        return (
-            self.process_terms == other.process_terms
-            and self.noise_terms == other.noise_terms
-            and self.mode is other.mode
-        )

@@ -19,6 +19,10 @@ lines followed by named tree blocks ``initial NAME = TREE`` and
 Derivation format: nested ``name[op@address -> child, ...]`` lists with
 ``op`` one of ``sub``/``adj`` and dotted Gorn addresses (``ε`` for the
 root).
+
+Derivation text and the model text of :mod:`narmaxtag.models` are read
+with one cursor, :class:`_Scanner`.  Every parser and printer here is a
+loop over an explicit stack, so nesting depth is bounded by memory only.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .trees import (
     DerivationEdge,
     DerivationTree,
     ElementaryTree,
-    GornAddress,
     Grammar,
     LabelKind,
     NodeLabel,
@@ -52,6 +55,42 @@ class TextFormatError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class _Scanner:
+    """Cursor over text; mismatches raise ``error(message, position)``."""
+
+    def __init__(self, text: str, error: type[ValueError]):
+        self.text = text
+        self.pos = 0
+        self.error = error
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, literal: str) -> bool:
+        self.skip_ws()
+        if self.text.startswith(literal, self.pos):
+            self.pos += len(literal)
+            return True
+        return False
+
+    def expect(self, literal: str) -> None:
+        if not self.take(literal):
+            raise self.error(f"expected {literal!r}", self.pos)
+
+    def match(self, pattern: re.Pattern, what: str) -> str:
+        self.skip_ws()
+        found = pattern.match(self.text, self.pos)
+        if not found:
+            raise self.error(f"expected {what}", self.pos)
+        self.pos = found.end()
+        return found.group()
 
 
 # ---------------------------------------------------------------------------
@@ -116,62 +155,32 @@ def _tokenize_tree(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 
 
-class _NodeSpec:
-    __slots__ = ("name", "marker", "quoted", "children", "pos")
-
-    def __init__(self, name, marker, quoted, pos):
-        self.name = name
-        self.marker = marker
-        self.quoted = quoted
-        self.children: list[_NodeSpec] = []
-        self.pos = pos
-
-
-def _parse_node(tokens: list[_Token], i: int) -> tuple[_NodeSpec, int]:
-    if i >= len(tokens) or tokens[i].kind != "label":
-        pos = tokens[i].pos if i < len(tokens) else (tokens[-1].pos if tokens else 0)
-        raise TextFormatError("expected a node label", pos)
-    tok = tokens[i]
-    node = _NodeSpec(tok.text, tok.marker, tok.quoted, tok.pos)
-    i += 1
-    if i < len(tokens) and tokens[i].kind == "(":
-        i += 1
-        while i < len(tokens) and tokens[i].kind != ")":
-            child, i = _parse_node(tokens, i)
-            node.children.append(child)
-        if i >= len(tokens):
-            raise TextFormatError("missing ')'", tokens[-1].pos)
-        if not node.children:
-            raise TextFormatError("empty child list", tokens[i].pos)
-        i += 1
-    return node, i
-
-
 def _resolve_label(
-    spec: _NodeSpec,
+    tok: _Token,
+    internal: bool,
     nonterminals: frozenset[str] | None,
     terminals: frozenset[str] | None,
 ) -> NodeLabel:
-    site = spec.marker == SUBSTITUTION_MARK
-    foot = spec.marker == FOOT_MARK
-    name = spec.name
+    site = tok.marker == SUBSTITUTION_MARK
+    foot = tok.marker == FOOT_MARK
+    name = tok.text
     if not name:
-        raise TextFormatError("empty label", spec.pos)
+        raise TextFormatError("empty label", tok.pos)
     if nonterminals is not None or terminals is not None:
-        if not spec.quoted and name in (nonterminals or frozenset()):
+        if not tok.quoted and name in (nonterminals or frozenset()):
             return NodeLabel.nonterminal(name, site=site, foot=foot)
-        if not spec.quoted and name == EPSILON:
+        if not tok.quoted and name == EPSILON:
             return NodeLabel.epsilon()
         if name in (terminals or frozenset()):
-            if spec.marker:
-                raise TextFormatError(f"terminal {name!r} cannot carry a marker", spec.pos)
+            if tok.marker:
+                raise TextFormatError(f"terminal {name!r} cannot carry a marker", tok.pos)
             return NodeLabel.terminal(name)
-        raise TextFormatError(f"label {name!r} is not in the alphabets", spec.pos)
-    if spec.children or spec.marker:
-        if spec.quoted:
-            raise TextFormatError("quoted labels denote terminals", spec.pos)
+        raise TextFormatError(f"label {name!r} is not in the alphabets", tok.pos)
+    if internal or tok.marker:
+        if tok.quoted:
+            raise TextFormatError("quoted labels denote terminals", tok.pos)
         return NodeLabel.nonterminal(name, site=site, foot=foot)
-    if name == EPSILON and not spec.quoted:
+    if name == EPSILON and not tok.quoted:
         return NodeLabel.epsilon()
     return NodeLabel.terminal(name)
 
@@ -185,25 +194,39 @@ def parse_tree(
     tokens = _tokenize_tree(text)
     if not tokens:
         raise TextFormatError("empty tree text", 0)
-    spec, i = _parse_node(tokens, 0)
+    # structure first, labels after: a structural error anywhere in the
+    # text wins over a label error; node ids are 1..n in pre-order
+    heads: dict[int, _Token] = {}
+    kids: dict[int, list[int]] = {}
+    open_nodes: list[int] = []  # nodes whose ')' is pending
+    i = 0
+    while True:
+        if tokens[i].kind != "label":
+            raise TextFormatError("expected a node label", tokens[i].pos)
+        nid = len(heads) + 1
+        heads[nid], kids[nid] = tokens[i], []
+        if open_nodes:
+            kids[open_nodes[-1]].append(nid)
+        i += 1
+        if i < len(tokens) and tokens[i].kind == "(":
+            i += 1
+            if i < len(tokens) and tokens[i].kind == ")":
+                raise TextFormatError("empty child list", tokens[i].pos)
+            open_nodes.append(nid)
+        while open_nodes and i < len(tokens) and tokens[i].kind == ")":
+            open_nodes.pop()
+            i += 1
+        if not open_nodes:
+            break
+        if i == len(tokens):
+            raise TextFormatError("missing ')'", tokens[-1].pos)
     if i != len(tokens):
         raise TextFormatError("trailing tokens after tree", tokens[i].pos)
     nts = None if nonterminals is None else frozenset(nonterminals)
     ts = None if terminals is None else frozenset(terminals)
-
-    labels: dict[int, NodeLabel] = {}
-    children: dict[int, tuple[int, ...]] = {}
-    counter = [0]
-
-    def build(node: _NodeSpec) -> int:
-        counter[0] += 1
-        nid = counter[0]
-        labels[nid] = _resolve_label(node, nts, ts)
-        children[nid] = tuple(build(kid) for kid in node.children)
-        return nid
-
-    root = build(spec)
-    return SyntacticTree(root, labels, children)
+    labels = {nid: _resolve_label(tok, bool(kids[nid]), nts, ts) for nid, tok in heads.items()}
+    children = {nid: tuple(ids) for nid, ids in kids.items()}
+    return SyntacticTree._build(1, labels, children)
 
 
 def _format_label(label: NodeLabel) -> str:
@@ -227,14 +250,22 @@ def _format_label(label: NodeLabel) -> str:
 
 
 def format_tree(tree: SyntacticTree) -> str:
-    def emit(nid: int) -> str:
-        text = _format_label(tree.label(nid))
-        kids = tree.child_ids(nid)
+    parts: list[str] = []
+    stack: list[int | str] = [tree.root]  # node ids and pending punctuation
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        parts.append(_format_label(tree.labels[item]))
+        kids = tree.children[item]
         if kids:
-            text += "(" + " ".join(emit(k) for k in kids) + ")"
-        return text
-
-    return emit(tree.root)
+            pending: list[int | str] = [")"]
+            for kid in reversed(kids):
+                pending += (kid, " ")
+            pending[-1] = "("
+            stack += pending
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -302,84 +333,69 @@ _NAME_RE = re.compile(r"[\w.\-]+")
 _ADDRESS_RE = re.compile(rf"{EPSILON}|\d+(?:\.\d+)*")
 
 
-class _DerivationScanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, literal: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(literal, self.pos):
-            raise TextFormatError(f"expected {literal!r}", self.pos)
-        self.pos += len(literal)
-
-    def name(self) -> str:
-        self.skip_ws()
-        match = _NAME_RE.match(self.text, self.pos)
-        if not match:
-            raise TextFormatError("expected an elementary-tree name", self.pos)
-        self.pos = match.end()
-        return match.group()
-
-    def address(self) -> GornAddress:
-        self.skip_ws()
-        match = _ADDRESS_RE.match(self.text, self.pos)
-        if not match:
-            raise TextFormatError("expected a Gorn address", self.pos)
-        self.pos = match.end()
-        raw = match.group()
-        return () if raw == EPSILON else tuple(int(p) for p in raw.split("."))
+def _edge_head(scanner: _Scanner, name: str, edges: list[DerivationEdge]) -> tuple:
+    """Read ``op@address ->`` of the next edge of node ``name``."""
+    op_name = scanner.match(_NAME_RE, "an elementary-tree name")
+    try:
+        operation = Operation(op_name)
+    except ValueError:
+        raise TextFormatError(
+            f"unknown operation {op_name!r} (expected sub/adj)", scanner.pos
+        ) from None
+    scanner.expect("@")
+    raw = scanner.match(_ADDRESS_RE, "a Gorn address")
+    address = () if raw == EPSILON else tuple(int(p) for p in raw.split("."))
+    scanner.expect("->")
+    return name, edges, operation, address
 
 
 def parse_derivation(text: str) -> DerivationTree:
-    scanner = _DerivationScanner(text)
-    node = _parse_derivation_node(scanner)
-    scanner.skip_ws()
-    if scanner.pos != len(scanner.text):
+    scanner = _Scanner(text, TextFormatError)
+    # (name, edges, operation, address) of the nodes whose edge waits for its child
+    stack: list[tuple] = []
+    while True:
+        name = scanner.match(_NAME_RE, "an elementary-tree name")
+        if scanner.take("["):
+            stack.append(_edge_head(scanner, name, []))
+            continue
+        node = DerivationTree(name)
+        while stack:
+            parent, edges, operation, address = stack.pop()
+            # the constructors' rules (indices >= 1, distinct addresses)
+            # are reported as format errors where they are detected
+            try:
+                edges.append(DerivationEdge(operation, address, node))
+            except ValueError as exc:
+                raise TextFormatError(str(exc), scanner.pos) from None
+            if scanner.take(","):
+                stack.append(_edge_head(scanner, parent, edges))
+                break
+            scanner.expect("]")
+            try:
+                node = DerivationTree(parent, tuple(edges))
+            except ValueError as exc:
+                raise TextFormatError(str(exc), scanner.pos) from None
+        if not stack:
+            break
+    if scanner.peek():
         raise TextFormatError("trailing text after derivation", scanner.pos)
     return node
 
 
-def _parse_derivation_node(scanner: _DerivationScanner) -> DerivationTree:
-    name = scanner.name()
-    edges: list[DerivationEdge] = []
-    if scanner.peek() == "[":
-        scanner.expect("[")
-        while True:
-            op_name = scanner.name()
-            try:
-                operation = Operation(op_name)
-            except ValueError:
-                raise TextFormatError(
-                    f"unknown operation {op_name!r} (expected sub/adj)", scanner.pos
-                ) from None
-            scanner.expect("@")
-            address = scanner.address()
-            scanner.expect("->")
-            child = _parse_derivation_node(scanner)
-            edges.append(DerivationEdge(operation, address, child))
-            if scanner.peek() == ",":
-                scanner.expect(",")
-                continue
-            scanner.expect("]")
-            break
-    return DerivationTree(name, tuple(edges))
-
-
 def format_derivation(derivation: DerivationTree) -> str:
-    if not derivation.edges:
-        return derivation.tree_name
-    parts = [
-        f"{edge.operation.value}@{format_address(edge.address)} -> "
-        + format_derivation(edge.child)
-        for edge in derivation.edges
-    ]
-    return f"{derivation.tree_name}[" + ", ".join(parts) + "]"
+    parts: list[str] = []
+    stack: list[DerivationTree | str] = [derivation]  # nodes and pending text
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        parts.append(item.tree_name)
+        if item.edges:
+            pending: list[DerivationTree | str] = ["]"]
+            for edge in reversed(item.edges):
+                head = f"{edge.operation.value}@{format_address(edge.address)} -> "
+                pending += (edge.child, head, ", ")
+            pending[-1] = "["
+            stack += pending
+    return "".join(parts)

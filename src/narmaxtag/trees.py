@@ -173,12 +173,14 @@ class SyntacticTree:
             stack.extend(reversed(self.children[nid]))
 
     def post_order(self) -> Iterator[int]:
-        def walk(nid: int) -> Iterator[int]:
-            for kid in self.children[nid]:
-                yield from walk(kid)
-            yield nid
-
-        return walk(self.root)
+        # a pre-order that takes children right to left, reversed
+        order = []
+        stack = [self.root]
+        while stack:
+            nid = stack.pop()
+            order.append(nid)
+            stack.extend(self.children[nid])
+        return reversed(order)
 
     def leaves(self) -> Iterator[int]:
         return (nid for nid in self.pre_order() if self.is_leaf(nid))
@@ -232,14 +234,25 @@ class SyntacticTree:
         return max(self.labels)
 
     def structural_key(self, start: int | None = None) -> tuple:
-        nid = self.root if start is None else start
-        return (
-            self.labels[nid].key(),
-            tuple(self.structural_key(kid) for kid in self.children[nid]),
-        )
+        top = self.root if start is None else start
+        keys: dict[int, tuple] = {}
+        for nid in reversed(list(self.pre_order(top))):  # children before parents
+            keys[nid] = (
+                self.labels[nid].key(),
+                tuple(keys[kid] for kid in self.children[nid]),
+            )
+        return keys[top]
 
     def structurally_equal(self, other: "SyntacticTree") -> bool:
-        return self.structural_key() == other.structural_key()
+        # flat pre-order (label, arity) lists: comparing nested keys
+        # recurses once per level
+        def shape(tree: SyntacticTree) -> list[tuple]:
+            return [
+                (tree.labels[nid].key(), len(tree.children[nid]))
+                for nid in tree.pre_order()
+            ]
+
+        return shape(self) == shape(other)
 
 
 class TreeKind(Enum):
@@ -323,9 +336,11 @@ class DerivationTree:
             seen.add(edge.address)
 
     def node_names(self) -> Iterator[str]:
-        yield self.tree_name
-        for edge in self.edges:
-            yield from edge.child.node_names()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node.tree_name
+            stack.extend(edge.child for edge in reversed(node.edges))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ class TestPipeline:
             "c1*u[0] + c2*y[-1]^2 + xi",
             "c1*u[0] + c2*y[-1]^2 + c3*xi[0]*xi[-1]*xi[-2] + xi",
             "xi",
+            "c1*u[-900] + xi",
         ],
     )
     def test_parse_derive_yield_to_model(self, capsys, tmp_path, model):
@@ -163,6 +164,17 @@ class TestSimulateCommand:
         assert "noise-std=0.5" in err
         code2, out2, err2 = run(capsys, *argv)
         assert (code, out, err) == (code2, out2, err2)
+
+    def test_length_must_match_noise_file(self, capsys, tmp_path):
+        xi = tmp_path / "xi.txt"
+        xi.write_text("0\n0\n", encoding="utf-8")
+        code, out, err = run(capsys, "simulate", "xi", "--xi", str(xi), "--n", "5")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: --n 5 differs from the 2 samples in --xi"]
+        code, out, _ = run(capsys, "simulate", "xi", "--xi", str(xi), "--n", "2")
+        assert code == 0
+        assert out.splitlines() == ["0.0", "0.0"]
 
     def test_missing_length_is_usage_error(self, capsys):
         code, _, err = run(capsys, "simulate", "xi")

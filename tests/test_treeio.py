@@ -81,6 +81,12 @@ class TestTreeFormat:
             again = format_tree(parse_tree(once))
             assert once == again == text
 
+    def test_deep_nesting(self):
+        text = "A(" * 10_000 + "b" + ")" * 10_000
+        tree = parse_tree(text)
+        assert len(tree.labels) == 10_001
+        assert format_tree(tree) == text
+
 
 class TestGrammarFormat:
     def test_sentence_grammar_roundtrip(self, sentence_grammar):
@@ -138,6 +144,22 @@ class TestDerivationFormat:
     def test_trailing_junk(self):
         with pytest.raises(TextFormatError):
             parse_derivation("a[adj@ε -> b] c")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a[adj@0 -> b]", "Gorn address indices must be >= 1 (at position 12)"),
+            ("a[sub@1 -> b, adj@1 -> c]", "two edges of 'a' share address 1 (at position 25)"),
+        ],
+    )
+    def test_edge_rules_are_format_errors(self, text, message):
+        with pytest.raises(TextFormatError) as err:
+            parse_derivation(text)
+        assert str(err.value) == message
+
+    def test_deep_nesting(self):
+        text = "a[adj@1 -> " * 10_000 + "b" + "]" * 10_000
+        assert format_derivation(parse_derivation(text)) == text
 
     def test_operations_parsed(self):
         derivation = parse_derivation(ADVERB_DERIVATION)

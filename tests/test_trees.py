@@ -67,6 +67,44 @@ class TestSyntacticTree:
         with pytest.raises(ValueError):
             SyntacticTree(1, labels, {1: (2, 3), 2: (3,)})
 
+    def test_post_order(self):
+        tree = parse_tree("A(B(c d) e)")
+        assert list(tree.post_order()) == [3, 4, 2, 5, 1]
+
+
+def chain_tree(n, leaf="a"):
+    labels = {nid: NodeLabel.nonterminal("A") for nid in range(1, n)}
+    labels[n] = NodeLabel.terminal(leaf)
+    children = {nid: (nid + 1,) for nid in range(1, n)}
+    return SyntacticTree(1, labels, children)
+
+
+class TestDeepWalkers:
+    N = 5_000
+
+    def test_post_order_of_chain(self):
+        assert list(chain_tree(self.N).post_order()) == list(range(self.N, 0, -1))
+
+    def test_structural_key_of_chain(self):
+        key = chain_tree(self.N).structural_key()
+        depth = 0
+        while key[1]:
+            (key,) = key[1]
+            depth += 1
+        assert depth == self.N - 1
+        assert key[0] == NodeLabel.terminal("a").key()
+
+    def test_structural_equality_of_chains(self):
+        assert chain_tree(self.N).structurally_equal(chain_tree(self.N))
+        assert not chain_tree(self.N).structurally_equal(chain_tree(self.N, leaf="b"))
+
+    def test_node_names_of_deep_derivation(self):
+        derivation = DerivationTree("leaf")
+        for _ in range(self.N - 1):
+            edge = DerivationEdge(Operation.ADJUNCTION, (1,), derivation)
+            derivation = DerivationTree("beta", (edge,))
+        assert list(derivation.node_names()) == ["beta"] * (self.N - 1) + ["leaf"]
+
 
 class TestNodeAt:
     def test_empty_address_is_root(self):
