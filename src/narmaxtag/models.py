@@ -314,7 +314,7 @@ def _parse_factor(scanner: _Scanner, factors: dict[FactorKey, int]) -> None:
         raise ModelSyntaxError("expected a signal (u, y or xi)", start)
     scanner.expect("[")
     negative = scanner.take("-")
-    offset = int(scanner.match(_INTEGER_RE, "an integer"))
+    offset = scanner.number(_INTEGER_RE, "an integer", int)
     scanner.expect("]")
     delay = offset if negative else -offset
     if delay < 0:
@@ -325,7 +325,7 @@ def _parse_factor(scanner: _Scanner, factors: dict[FactorKey, int]) -> None:
         raise CausalityError(f"y[0] violates causality (position {start})")
     exponent = 1
     if scanner.take("^"):
-        exponent = int(scanner.match(_INTEGER_RE, "an integer"))
+        exponent = scanner.number(_INTEGER_RE, "an integer", int)
         if exponent < 1:
             raise ModelSyntaxError("exponents must be >= 1", scanner.pos)
     key = (signal, delay)
@@ -356,10 +356,10 @@ def parse_model_text(text: str, mode: Mode = Mode.EXTENDED) -> NarmaxModel:
                 break
             scanner.pos = start
         scanner.expect("c")
-        coeff_id = int(scanner.match(_INTEGER_RE, "an integer"))
+        coeff_id = scanner.number(_INTEGER_RE, "an integer", int)
         value = None
         if scanner.take(":"):
-            value = float(scanner.match(_REAL_RE, "a number"))
+            value = scanner.number(_REAL_RE, "a number", float)
         factors: dict[FactorKey, int] = {}
         while scanner.take("*"):
             _parse_factor(scanner, factors)

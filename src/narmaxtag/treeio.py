@@ -27,8 +27,9 @@ loop over an explicit stack, so nesting depth is bounded by memory only.
 
 from __future__ import annotations
 
+import math
 import re
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 from .trees import (
     EPSILON,
@@ -91,6 +92,21 @@ class _Scanner:
             raise self.error(f"expected {what}", self.pos)
         self.pos = found.end()
         return found.group()
+
+    def number(self, pattern: re.Pattern, what: str, convert: Callable) -> Any:
+        """``convert`` of the next ``match``; a value it cannot take, such as
+        a digit run past the interpreter's limit, or a non-finite float is
+        an error at the value's first character."""
+        self.skip_ws()
+        start = self.pos
+        text = self.match(pattern, what)
+        try:
+            value = convert(text)
+        except ValueError:
+            raise self.error(f"{what} is out of range", start) from None
+        if isinstance(value, float) and not math.isfinite(value):
+            raise self.error(f"{what} is out of range", start)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +349,10 @@ _NAME_RE = re.compile(r"[\w.\-]+")
 _ADDRESS_RE = re.compile(rf"{EPSILON}|\d+(?:\.\d+)*")
 
 
+def _address(text: str) -> tuple[int, ...]:
+    return () if text == EPSILON else tuple(int(part) for part in text.split("."))
+
+
 def _edge_head(scanner: _Scanner, name: str, edges: list[DerivationEdge]) -> tuple:
     """Read ``op@address ->`` of the next edge of node ``name``."""
     op_name = scanner.match(_NAME_RE, "an elementary-tree name")
@@ -343,8 +363,7 @@ def _edge_head(scanner: _Scanner, name: str, edges: list[DerivationEdge]) -> tup
             f"unknown operation {op_name!r} (expected sub/adj)", scanner.pos
         ) from None
     scanner.expect("@")
-    raw = scanner.match(_ADDRESS_RE, "a Gorn address")
-    address = () if raw == EPSILON else tuple(int(p) for p in raw.split("."))
+    address = scanner.number(_ADDRESS_RE, "a Gorn address", _address)
     scanner.expect("->")
     return name, edges, operation, address
 

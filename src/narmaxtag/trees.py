@@ -4,20 +4,24 @@ Trees, grammars and derivations are immutable values: every operation
 returns a fresh tree and never touches its inputs.  Nodes are identified
 by integer ids, but ids are an implementation detail -- whenever two
 trees have to be compared, structural equality (same shape, same labels)
-is the notion that matters, and incoming material is renumbered on every
-splice so that vertex sets stay disjoint.
+is the notion that matters.  :func:`substitute` and :func:`adjoin`
+renumber the incoming tree so that vertex sets stay disjoint.
 
 The two rewriting operations follow the usual set-level definitions:
 substitution replaces a marked nonterminal leaf by the root of an
 initial tree, adjunction excises an internal node, splices an auxiliary
 tree in its place and re-hangs the excised node's children below the
-auxiliary tree's foot.
+auxiliary tree's foot.  They are the reference semantics of
+:func:`derive`, which evaluates a whole derivation in one pass over a
+grammar compiled once, in time linear in the size of the derived tree
+and with no limit on its depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence, Union
 
 GornAddress = tuple[int, ...]
@@ -289,11 +293,51 @@ class Grammar:
         yield from self.initials
         yield from self.auxiliaries
 
-    def find(self, name: str) -> ElementaryTree | None:
+    @cached_property
+    def _tables(self) -> dict[str, _Table]:
+        # compiled on first use: many grammars are only listed or shown
+        tables: dict[str, _Table] = {}
         for entry in self.elementary():
-            if entry.name == name:
-                return entry
-        return None
+            if entry.name not in tables:  # the first entry of a name wins
+                tables[entry.name] = _Table(entry)
+        return tables
+
+    def find(self, name: str) -> ElementaryTree | None:
+        table = self._tables.get(name)
+        return None if table is None else table.entry
+
+
+class _Table:
+    """An elementary tree compiled for :func:`derive`.
+
+    Nodes are the indices 0..n-1 in pre-order: ``labels`` and
+    ``children`` are indexed by them, ``rank`` gives each node's place in
+    post-order, and ``feet`` is the tree's foot summary (see
+    :func:`_top_feet`).
+    """
+
+    __slots__ = ("entry", "labels", "children", "rank", "feet")
+
+    def __init__(self, entry: ElementaryTree):
+        tree = entry.tree
+        order = list(tree.pre_order())
+        index = {nid: i for i, nid in enumerate(order)}
+        self.entry = entry
+        self.labels = [tree.labels[nid] for nid in order]
+        self.children = [tuple(index[kid] for kid in tree.children[nid]) for nid in order]
+        self.rank = [0] * len(order)
+        for position, nid in enumerate(tree.post_order()):
+            self.rank[index[nid]] = position
+        self.feet = _top_feet(self, {})
+
+    def resolve(self, address: GornAddress) -> int | None:
+        node = 0
+        for step in address:
+            kids = self.children[node]
+            if step > len(kids):
+                return None
+            node = kids[step - 1]
+        return node
 
 
 class Operation(Enum):
@@ -313,12 +357,14 @@ class DerivationEdge:
             raise ValueError("Gorn address indices must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivationTree:
     """Record of which elementary trees were combined, where and how.
 
     Edge addresses always refer to the parent node's *original*
-    elementary tree, never to the partially rewritten host.
+    elementary tree, never to the partially rewritten host.  Equality
+    and hashing compare the flat pre-order of the nodes, so they work at
+    any depth.
     """
 
     tree_name: str
@@ -334,6 +380,25 @@ class DerivationTree:
                     f"{format_address(edge.address)}"
                 )
             seen.add(edge.address)
+
+    def _shape(self) -> list[tuple]:
+        # (tree name, incoming operation, incoming address, arity) in
+        # pre-order; the generated methods recurse once per level
+        out = []
+        stack: list[tuple] = [(None, None, self)]
+        while stack:
+            operation, address, node = stack.pop()
+            out.append((node.tree_name, operation, address, len(node.edges)))
+            stack.extend((e.operation, e.address, e.child) for e in reversed(node.edges))
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DerivationTree):
+            return NotImplemented
+        return self is other or self._shape() == other._shape()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._shape()))
 
     def node_names(self) -> Iterator[str]:
         stack = [self]
@@ -369,6 +434,41 @@ def _as_tree(value: TreeLike) -> SyntacticTree:
     return value.tree if isinstance(value, ElementaryTree) else value
 
 
+def _label_fault(label: NodeLabel, root: NodeLabel) -> str | None:
+    if label.kind is LabelKind.NONTERMINAL and root.kind is LabelKind.NONTERMINAL:
+        if label.name == root.name:
+            return None
+    return f"label {label.name!r} does not match incoming root {root.name!r}"
+
+
+def _substitution_fault(
+    label: NodeLabel, internal: bool, root: NodeLabel, has_foot: bool
+) -> str | None:
+    """Why a tree with root label ``root`` cannot substitute at a node
+    labeled ``label``, or None when it can."""
+    if internal:
+        return "substitution target must be a leaf"
+    if label.foot_marker:
+        return "cannot substitute at a foot node"
+    if not label.substitution_marker:
+        return "target leaf is not marked for substitution"
+    if has_foot:
+        return "cannot substitute an auxiliary tree"
+    return _label_fault(label, root)
+
+
+def _adjunction_fault(
+    label: NodeLabel, internal: bool, root: NodeLabel, has_foot: bool
+) -> str | None:
+    """Why a tree with root label ``root`` cannot adjoin at a node labeled
+    ``label``, or None when it can."""
+    if not internal:
+        return "adjunction target must have out-degree >= 1"
+    if not has_foot:
+        return "incoming tree has no foot node"
+    return _label_fault(label, root)
+
+
 def substitute(gamma: SyntacticTree, site: int, inner: TreeLike) -> SyntacticTree:
     """Replace the marked leaf ``site`` by a copy of the initial tree ``inner``.
 
@@ -379,24 +479,14 @@ def substitute(gamma: SyntacticTree, site: int, inner: TreeLike) -> SyntacticTre
     inner_tree = _as_tree(inner)
     if site not in gamma.labels:
         raise UndefinedSubstitutionError(f"node {site} is not part of the host tree")
-    label = gamma.label(site)
-    if gamma.is_internal(site):
-        raise UndefinedSubstitutionError("substitution target must be a leaf")
-    if label.foot_marker:
-        raise UndefinedSubstitutionError("cannot substitute at a foot node")
-    if not label.substitution_marker:
-        raise UndefinedSubstitutionError("target leaf is not marked for substitution")
-    if inner_tree.foot_node() is not None:
-        raise UndefinedSubstitutionError("cannot substitute an auxiliary tree")
-    root_label = inner_tree.label(inner_tree.root)
-    if not (
-        label.kind is LabelKind.NONTERMINAL
-        and root_label.kind is LabelKind.NONTERMINAL
-        and label.name == root_label.name
-    ):
-        raise UndefinedSubstitutionError(
-            f"label {label.name!r} does not match incoming root {root_label.name!r}"
-        )
+    fault = _substitution_fault(
+        gamma.label(site),
+        gamma.is_internal(site),
+        inner_tree.label(inner_tree.root),
+        inner_tree.foot_node() is not None,
+    )
+    if fault:
+        raise UndefinedSubstitutionError(fault)
 
     base = gamma.max_id() + 1
     mapping = {nid: base + i for i, nid in enumerate(inner_tree.pre_order())}
@@ -424,21 +514,12 @@ def adjoin(gamma: SyntacticTree, at: int, aux: TreeLike) -> SyntacticTree:
     aux_tree = _as_tree(aux)
     if at not in gamma.labels:
         raise UndefinedAdjunctionError(f"node {at} is not part of the host tree")
-    if gamma.is_leaf(at):
-        raise UndefinedAdjunctionError("adjunction target must have out-degree >= 1")
     foot = aux_tree.foot_node()
-    if foot is None:
-        raise UndefinedAdjunctionError("incoming tree has no foot node")
-    label = gamma.label(at)
-    root_label = aux_tree.label(aux_tree.root)
-    if not (
-        label.kind is LabelKind.NONTERMINAL
-        and root_label.kind is LabelKind.NONTERMINAL
-        and label.name == root_label.name
-    ):
-        raise UndefinedAdjunctionError(
-            f"label {label.name!r} does not match incoming root {root_label.name!r}"
-        )
+    fault = _adjunction_fault(
+        gamma.label(at), gamma.is_internal(at), aux_tree.label(aux_tree.root), foot is not None
+    )
+    if fault:
+        raise UndefinedAdjunctionError(fault)
 
     base = gamma.max_id() + 1
     mapping = {nid: base + i for i, nid in enumerate(aux_tree.pre_order())}
@@ -484,67 +565,167 @@ def derive(derivation: DerivationTree, grammar: Grammar) -> SyntacticTree:
     """Evaluate a derivation tree into the derived syntactic tree.
 
     The root must name an initial tree whose root label is the start
-    symbol.  Each edge's address is resolved against the parent's
-    pristine elementary-tree instance before anything is applied, so the
-    result does not depend on sibling order; operations are applied
-    innermost-first for deterministic error reporting.
+    symbol.  The result equals applying :func:`substitute` and
+    :func:`adjoin` node by node: each edge's address is resolved against
+    the parent's original elementary tree, the edges of a node are
+    applied in post-order of their targets, and a child is derived before
+    its own edge is applied, so the first error those operations would
+    meet is the one raised.  The evaluation makes two passes over the
+    grammar's compiled trees, a check pass and an emit pass that numbers
+    the nodes 1..n in pre-order; both are loops, so the cost is linear in
+    the size of the derived tree and any depth is allowed.
     """
-    entry = grammar.find(derivation.tree_name)
-    if entry is None:
+    tables = grammar._tables
+    table = tables.get(derivation.tree_name)
+    if table is None:
         raise DanglingReferenceError(f"unknown elementary tree {derivation.tree_name!r}")
-    root_label = entry.tree.label(entry.tree.root)
-    if entry.kind is not TreeKind.INITIAL or root_label.name != grammar.start:
+    if table.entry.kind is not TreeKind.INITIAL or table.labels[0].name != grammar.start:
         raise InapplicableOperationError(
             f"derivation root {derivation.tree_name!r} is not an initial tree "
             f"rooted at {grammar.start!r}"
         )
-    return _derive_node(derivation, grammar)
+    return _emit(_check(derivation, tables))
 
 
-def _derive_node(derivation: DerivationTree, grammar: Grammar) -> SyntacticTree:
-    entry = grammar.find(derivation.tree_name)
-    if entry is None:
-        raise DanglingReferenceError(f"unknown elementary tree {derivation.tree_name!r}")
-    host = entry.tree.renumbered(1)
-    resolved = []
-    for edge in derivation.edges:
-        try:
-            target = node_at(host, edge.address)
-        except InvalidAddressError as exc:
+class _Part:
+    """A checked derivation node: its compiled tree, the operations on
+    that tree by node index, each with the part it brings, and the foot
+    summary of the tree it derives."""
+
+    __slots__ = ("table", "ops", "feet")
+
+    def __init__(self, table: _Table, ops: dict[int, tuple[Operation, _Part]]):
+        self.table = table
+        self.ops = ops
+        self.feet = _top_feet(table, ops) if ops else table.feet
+
+
+def _top_feet(table: _Table, ops: dict[int, tuple[Operation, _Part]]) -> list[int]:
+    """The foot-marked nodes of the tree that ``table`` derives with
+    ``ops`` applied, keeping those with no foot above them, in pre-order,
+    each given as the number of feet below it.
+
+    Adjunction clears the first of these and replaces what hangs below
+    it, so the list tells whether a part still has a foot after any
+    number of adjunctions into it.
+    """
+    tops: list[list[int]] = [[]] * len(table.labels)
+    for i in reversed(range(len(table.labels))):  # children before parents
+        below = [count for kid in table.children[i] for count in tops[kid]]
+        if i in ops:
+            # the node is replaced; a substituted part has no feet
+            below += ops[i][1].feet[1:]
+        elif table.labels[i].foot_marker:
+            below = [len(below) + sum(below)]
+        tops[i] = below
+    return tops[0]
+
+
+def _open(node: DerivationTree, table: _Table) -> tuple:
+    """Check-pass frame of ``node``: its edges resolved in edge order,
+    sorted so that popping them gives post-order of their targets."""
+    pending = []
+    for edge in node.edges:
+        target = table.resolve(edge.address)
+        if target is None:
             raise InapplicableOperationError(
                 f"address {format_address(edge.address)} is not a node of "
-                f"{derivation.tree_name!r}"
-            ) from exc
-        resolved.append((edge, target))
-    rank = {nid: pos for pos, nid in enumerate(host.post_order())}
-    resolved.sort(key=lambda pair: rank[pair[1]])
-    for edge, target in resolved:
-        child_entry = grammar.find(edge.child.tree_name)
-        if child_entry is None:
-            raise DanglingReferenceError(
-                f"unknown elementary tree {edge.child.tree_name!r}"
+                f"{node.tree_name!r}"
             )
-        part = _derive_node(edge.child, grammar)
-        try:
-            if edge.operation is Operation.SUBSTITUTION:
-                if child_entry.kind is not TreeKind.INITIAL:
-                    raise InapplicableOperationError(
-                        f"substitution edge targets auxiliary tree "
-                        f"{child_entry.name!r}"
-                    )
-                host = substitute(host, target, part)
-            else:
-                if child_entry.kind is not TreeKind.AUXILIARY:
-                    raise InapplicableOperationError(
-                        f"adjunction edge targets initial tree {child_entry.name!r}"
-                    )
-                host = adjoin(host, target, part)
-        except (UndefinedSubstitutionError, UndefinedAdjunctionError) as exc:
+        pending.append((table.rank[target], target, edge))
+    pending.sort(reverse=True)  # distinct targets, distinct ranks: edges never compared
+    return node, table, pending, {}
+
+
+def _check(derivation: DerivationTree, tables: dict[str, _Table]) -> _Part:
+    """Raise the first error of the derivation, or return its checked part.
+
+    Every precondition is decided on the original elementary trees: an
+    operation never changes the label or arity of another target, nor
+    the root label of a part.
+    """
+    stack = [_open(derivation, tables[derivation.tree_name])]
+    while True:
+        node, table, pending, ops = stack[-1]
+        if pending:
+            edge = pending[-1][2]
+            child = tables.get(edge.child.tree_name)
+            if child is None:
+                raise DanglingReferenceError(
+                    f"unknown elementary tree {edge.child.tree_name!r}"
+                )
+            stack.append(_open(edge.child, child))
+            continue
+        stack.pop()
+        part = _Part(table, ops)
+        if not stack:
+            return part
+        node, table, pending, ops = stack[-1]
+        _, target, edge = pending.pop()
+        _check_edge(node, table, target, edge, part)
+        ops[target] = (edge.operation, part)
+
+
+def _check_edge(
+    node: DerivationTree, table: _Table, target: int, edge: DerivationEdge, part: _Part
+) -> None:
+    entry = part.table.entry
+    label = table.labels[target]
+    internal = bool(table.children[target])
+    root = part.table.labels[0]
+    if edge.operation is Operation.SUBSTITUTION:
+        if entry.kind is not TreeKind.INITIAL:
             raise InapplicableOperationError(
-                f"cannot apply {edge.operation.value} of {edge.child.tree_name!r} "
-                f"at {derivation.tree_name!r}@{format_address(edge.address)}: {exc}"
-            ) from exc
-    return host
+                f"substitution edge targets auxiliary tree {entry.name!r}"
+            )
+        fault = _substitution_fault(label, internal, root, bool(part.feet))
+    else:
+        if entry.kind is not TreeKind.AUXILIARY:
+            raise InapplicableOperationError(
+                f"adjunction edge targets initial tree {entry.name!r}"
+            )
+        fault = _adjunction_fault(label, internal, root, bool(part.feet))
+    if fault:
+        raise InapplicableOperationError(
+            f"cannot apply {edge.operation.value} of {entry.name!r} "
+            f"at {node.tree_name!r}@{format_address(edge.address)}: {fault}"
+        )
+
+
+def _emit(top: _Part) -> SyntacticTree:
+    """Build the derived tree of a checked part in one pre-order walk.
+
+    An adjoined part is walked in place of the excised node; the first
+    foot the walk meets inside it loses its marker and takes the excised
+    node's children instead of its own, as :func:`adjoin` does.
+    """
+    labels: list[NodeLabel] = []  # by id - 1
+    children: list[list[int]] = [[]]  # by id; entry 0 receives the root
+    excised: list[tuple[_Part, int]] = []  # adjunctions still to meet their foot
+    stack: list[tuple[_Part, int, int]] = [(top, 0, 0)]  # (part, node, parent id)
+    while stack:
+        part, i, parent = stack.pop()
+        op = part.ops.get(i)
+        if op is not None:
+            if op[0] is Operation.ADJUNCTION:
+                excised.append((part, i))
+            stack.append((op[1], 0, parent))
+            continue
+        label = part.table.labels[i]
+        if label.foot_marker and excised:
+            part, i = excised.pop()
+            label = NodeLabel(label.kind, label.name, label.substitution_marker, False)
+        labels.append(label)
+        nid = len(labels)
+        children[parent].append(nid)
+        children.append([])
+        kids = part.table.children[i]
+        if kids:
+            stack += [(part, kid, nid) for kid in reversed(kids)]
+    ids = range(1, len(labels) + 1)
+    return SyntacticTree._build(
+        1, dict(zip(ids, labels)), dict(zip(ids, map(tuple, children[1:])))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,25 @@ from __future__ import annotations
 import random
 
 from narmaxtag.models import Mode, Monomial, NarmaxModel, SignalKind, canonicalize
-from narmaxtag.trees import NodeLabel, SyntacticTree
+from narmaxtag.trees import (
+    DanglingReferenceError,
+    DerivationEdge,
+    DerivationTree,
+    ElementaryTree,
+    Grammar,
+    InapplicableOperationError,
+    InvalidAddressError,
+    NodeLabel,
+    Operation,
+    SyntacticTree,
+    TreeKind,
+    UndefinedAdjunctionError,
+    UndefinedSubstitutionError,
+    adjoin,
+    format_address,
+    node_at,
+    substitute,
+)
 
 # ---------------------------------------------------------------------------
 # Independent renumbering and the vertex/edge set expressions
@@ -74,6 +92,71 @@ def expected_adjunction(gamma: SyntacticTree, at: int, aux: SyntacticTree):
     )
     root = gamma.root if at != gamma.root else aux_root
     return vertices, edges, root
+
+
+# ---------------------------------------------------------------------------
+# Splice-based derivation evaluation
+# ---------------------------------------------------------------------------
+
+
+def reference_derive(derivation: DerivationTree, grammar: Grammar) -> SyntacticTree:
+    """``derive`` by the set-level operations: every node's elementary tree
+    is copied and each child's derived tree spliced in with ``substitute``
+    or ``adjoin``, innermost first.  Quadratic in tree size and recursive
+    in derivation depth; it raises the errors ``derive`` must raise."""
+    entry = grammar.find(derivation.tree_name)
+    if entry is None:
+        raise DanglingReferenceError(f"unknown elementary tree {derivation.tree_name!r}")
+    root_label = entry.tree.label(entry.tree.root)
+    if entry.kind is not TreeKind.INITIAL or root_label.name != grammar.start:
+        raise InapplicableOperationError(
+            f"derivation root {derivation.tree_name!r} is not an initial tree "
+            f"rooted at {grammar.start!r}"
+        )
+    return _reference_node(derivation, grammar)
+
+
+def _reference_node(derivation: DerivationTree, grammar: Grammar) -> SyntacticTree:
+    host = grammar.find(derivation.tree_name).tree.renumbered(1)
+    resolved = []
+    for edge in derivation.edges:
+        try:
+            target = node_at(host, edge.address)
+        except InvalidAddressError as exc:
+            raise InapplicableOperationError(
+                f"address {format_address(edge.address)} is not a node of "
+                f"{derivation.tree_name!r}"
+            ) from exc
+        resolved.append((edge, target))
+    rank = {nid: pos for pos, nid in enumerate(host.post_order())}
+    resolved.sort(key=lambda pair: rank[pair[1]])
+    for edge, target in resolved:
+        child_entry = grammar.find(edge.child.tree_name)
+        if child_entry is None:
+            raise DanglingReferenceError(
+                f"unknown elementary tree {edge.child.tree_name!r}"
+            )
+        part = _reference_node(edge.child, grammar)
+        try:
+            if edge.operation is Operation.SUBSTITUTION:
+                if child_entry.kind is not TreeKind.INITIAL:
+                    raise InapplicableOperationError(
+                        f"substitution edge targets auxiliary tree "
+                        f"{child_entry.name!r}"
+                    )
+                host = substitute(host, target, part)
+            else:
+                if child_entry.kind is not TreeKind.AUXILIARY:
+                    raise InapplicableOperationError(
+                        f"adjunction edge targets initial tree {child_entry.name!r}"
+                    )
+                host = adjoin(host, target, part)
+        except (UndefinedSubstitutionError, UndefinedAdjunctionError) as exc:
+            raise InapplicableOperationError(
+                f"cannot apply {edge.operation.value} of {edge.child.tree_name!r} "
+                f"at {derivation.tree_name!r}@{format_address(edge.address)}: {exc}"
+            ) from exc
+    return host
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +236,90 @@ def adjunction_case(rng: random.Random):
             labels[nid] = NodeLabel.nonterminal(labels[nid].name)
     aux = SyntacticTree(aux.root, labels, aux.children)
     return gamma, at, aux
+
+
+def _relabeled(tree: SyntacticTree, changes: dict[int, NodeLabel]) -> SyntacticTree:
+    return SyntacticTree(tree.root, {**tree.labels, **changes}, tree.children)
+
+
+def _with_feet(rng: random.Random, tree: SyntacticTree) -> SyntacticTree:
+    """Mostly one foot on a leaf named like the root; sometimes none, two,
+    one on an inner node or one with another name."""
+    count = rng.choices((0, 1, 2), weights=(1, 7, 2))[0]
+    leaves = [nid for nid in tree.labels if not tree.children[nid]]
+    inner = [nid for nid in tree.labels if tree.children[nid]]
+    changes = {}
+    for _ in range(count):
+        nid = rng.choice(leaves if rng.random() < 0.8 else inner)
+        name = tree.labels[tree.root].name if rng.random() < 0.9 else rng.choice(_NT_NAMES)
+        changes[nid] = NodeLabel.nonterminal(name, foot=True)
+    return _relabeled(tree, changes)
+
+
+def random_grammar(rng: random.Random) -> Grammar:
+    """A small grammar over random trees, often malformed: feet missing,
+    doubled, on inner nodes or misnamed, and tree names used twice."""
+    start = rng.choice(_NT_NAMES)
+    initials, auxiliaries = [], []
+    for _ in range(rng.randint(1, 3)):
+        tree = random_tree(rng, max_depth=2)
+        if rng.random() < 0.6:
+            tree = _relabeled(tree, {tree.root: NodeLabel.nonterminal(start)})
+        if rng.random() < 0.1:
+            tree = _with_feet(rng, tree)
+        initials.append(ElementaryTree(f"t{rng.randint(1, 6)}", TreeKind.INITIAL, tree))
+    for _ in range(rng.randint(1, 4)):
+        tree = _with_feet(rng, random_tree(rng, max_depth=2))
+        auxiliaries.append(ElementaryTree(f"t{rng.randint(1, 6)}", TreeKind.AUXILIARY, tree))
+    return Grammar(set(_NT_NAMES), set(_T_NAMES), start, initials, auxiliaries)
+
+
+def random_derivation(
+    rng: random.Random, grammar: Grammar, depth: int = 3
+) -> DerivationTree:
+    """A derivation that mostly fills sites and adjoins at inner nodes with
+    trees whose root label fits, with some unknown names, wrong
+    operations, addresses off the tree and edges in random order."""
+    names = [entry.name for entry in grammar.elementary()] + ["zz"]
+
+    def pick(operation: Operation, label: NodeLabel) -> str:
+        catalog = grammar.initials if operation is Operation.SUBSTITUTION else grammar.auxiliaries
+        fitting = [e.name for e in catalog if e.tree.label(e.tree.root).name == label.name]
+        return rng.choice(fitting if fitting and rng.random() < 0.9 else names)
+
+    def build(name: str, depth: int) -> DerivationTree:
+        entry = grammar.find(name)
+        if entry is None or depth == 0:
+            return DerivationTree(name)
+        tree = entry.tree
+        edges, used = [], set()
+        for nid in tree.pre_order():
+            label = tree.label(nid)
+            if label.substitution_marker:
+                chance, operation = 0.9, Operation.SUBSTITUTION
+            else:
+                chance = 0.3 if tree.is_internal(nid) else 0.03
+                operation = Operation.ADJUNCTION
+            if rng.random() >= chance:
+                continue
+            if rng.random() < 0.05:
+                operation = rng.choice(list(Operation))
+            address = tree.address_of(nid)
+            if rng.random() < 0.05:
+                address += (rng.randint(1, 3),)
+            if address in used:
+                continue
+            used.add(address)
+            child = build(pick(operation, label), depth - 1)
+            edges.append(DerivationEdge(operation, address, child))
+        rng.shuffle(edges)
+        return DerivationTree(name, tuple(edges))
+
+    starts = [
+        e.name for e in grammar.initials if e.tree.label(e.tree.root).name == grammar.start
+    ]
+    root = rng.choice(starts if starts and rng.random() < 0.9 else names)
+    return build(root, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,11 @@ class TestRoundtripCommand:
         assert lines[0] == "OK"
         assert lines[1].startswith("alpha1[")
 
+    def test_long_delay(self, capsys):
+        code, out, _ = run(capsys, "roundtrip", "c1*u[-5000] + xi")
+        assert code == 0
+        assert out.splitlines()[0] == "OK"
+
     def test_domain_error_exit_code(self, capsys):
         code, out, err = run(capsys, "roundtrip", "c1*y[0] + xi")
         assert code == 1
@@ -36,6 +41,8 @@ class TestPipeline:
             "c1*u[0] + c2*y[-1]^2 + c3*xi[0]*xi[-1]*xi[-2] + xi",
             "xi",
             "c1*u[-900] + xi",
+            "c1*u[-1000] + xi",
+            "c1*u[-5000] + xi",
         ],
     )
     def test_parse_derive_yield_to_model(self, capsys, tmp_path, model):

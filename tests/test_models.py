@@ -306,6 +306,20 @@ class TestTextFormat:
             parse_model_text("c1*w[0] + xi")
         assert err.value.position == 3
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            pytest.param("c1:1e999*u[0] + xi", 3, id="infinite-coefficient"),
+            pytest.param("c1:-1e999 + xi", 3, id="negative-infinite-coefficient"),
+            pytest.param("c" + "9" * 5000 + " + xi", 1, id="id-past-digit-limit"),
+            pytest.param("c1*u[-" + "9" * 5000 + "] + xi", 6, id="delay-past-digit-limit"),
+        ],
+    )
+    def test_out_of_range_numbers(self, text, position):
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_model_text(text)
+        assert err.value.position == position
+
     def test_missing_trailing_noise(self):
         with pytest.raises(ModelSyntaxError):
             parse_model_text("c1*u[0]")

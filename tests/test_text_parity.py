@@ -161,6 +161,7 @@ def test_tree_parser_raises_only_format_errors(text, with_alphabets):
 @given(texts(DERIVATION_PIECES))
 @example("a[adj@0 -> b]")
 @example("a[sub@1 -> b, adj@1 -> c]")
+@example("a[adj@" + "9" * 5000 + " -> b]")
 def test_derivation_parser_raises_only_format_errors(text):
     try:
         parse_derivation(text)
@@ -171,8 +172,11 @@ def test_derivation_parser_raises_only_format_errors(text):
 @settings(max_examples=300, deadline=None)
 @given(texts(MODEL_PIECES))
 @example("c²*u[0] + xi")
+@example("c" + "9" * 5000 + " + xi")
+@example("c1:1e999*u[0] + xi")
 def test_model_parser_raises_only_model_errors(text):
     try:
-        parse_model_text(text)
+        model = parse_model_text(text)
     except ModelError:
-        pass
+        return
+    assert parse_model_text(format_model_text(model)) == model

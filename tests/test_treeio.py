@@ -150,6 +150,11 @@ class TestDerivationFormat:
         [
             ("a[adj@0 -> b]", "Gorn address indices must be >= 1 (at position 12)"),
             ("a[sub@1 -> b, adj@1 -> c]", "two edges of 'a' share address 1 (at position 25)"),
+            pytest.param(
+                "a[adj@2." + "9" * 5000 + " -> b]",
+                "a Gorn address is out of range (at position 6)",
+                id="address-past-digit-limit",
+            ),
         ],
     )
     def test_edge_rules_are_format_errors(self, text, message):

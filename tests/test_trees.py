@@ -15,6 +15,7 @@ from narmaxtag import (
     NodeLabel,
     Operation,
     SyntacticTree,
+    TagError,
     TreeKind,
     UndefinedAdjunctionError,
     UndefinedSubstitutionError,
@@ -26,12 +27,17 @@ from narmaxtag import (
     validate_grammar,
     yield_of,
 )
+from narmaxtag.generate import GenBounds, enumerate_derivations
+from narmaxtag.narmax import GrammarPreset, build_nbj_grammar, restrict
 from narmaxtag.treeio import parse_tree
 
 from oracles import (
     adjunction_case,
     expected_adjunction,
     expected_substitution,
+    random_derivation,
+    random_grammar,
+    reference_derive,
     substitution_case,
 )
 
@@ -98,12 +104,24 @@ class TestDeepWalkers:
         assert chain_tree(self.N).structurally_equal(chain_tree(self.N))
         assert not chain_tree(self.N).structurally_equal(chain_tree(self.N, leaf="b"))
 
-    def test_node_names_of_deep_derivation(self):
-        derivation = DerivationTree("leaf")
-        for _ in range(self.N - 1):
+    @staticmethod
+    def chain_derivation(n, leaf="leaf"):
+        derivation = DerivationTree(leaf)
+        for _ in range(n - 1):
             edge = DerivationEdge(Operation.ADJUNCTION, (1,), derivation)
             derivation = DerivationTree("beta", (edge,))
+        return derivation
+
+    def test_node_names_of_deep_derivation(self):
+        derivation = self.chain_derivation(self.N)
         assert list(derivation.node_names()) == ["beta"] * (self.N - 1) + ["leaf"]
+
+    def test_equality_and_hash_of_deep_derivations(self):
+        first, second = self.chain_derivation(self.N), self.chain_derivation(self.N)
+        assert first == second
+        assert hash(first) == hash(second)
+        assert first != self.chain_derivation(self.N, leaf="other")
+        assert first != self.chain_derivation(self.N - 1)
 
 
 class TestNodeAt:
@@ -390,6 +408,53 @@ class TestDerive:
                     host = adjoin(host, targets[i], part)
             keys.add(host.structural_key())
         assert len(keys) == 1
+
+
+PARITY_GRAMMARS = [(preset.value, 5) for preset in GrammarPreset] + [("nbj", 4)]
+
+
+def _outcome(evaluate, derivation, grammar):
+    try:
+        return evaluate(derivation, grammar), None
+    except TagError as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestDeriveParity:
+    """``derive`` against the splice-based reference built from
+    ``substitute`` and ``adjoin``."""
+
+    @pytest.mark.parametrize("name, budget", PARITY_GRAMMARS)
+    def test_enumerated_derivations(self, name, budget):
+        if name == "nbj":
+            grammar = build_nbj_grammar().grammar
+        else:
+            grammar = restrict(GrammarPreset(name))
+        for derivation in enumerate_derivations(grammar, GenBounds(max_adjunctions=budget)):
+            fast = derive(derivation, grammar)
+            assert fast.structurally_equal(reference_derive(derivation, grammar))
+
+    def test_sentence_fixture(self, sentence_grammar, plain_derivation, adverb_derivation):
+        for derivation in (plain_derivation, adverb_derivation):
+            fast = derive(derivation, sentence_grammar)
+            assert fast.structurally_equal(reference_derive(derivation, sentence_grammar))
+
+    def test_random_grammars(self):
+        # malformed grammars and derivations: same tree or same error
+        outcomes = set()
+        for seed in range(2000):
+            rng = random.Random(seed)
+            grammar = random_grammar(rng)
+            derivation = random_derivation(rng, grammar)
+            fast, fast_error = _outcome(derive, derivation, grammar)
+            slow, slow_error = _outcome(reference_derive, derivation, grammar)
+            assert fast_error == slow_error, seed
+            if fast is not None:
+                assert fast.structurally_equal(slow), seed
+                SyntacticTree(fast.root, fast.labels, fast.children)
+                assert list(fast.pre_order()) == list(range(1, len(fast.labels) + 1))
+            outcomes.add(fast_error[0] if fast_error else None)
+        assert outcomes == {None, DanglingReferenceError, InapplicableOperationError}
 
 
 class TestValidateGrammar:
