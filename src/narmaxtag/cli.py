@@ -56,36 +56,25 @@ def _read_numbers(path: str) -> list[float]:
     return [float(tok) for tok in _read(path).split()]
 
 
-def _preset(name: str) -> GrammarPreset:
-    return GrammarPreset(name)
-
-
-def _mode(name: str) -> Mode:
-    return Mode(name)
-
-
-def _grammar_for(args: argparse.Namespace):
-    if getattr(args, "grammar", None):
-        return parse_grammar(_read(args.grammar))
-    return restrict(_preset(getattr(args, "preset", "narmax")))
-
-
 def _cmd_grammar_show(args: argparse.Namespace) -> int:
     if args.preset == "nbj":
         print(format_grammar(build_nbj_grammar().grammar), end="")
     else:
-        print(format_grammar(restrict(_preset(args.preset))), end="")
+        print(format_grammar(restrict(GrammarPreset(args.preset))), end="")
     return 0
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
-    model = parse_model_text(args.model, mode=_mode(args.mode))
+    model = parse_model_text(args.model, mode=Mode(args.mode))
     print(format_derivation(model_to_derivation(model)))
     return 0
 
 
 def _cmd_derive(args: argparse.Namespace) -> int:
-    grammar = _grammar_for(args)
+    if args.grammar:
+        grammar = parse_grammar(_read(args.grammar))
+    else:
+        grammar = restrict(GrammarPreset(args.preset))
     derivation = parse_derivation(_read(args.derivation_file))
     print(format_tree(derive(derivation, grammar)))
     return 0
@@ -99,12 +88,12 @@ def _cmd_yield(args: argparse.Namespace) -> int:
 
 def _cmd_to_model(args: argparse.Namespace) -> int:
     tree = parse_tree(_read(args.tree_file))
-    print(format_model_text(derived_to_model(tree, mode=_mode(args.mode))))
+    print(format_model_text(derived_to_model(tree, mode=Mode(args.mode))))
     return 0
 
 
 def _cmd_roundtrip(args: argparse.Namespace) -> int:
-    model = parse_model_text(args.model, mode=_mode(args.mode))
+    model = parse_model_text(args.model, mode=Mode(args.mode))
     if not roundtrip_check(model):
         print("MISMATCH", file=sys.stderr)
         return 1
@@ -115,7 +104,7 @@ def _cmd_roundtrip(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     def tags_of(text: str) -> str:
-        model = parse_model_text(text, mode=_mode(args.mode))
+        model = parse_model_text(text, mode=Mode(args.mode))
         tags = classify(model)
         return " ".join(tag for tag in CLASS_TAG_ORDER if tag in tags)
 
@@ -133,7 +122,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    model = parse_model_text(args.model, mode=_mode(args.mode))
+    model = parse_model_text(args.model, mode=Mode(args.mode))
     coeffs = None
     if args.coeffs is not None:
         coeffs = [float(tok) for tok in args.coeffs.split(",") if tok.strip()]
@@ -169,7 +158,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    grammar = restrict(_preset(args.preset))
+    grammar = restrict(GrammarPreset(args.preset))
     bounds = GenBounds(max_adjunctions=args.max)
     for derivation, model in enumerate_models(grammar, bounds):
         if args.derivations:
@@ -185,13 +174,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         max_terms=args.max_terms,
         max_delay=args.max_delay,
         max_exponent=args.max_exponent,
-        mode=_mode(args.mode),
+        mode=Mode(args.mode),
     )
     if args.count < 0:
         raise ValueError("--count must be >= 0")
     for i in range(args.count):
         config = SampleConfig(bounds=bounds, seed=args.seed + i)
-        print(format_model_text(sample_model(config, _preset(args.preset))))
+        print(format_model_text(sample_model(config, GrammarPreset(args.preset))))
     return 0
 
 

@@ -1,11 +1,16 @@
 """Bounded exhaustive enumeration and seeded random sampling of derivations.
 
-Enumeration works for any grammar: every node of an elementary tree
-whose label matches some auxiliary root is an optional adjunction slot,
-every marked leaf is a mandatory substitution slot, and the stream
-lists each derivation with at most the requested number of adjunctions
-exactly once, in a fixed order (slots by address, candidates by name,
-smaller derivations first within a slot).
+Enumeration works for any grammar and at any depth: every internal
+node of an elementary tree whose label matches some auxiliary root is
+an optional adjunction slot, every marked leaf is a mandatory
+substitution slot, and the stream lists each derivation with at most
+the requested number of adjunctions exactly once.  A derivation is the
+sequence of decisions at its slots, taken in pre-order of the
+derivation (a chosen tree's own slots before its parent's next slot),
+and the stream is in lexicographic order of those sequences: at each
+slot, skipping an adjunction comes first, then the candidates by name.
+Tree names mean what they mean to ``derive``: the first entry of a
+name wins.
 
 Sampling grows a random model over the polynomial-model grammar (or one
 of its presets) extension by extension, tracking each term's factor
@@ -23,21 +28,22 @@ from typing import Iterator
 
 from .models import FactorKey, Mode, NarmaxModel, SignalKind
 from .narmax import (
+    PRESET_AUXILIARIES,
     GrammarPreset,
     SumRoles,
     _narmax_derivation,
     build_narmax_grammar,
     derived_to_model,
-    restrict,
 )
 from .trees import (
     DerivationEdge,
     DerivationTree,
-    ElementaryTree,
     GornAddress,
     Grammar,
     LabelKind,
     Operation,
+    TagError,
+    TreeKind,
     derive,
 )
 
@@ -71,89 +77,39 @@ class SampleConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Slot:
-    address: GornAddress
-    operation: Operation
-    candidates: tuple[ElementaryTree, ...]
+def _slot_table(grammar: Grammar) -> tuple[dict[str, tuple[tuple, ...]], list[str]]:
+    """The slots of every tree ``derive`` knows, each an (operation,
+    address, candidate names) triple, in pre-order; and the names of the
+    initial trees rooted at the start symbol.
 
-
-def _slots_of(entry: ElementaryTree, grammar: Grammar) -> tuple[_Slot, ...]:
-    tree = entry.tree
-    slots: list[_Slot] = []
-    for nid in tree.pre_order():
-        label = tree.label(nid)
-        if label.kind is not LabelKind.NONTERMINAL:
-            continue
-        address = tree.address_of(nid)
-        if tree.is_internal(nid):
-            candidates = tuple(
-                sorted(
-                    (
-                        aux
-                        for aux in grammar.auxiliaries
-                        if aux.tree.label(aux.tree.root).name == label.name
-                    ),
-                    key=lambda entry: entry.name,
-                )
-            )
-            if candidates:
-                slots.append(_Slot(address, Operation.ADJUNCTION, candidates))
-        elif label.substitution_marker:
-            candidates = tuple(
-                sorted(
-                    (
-                        init
-                        for init in grammar.initials
-                        if init.tree.label(init.tree.root).name == label.name
-                    ),
-                    key=lambda entry: entry.name,
-                )
-            )
-            slots.append(_Slot(address, Operation.SUBSTITUTION, candidates))
-    slots.sort(key=lambda slot: slot.address)
-    return tuple(slots)
-
-
-def _expand(
-    entry: ElementaryTree,
-    slot_map: dict[str, tuple[_Slot, ...]],
-    budget: int,
-) -> Iterator[tuple[DerivationTree, int]]:
-    """All derivations rooted at ``entry`` with at most ``budget`` adjunctions.
-
-    Yields each derivation with its exact adjunction count so callers
-    can combine independent slots against a shared budget.
+    Candidates are the distinct tree names of the right kind whose root
+    label matches the slot's, sorted.  An internal node without any is
+    no slot; a substitution site without any is a dead end.
     """
-    slots = slot_map[entry.name]
-
-    def assignments(
-        index: int, remaining: int
-    ) -> Iterator[tuple[tuple[DerivationEdge, ...], int]]:
-        if index == len(slots):
-            yield (), 0
-            return
-        slot = slots[index]
-        if slot.operation is Operation.ADJUNCTION:
-            yield from assignments(index + 1, remaining)
-            if remaining < 1:
-                return
-            for candidate in slot.candidates:
-                for child, used in _expand(candidate, slot_map, remaining - 1):
-                    edge = DerivationEdge(slot.operation, slot.address, child)
-                    for rest, rest_used in assignments(
-                        index + 1, remaining - 1 - used
-                    ):
-                        yield (edge, *rest), 1 + used + rest_used
-        else:
-            for candidate in slot.candidates:
-                for child, used in _expand(candidate, slot_map, remaining):
-                    edge = DerivationEdge(slot.operation, slot.address, child)
-                    for rest, rest_used in assignments(index + 1, remaining - used):
-                        yield (edge, *rest), used + rest_used
-
-    for edges, used in assignments(0, budget):
-        yield DerivationTree(entry.name, edges), used
+    tables = grammar._tables
+    fitting: dict[tuple[TreeKind, str], list[str]] = {}
+    for name in sorted(tables):
+        table = tables[name]
+        fitting.setdefault((table.entry.kind, table.labels[0].name), []).append(name)
+    slots = {}
+    for name, table in tables.items():
+        addresses: list[GornAddress] = [()] * len(table.labels)
+        found = []
+        for i, label in enumerate(table.labels):  # pre-order is address order
+            kids = table.children[i]
+            for step, kid in enumerate(kids, 1):
+                addresses[kid] = addresses[i] + (step,)
+            if label.kind is not LabelKind.NONTERMINAL:
+                continue
+            if kids:
+                names = fitting.get((TreeKind.AUXILIARY, label.name))
+                if names:
+                    found.append((Operation.ADJUNCTION, addresses[i], tuple(names)))
+            elif label.substitution_marker:
+                names = fitting.get((TreeKind.INITIAL, label.name), [])
+                found.append((Operation.SUBSTITUTION, addresses[i], tuple(names)))
+        slots[name] = tuple(found)
+    return slots, fitting.get((TreeKind.INITIAL, grammar.start), [])
 
 
 def enumerate_derivations(
@@ -163,19 +119,63 @@ def enumerate_derivations(
     adjunctions, exactly once, in a deterministic order.
 
     Substitution sites are always filled (otherwise the derived tree
-    would not be saturated) and do not count against the budget.
+    would not be saturated) and do not count against the budget, so a
+    run of substitutions that would repeat an initial tree has no end
+    and raises :class:`TagError`.
     """
-    slot_map = {
-        entry.name: _slots_of(entry, grammar) for entry in grammar.elementary()
-    }
-    roots = [
-        init
-        for init in grammar.initials
-        if init.tree.label(init.tree.root).name == grammar.start
-    ]
-    for entry in sorted(roots, key=lambda e: e.name):
-        for derivation, _ in _expand(entry, slot_map, bounds.max_adjunctions):
-            yield derivation
+    slots, roots = _slot_table(grammar)
+    # A frame is (tree name, its slots, next slot, edges so far, parent
+    # frame); the parent's next slot is the one the frame fills.  A stack
+    # entry is a decision still to try: at ``frame``'s next slot, with
+    # ``budget`` adjunctions left, open ``choice`` there (None: skip it).
+    budget = bounds.max_adjunctions
+    stack: list[tuple] = [(None, budget, root) for root in reversed(roots)]
+    while stack:
+        frame, budget, choice = stack.pop()
+        if choice is None:
+            name, own, index, edges, parent = frame
+            index += 1
+        else:
+            if frame is not None:
+                if frame[1][frame[2]][0] is Operation.ADJUNCTION:
+                    budget -= 1
+                else:
+                    _check_cycle(frame, choice)
+            name, own, index, edges, parent = choice, slots[choice], 0, (), frame
+        while index == len(own):  # the frame is complete: hand it to its parent
+            derivation = DerivationTree(name, edges)
+            if parent is None:
+                yield derivation
+                break
+            name, own, index, edges, parent = parent
+            operation, address, _ = own[index]
+            edges += (DerivationEdge(operation, address, derivation),)
+            index += 1
+        else:
+            operation, _, names = own[index]
+            frame = (name, own, index, edges, parent)
+            # pushed in reverse, so tried skip first, then by name
+            if operation is Operation.SUBSTITUTION or budget > 0:
+                stack += [(frame, budget, n) for n in reversed(names)]
+            if operation is Operation.ADJUNCTION:
+                stack.append((frame, budget, None))
+
+
+def _check_cycle(frame: tuple, name: str) -> None:
+    """Raise if substituting ``name`` at ``frame``'s next slot repeats a
+    tree of the run of substitutions that reaches that slot."""
+    run = [name]
+    while True:
+        run.append(frame[0])
+        if frame[0] == name:
+            raise TagError(
+                "initial trees substitute into one another without end: "
+                + " -> ".join(reversed(run))
+            )
+        parent = frame[4]
+        if parent is None or parent[1][parent[2]][0] is Operation.ADJUNCTION:
+            return
+        frame = parent
 
 
 def enumerate_models(
@@ -207,7 +207,7 @@ class _GrowthSampler:
         self.rng = rng
         catalog = build_narmax_grammar()
         self.roles: SumRoles = catalog.roles
-        available = {tree.name for tree in restrict(preset).auxiliaries}
+        available = PRESET_AUXILIARIES[preset]
         self.additive_signals = [
             sig
             for sig in (SignalKind.INPUT, SignalKind.OUTPUT, SignalKind.NOISE)

@@ -95,9 +95,6 @@ class Monomial:
     def signals(self) -> frozenset[SignalKind]:
         return frozenset(signal for signal, _ in self.factors)
 
-    def sort_key(self) -> tuple:
-        return (self.total_degree(), _factor_key(self.factors))
-
 
 def _factor_key(factors: Mapping[FactorKey, int]) -> tuple:
     return tuple(

@@ -488,19 +488,7 @@ def substitute(gamma: SyntacticTree, site: int, inner: TreeLike) -> SyntacticTre
     if fault:
         raise UndefinedSubstitutionError(fault)
 
-    base = gamma.max_id() + 1
-    mapping = {nid: base + i for i, nid in enumerate(inner_tree.pre_order())}
-    inst_root = mapping[inner_tree.root]
-    labels = {nid: lab for nid, lab in gamma.labels.items() if nid != site}
-    children = {
-        nid: tuple(inst_root if kid == site else kid for kid in kids)
-        for nid, kids in gamma.children.items()
-        if nid != site
-    }
-    for nid, new in mapping.items():
-        labels[new] = inner_tree.labels[nid]
-        children[new] = tuple(mapping[k] for k in inner_tree.children[nid])
-    root = inst_root if site == gamma.root else gamma.root
+    labels, children, root, _ = _splice(gamma, site, inner_tree)
     return SyntacticTree._build(root, labels, children)
 
 
@@ -521,26 +509,31 @@ def adjoin(gamma: SyntacticTree, at: int, aux: TreeLike) -> SyntacticTree:
     if fault:
         raise UndefinedAdjunctionError(fault)
 
-    base = gamma.max_id() + 1
-    mapping = {nid: base + i for i, nid in enumerate(aux_tree.pre_order())}
-    inst_root = mapping[aux_tree.root]
-    inst_foot = mapping[foot]
-    labels = {nid: lab for nid, lab in gamma.labels.items() if nid != at}
-    children = {
-        nid: tuple(inst_root if kid == at else kid for kid in kids)
-        for nid, kids in gamma.children.items()
-        if nid != at
-    }
-    for nid, new in mapping.items():
-        labels[new] = aux_tree.labels[nid]
-        children[new] = tuple(mapping[k] for k in aux_tree.children[nid])
+    labels, children, root, copy = _splice(gamma, at, aux_tree)
+    inst_foot = copy.foot_node()
     foot_label = labels[inst_foot]
     labels[inst_foot] = NodeLabel(
         foot_label.kind, foot_label.name, foot_label.substitution_marker, False
     )
     children[inst_foot] = gamma.children[at]
-    root = inst_root if at == gamma.root else gamma.root
     return SyntacticTree._build(root, labels, children)
+
+
+def _splice(gamma: SyntacticTree, target: int, incoming: SyntacticTree) -> tuple:
+    """The label and child maps and the root id of ``gamma`` with a copy
+    of ``incoming`` in place of node ``target``, and that copy, which is
+    renumbered in pre-order from ``gamma.max_id() + 1``."""
+    copy = incoming.renumbered(gamma.max_id() + 1)
+    labels = {nid: lab for nid, lab in gamma.labels.items() if nid != target}
+    labels.update(copy.labels)
+    children = {
+        nid: tuple(copy.root if kid == target else kid for kid in kids)
+        for nid, kids in gamma.children.items()
+        if nid != target
+    }
+    children.update(copy.children)
+    root = copy.root if target == gamma.root else gamma.root
+    return labels, children, root, copy
 
 
 def yield_of(tree: SyntacticTree) -> tuple[str, ...]:

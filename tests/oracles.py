@@ -9,6 +9,7 @@ plain counting arguments, never by calling the code paths under test.
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 from narmaxtag.models import Mode, Monomial, NarmaxModel, SignalKind, canonicalize
 from narmaxtag.trees import (
@@ -19,6 +20,7 @@ from narmaxtag.trees import (
     Grammar,
     InapplicableOperationError,
     InvalidAddressError,
+    LabelKind,
     NodeLabel,
     Operation,
     SyntacticTree,
@@ -157,6 +159,92 @@ def _reference_node(derivation: DerivationTree, grammar: Grammar) -> SyntacticTr
                 f"at {derivation.tree_name!r}@{format_address(edge.address)}: {exc}"
             ) from exc
     return host
+
+
+# ---------------------------------------------------------------------------
+# Recursive derivation enumeration
+# ---------------------------------------------------------------------------
+
+
+def reference_enumerate(grammar: Grammar, budget: int) -> Iterator[DerivationTree]:
+    """``enumerate_derivations`` by two mutually recursive generators over
+    slots read straight off the syntactic trees, with the adjunction
+    budget threaded through them.  Recursive in derivation depth; on a
+    grammar with a repeated tree name the last entry gives the slots and
+    every entry is a candidate, so compare on grammars with distinct
+    names."""
+
+    def slots_of(entry: ElementaryTree) -> list[tuple]:
+        tree = entry.tree
+        slots = []
+        for nid in tree.pre_order():
+            label = tree.label(nid)
+            if label.kind is not LabelKind.NONTERMINAL:
+                continue
+            if tree.is_internal(nid):
+                operation, catalog = Operation.ADJUNCTION, grammar.auxiliaries
+            elif label.substitution_marker:
+                operation, catalog = Operation.SUBSTITUTION, grammar.initials
+            else:
+                continue
+            fitting = sorted(
+                (e for e in catalog if e.tree.label(e.tree.root).name == label.name),
+                key=lambda e: e.name,
+            )
+            if fitting or operation is Operation.SUBSTITUTION:
+                slots.append((tree.address_of(nid), operation, fitting))
+        slots.sort(key=lambda slot: slot[0])
+        return slots
+
+    slot_map = {entry.name: slots_of(entry) for entry in grammar.elementary()}
+
+    def expand(entry: ElementaryTree, remaining: int):
+        slots = slot_map[entry.name]
+
+        def assignments(index: int, remaining: int):
+            if index == len(slots):
+                yield (), 0
+                return
+            address, operation, fitting = slots[index]
+            cost = 1 if operation is Operation.ADJUNCTION else 0
+            if cost:
+                yield from assignments(index + 1, remaining)
+                if remaining < 1:
+                    return
+            for candidate in fitting:
+                for child, used in expand(candidate, remaining - cost):
+                    edge = DerivationEdge(operation, address, child)
+                    left = remaining - cost - used
+                    for rest, rest_used in assignments(index + 1, left):
+                        yield (edge, *rest), cost + used + rest_used
+
+        for edges, used in assignments(0, remaining):
+            yield DerivationTree(entry.name, edges), used
+
+    roots = [e for e in grammar.initials if e.tree.label(e.tree.root).name == grammar.start]
+    for entry in sorted(roots, key=lambda e: e.name):
+        for derivation, _ in expand(entry, budget):
+            yield derivation
+
+
+def first_entries(grammar: Grammar) -> Grammar:
+    """The grammar with only the first entry of each tree name, the one
+    ``derive`` and ``Grammar.find`` use."""
+    seen: set[str] = set()
+
+    def first(catalog: tuple[ElementaryTree, ...]) -> list[ElementaryTree]:
+        kept = []
+        for entry in catalog:
+            if entry.name not in seen:
+                seen.add(entry.name)
+                kept.append(entry)
+        return kept
+
+    initials = first(grammar.initials)
+    return Grammar(
+        grammar.nonterminals, grammar.terminals, grammar.start, initials,
+        first(grammar.auxiliaries),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,18 @@
+import random
+from itertools import islice
+
+import pytest
+
 from narmaxtag import (
     DerivationTree,
     GenBounds,
     GrammarPreset,
     Mode,
     SampleConfig,
+    TagError,
+    build_nbj_grammar,
     classify,
+    derive,
     enumerate_derivations,
     enumerate_models,
     format_model_text,
@@ -12,8 +20,16 @@ from narmaxtag import (
     sample_derivation,
     sample_model,
 )
+from narmaxtag.treeio import parse_grammar
 
-from oracles import adjunctions_required, all_models_within_cost
+from conftest import SENTENCE_GRAMMAR_TEXT
+from oracles import (
+    adjunctions_required,
+    all_models_within_cost,
+    first_entries,
+    random_grammar,
+    reference_enumerate,
+)
 
 
 def count_upto(grammar, budget):
@@ -94,6 +110,87 @@ class TestEnumerate:
             parsed.add(model.structure())
         direct = all_models_within_cost(budget)
         assert parsed == direct
+
+
+    def test_any_depth(self):
+        # the delay chains of FIR models grow one level per few items
+        grammar = restrict(GrammarPreset.FIR)
+        items = list(
+            islice(enumerate_derivations(grammar, GenBounds(max_adjunctions=3000)), 600)
+        )
+        assert len(items) == 600
+        assert max(sum(1 for _ in d.node_names()) for d in items) > 500
+
+    def test_first_entry_of_a_name_wins(self):
+        # a second ``beta1`` is neither a second candidate nor the source
+        # of beta1's slots, just as it is not for ``derive``
+        text = SENTENCE_GRAMMAR_TEXT + (
+            "auxiliary beta1 = sentence(sentence(adv(yesterday) sentence★))\n"
+        )
+        grammar = parse_grammar(text)
+        items = list(enumerate_derivations(grammar, GenBounds(max_adjunctions=2)))
+        assert len(items) == len(set(items)) == 3
+        for derivation in items:
+            derive(derivation, grammar)
+        assert items == list(reference_enumerate(first_entries(grammar), 2))
+
+    def test_substitution_cycle_is_an_error(self):
+        grammar = parse_grammar(
+            "nonterminals: A\nterminals: a\nstart: A\ninitial t1 = A(A↓)\n"
+        )
+        with pytest.raises(TagError, match="t1 -> t1"):
+            list(enumerate_derivations(grammar, GenBounds(max_adjunctions=1)))
+
+
+PARITY_GRAMMARS = [(preset.value, 5) for preset in GrammarPreset] + [("nbj", 4)]
+
+
+class TestEnumerateParity:
+    """The backtracking loop against the recursive reference enumeration."""
+
+    @pytest.mark.parametrize("name, budget", PARITY_GRAMMARS)
+    def test_catalogs(self, name, budget):
+        if name == "nbj":
+            grammar = build_nbj_grammar().grammar
+        else:
+            grammar = restrict(GrammarPreset(name))
+        bounds = GenBounds(max_adjunctions=budget)
+        assert list(enumerate_derivations(grammar, bounds)) == list(
+            reference_enumerate(grammar, budget)
+        )
+
+    def test_sentence_fixture(self, sentence_grammar):
+        for budget in range(3):
+            bounds = GenBounds(max_adjunctions=budget)
+            assert list(enumerate_derivations(sentence_grammar, bounds)) == list(
+                reference_enumerate(sentence_grammar, budget)
+            )
+
+    def test_random_grammars(self):
+        # Equal streams, or a prefix of the reference's stream and then
+        # the cycle error where the reference recurses without end.
+        limit, cycles = 200, 0
+        for seed in range(600):
+            grammar = random_grammar(random.Random(seed))
+            new, error = [], None
+            try:
+                new.extend(
+                    islice(enumerate_derivations(grammar, GenBounds(max_adjunctions=2)), limit)
+                )
+            except TagError as exc:
+                error = exc
+            old = []
+            try:
+                old.extend(islice(reference_enumerate(first_entries(grammar), 2), limit))
+            except RecursionError:
+                old.append(None)
+            if error is None:
+                assert new == old, seed
+            else:
+                assert "without end" in str(error), seed
+                assert len(new) < len(old) and new == old[: len(new)], seed
+                cycles += 1
+        assert 0 < cycles < 600
 
 
 class TestSample:
