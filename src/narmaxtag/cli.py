@@ -3,12 +3,14 @@
 Every command is a pure function of its arguments (seeded noise
 included): identical invocations print identical bytes.  Exit codes are
 0 on success, 1 on a domain error (a diagnostic goes to stderr) and 2
-on a usage error.
+on a usage error.  A reader that closes stdout early ends the run
+quietly with 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from typing import Sequence
@@ -152,8 +154,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     if inputs is None:
         inputs = [0.0] * length
-    for value in simulate(model, coeffs, inputs, noise):
-        print(repr(value))
+    sys.stdout.write("".join(f"{v!r}\n" for v in simulate(model, coeffs, inputs, noise)))
     return 0
 
 
@@ -291,7 +292,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): that ends the run quietly.
+        # Output still buffered goes to devnull, so the flush at exit
+        # cannot fail again (the "Note on SIGPIPE" in the signal docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

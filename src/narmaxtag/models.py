@@ -220,10 +220,22 @@ def simulate(
     ``coefficients`` is None each term's attached value is used.  The
     first step whose output is not a finite float (or overflows while
     being computed) raises :class:`SimulationDivergedError`.
+
+    The model is lowered once into a plan: per term, its coefficient and
+    one ``(record, offset, exponent)`` per factor in ``factors`` order.
+    The records (float copies of the inputs and noise, and the output
+    list the loop appends to) each start with ``min(max delay, n)``
+    zeros, so step ``k`` reads a factor at ``record[k + offset]``.  A
+    delay of ``n`` or more only ever reads a pre-record zero and is
+    clamped to the padding, so memory grows with the record length, not
+    with the delay.  Each step sums ``noise[k]`` and the terms in term
+    order, each term a product taken factor by factor from its
+    coefficient.
     """
-    if len(inputs) != len(noise):
+    n = len(inputs)
+    if n != len(noise):
         raise ModelError(
-            f"input and noise records differ in length ({len(inputs)} vs {len(noise)})"
+            f"input and noise records differ in length ({n} vs {len(noise)})"
         )
     if coefficients is None:
         values = [term.coeff_value for term in model.terms]
@@ -236,29 +248,42 @@ def simulate(
             raise ModelError(
                 f"expected {len(model.terms)} coefficients, got {len(coeffs)}"
             )
-    out: list[float] = []
-    for k in range(len(inputs)):
-        value = float(noise[k])
-        for coeff, term in zip(coeffs, model.terms):
-            product = coeff
-            for (signal, delay), exponent in term.factors.items():
-                idx = k - delay
-                if idx < 0:
-                    sample = 0.0
-                elif signal is SignalKind.INPUT:
-                    sample = float(inputs[idx])
-                elif signal is SignalKind.OUTPUT:
-                    sample = out[idx]
-                else:
-                    sample = float(noise[idx])
-                try:
-                    product *= sample**exponent
-                except OverflowError:
-                    raise SimulationDivergedError(k) from None
-            value += product
-        if not math.isfinite(value):
-            raise SimulationDivergedError(k)
-        out.append(value)
+    pad = min(max(max_lags(model)), n)
+    out = [0.0] * pad
+    records = {
+        SignalKind.INPUT: out + [float(x) for x in inputs],
+        SignalKind.OUTPUT: out,
+        SignalKind.NOISE: out + [float(x) for x in noise],
+    }
+    plan = [
+        (
+            coeff,
+            tuple(
+                (records[signal], pad - min(delay, pad), exponent)
+                for (signal, delay), exponent in term.factors.items()
+            ),
+        )
+        for coeff, term in zip(coeffs, model.terms)
+    ]
+    noise_record = records[SignalKind.NOISE]
+    # only ``**`` raises OverflowError: float ``*`` and ``+`` round to inf
+    try:
+        for k in range(n):
+            value = noise_record[k + pad]
+            for product, factors in plan:
+                for record, offset, exponent in factors:
+                    # pow(x, 1.0) == x for every float, so this is exact
+                    if exponent == 1:
+                        product *= record[k + offset]
+                    else:
+                        product *= record[k + offset] ** exponent
+                value += product
+            if not math.isfinite(value):
+                raise SimulationDivergedError(k)
+            out.append(value)
+    except OverflowError:
+        raise SimulationDivergedError(k) from None
+    del out[:pad]
     return out
 
 

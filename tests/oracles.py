@@ -8,10 +8,19 @@ plain counting arguments, never by calling the code paths under test.
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from narmaxtag.models import Mode, Monomial, NarmaxModel, SignalKind, canonicalize
+from narmaxtag.models import (
+    Mode,
+    ModelError,
+    Monomial,
+    NarmaxModel,
+    SignalKind,
+    SimulationDivergedError,
+    canonicalize,
+)
 from narmaxtag.trees import (
     DanglingReferenceError,
     DerivationEdge,
@@ -435,6 +444,61 @@ def random_model(
         factors = {key: rng.randint(1, max_exponent) for key in keys}
         terms.append(Monomial(index + 1, factors))
     return canonicalize(NarmaxModel(tuple(terms), mode))
+
+
+# ---------------------------------------------------------------------------
+# Simulation by walking the factor maps at every step
+# ---------------------------------------------------------------------------
+
+
+def reference_simulate(
+    model: NarmaxModel,
+    coefficients: Sequence[float] | None,
+    inputs: Sequence[float],
+    noise: Sequence[float],
+) -> list[float]:
+    """The model recursion read straight off the factor maps: every step
+    looks up each factor's sample by signal and tests the delay against
+    the record start.  Same contract as ``simulate``."""
+    if len(inputs) != len(noise):
+        raise ModelError(
+            f"input and noise records differ in length ({len(inputs)} vs {len(noise)})"
+        )
+    if coefficients is None:
+        values = [term.coeff_value for term in model.terms]
+        if any(v is None for v in values):
+            raise ModelError("model has coefficient slots without numeric values")
+        coeffs = [float(v) for v in values]  # type: ignore[arg-type]
+    else:
+        coeffs = [float(c) for c in coefficients]
+        if len(coeffs) != len(model.terms):
+            raise ModelError(
+                f"expected {len(model.terms)} coefficients, got {len(coeffs)}"
+            )
+    out: list[float] = []
+    for k in range(len(inputs)):
+        value = float(noise[k])
+        for coeff, term in zip(coeffs, model.terms):
+            product = coeff
+            for (signal, delay), exponent in term.factors.items():
+                idx = k - delay
+                if idx < 0:
+                    sample = 0.0
+                elif signal is SignalKind.INPUT:
+                    sample = float(inputs[idx])
+                elif signal is SignalKind.OUTPUT:
+                    sample = out[idx]
+                else:
+                    sample = float(noise[idx])
+                try:
+                    product *= sample**exponent
+                except OverflowError:
+                    raise SimulationDivergedError(k) from None
+            value += product
+        if not math.isfinite(value):
+            raise SimulationDivergedError(k)
+        out.append(value)
+    return out
 
 
 # ---------------------------------------------------------------------------

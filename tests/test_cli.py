@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -270,6 +274,47 @@ class TestDomainErrors:
         assert code == 1
         assert out == ""
         assert err.splitlines() == [f"error: {message}"]
+
+
+    def test_missing_input_file(self, capsys, tmp_path):
+        missing = tmp_path / "u.txt"
+        code, out, err = run(capsys, "simulate", "xi", "--u", str(missing))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: [Errno 2] No such file or directory: {str(missing)!r}"
+        ]
+
+
+class TestClosedStdout:
+    """A reader that stops early (`| head -1`) ends the run quietly."""
+
+    @pytest.mark.parametrize("command", ["enumerate", "simulate"])
+    def test_reader_closes_after_one_line(self, tmp_path, command):
+        if command == "enumerate":
+            argv = ["enumerate", "--max", "5"]
+        else:
+            # far more output than a pipe buffers, and no noise echo on stderr
+            xi = tmp_path / "xi.txt"
+            xi.write_text("0.25\n" * 20000, encoding="utf-8")
+            argv = ["simulate", "c1:0.5*y[-1] + xi", "--xi", str(xi)]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "narmaxtag.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert child.stdout.readline()
+        child.stdout.close()
+        try:
+            err = child.stderr.read()
+            code = child.wait(timeout=60)
+        finally:
+            child.kill()
+            child.stderr.close()
+        assert err == b""
+        assert code == 0
 
 
 class TestUsageErrors:

@@ -1,5 +1,5 @@
-"""Byte-level golden outputs of the grammar catalogs, the sampler and the
-model-to-derivation direction.
+"""Byte-level golden outputs of the grammar catalogs, the sampler, the
+model-to-derivation direction and the simulate command.
 
 The digests were captured from the implementation that predates the
 shared sum-family table and derivation builder; any change to a
@@ -8,6 +8,7 @@ of a built derivation shows up here as a digest mismatch.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -133,6 +134,26 @@ DERIVATION_DIGESTS = {
     ("volterra", "strict"): "dea21cbf7c3c2f5b188abbdfc1f5218799400b8299d394fa8159882236a4732c",
 }
 
+# simulate --n 2000 --noise-seed 3 stdout per model (captured before
+# simulate lowered models to a flat plan); the target is the ea_search
+# benchmark's true model
+SIMULATE_TARGET = ["c1*u[-1] + c2*y[-1] + c3*xi[-1] + c4*u[-2]*y[-1] + xi",
+                   "--coeffs", "0.5,-0.2,0.1,0.1"]
+SIMULATE_DIGESTS = {
+    "target": (
+        SIMULATE_TARGET,
+        "d2250412d9e555cdccd1062bca422c5ab710914ed94acb7d4a5fd4efddea9e63",
+    ),
+    "squared-feedback": (
+        ["c1*u[0] + c2*y[-1]^2 + c3*y[-2]^3 + xi", "--coeffs", "1.0,0.1,-0.02"],
+        "4d0f36ab1462a1f82fdabf4dd0dcec96cab60f64c08575972dfec3ae27b3ec2e",
+    ),
+    "noise-product": (
+        ["c1*y[-1] + c2*xi[0]*xi[-1] + c3*u[-1]*xi[-2]^2 + xi", "--coeffs", "0.6,0.3,0.5"],
+        "67686dafa6dfdac7d36f41d8369bb5f480571d9f944bf127c61d203ec52a0a2c",
+    ),
+}
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -196,4 +217,23 @@ def test_nbj_model_to_derivation_over_enumeration():
     assert len(lines) == 312
     assert sha256("\n".join(lines)) == (
         "c1bc36927cbc1f0cad2ea452ed4a37dfca787a648377e3cce3b5c01da9bcee2d"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_DIGESTS))
+def test_simulate_stdout(capsys, name):
+    argv, digest = SIMULATE_DIGESTS[name]
+    out = stdout_of(capsys, "simulate", *argv, "--n", "2000", "--noise-seed", "3")
+    assert sha256(out) == digest
+
+
+def test_simulate_stdout_from_files(capsys, tmp_path):
+    rng = random.Random(5)
+    u = tmp_path / "u.txt"
+    xi = tmp_path / "xi.txt"
+    u.write_text("".join(f"{rng.uniform(-1, 1)!r}\n" for _ in range(500)), encoding="utf-8")
+    xi.write_text("".join(f"{rng.gauss(0, 0.1)!r}\n" for _ in range(500)), encoding="utf-8")
+    out = stdout_of(capsys, "simulate", *SIMULATE_TARGET, "--u", str(u), "--xi", str(xi))
+    assert sha256(out) == (
+        "435f2336275cdda0469d399c77b573e5a4aed146e1f7e0beca9bd2b0ecb76bb6"
     )

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +24,7 @@ from narmaxtag import (
     simulate,
 )
 
-from oracles import random_model
+from oracles import random_model, reference_simulate
 
 FIG_A = "c1*y[-1] + c2*u[0] + xi"
 FIG_B = "c1*y[-1]^2 + c2*u[0] + xi"
@@ -253,6 +254,96 @@ class TestSimulate:
             assert padded[:pad] == [0.0] * pad
             for x, y in zip(base, padded[pad:]):
                 assert x == pytest.approx(y, rel=1e-9, abs=1e-12)
+
+
+SPECIAL_SAMPLES = (
+    float("inf"), float("-inf"), float("nan"), -0.0, 0.0, 1e200, -1e200, 1e300,
+)
+
+# the squared-feedback model pinned in TestSimulate
+SQUARED_FEEDBACK = NarmaxModel(
+    (
+        Monomial(1, {}),
+        Monomial(2, {(SignalKind.OUTPUT, 1): 2}),
+        Monomial(3, {}),
+        Monomial(4, {}),
+    ),
+    Mode.EXTENDED,
+)
+
+
+def _record(rng, n):
+    """``n`` samples; none, one in fifty or one in ten of them a
+    non-finite, signed-zero or huge value."""
+    rate = rng.choice((0.0, 0.02, 0.1))
+    return [
+        rng.choice(SPECIAL_SAMPLES) if rng.random() < rate else rng.uniform(-2.0, 2.0)
+        for _ in range(n)
+    ]
+
+
+def _outcome(run, model, coeffs, inputs, noise):
+    """Every output bit (``float.hex`` tells -0.0 from 0.0), or the divergence step."""
+    try:
+        return [value.hex() for value in run(model, coeffs, inputs, noise)]
+    except SimulationDivergedError as exc:
+        return exc.step
+
+
+class TestSimulateParity:
+    """``simulate`` against the loop that walks the factor maps every step."""
+
+    def _check(self, rng, model, n):
+        coeffs = [
+            rng.choice((0.0, -0.0, 1e200)) if rng.random() < 0.1 else rng.uniform(-1.5, 1.5)
+            for _ in model.terms
+        ]
+        args = (model, coeffs, _record(rng, n), _record(rng, n))
+        expected = _outcome(reference_simulate, *args)
+        assert _outcome(simulate, *args) == expected
+        return expected
+
+    @given(models(), st.integers(0, 2**32 - 1))
+    # finite records and coefficients; the squared feedback diverges at step 10
+    @example(SQUARED_FEEDBACK, 5)
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis_models(self, model, seed):
+        rng = random.Random(seed)
+        self._check(rng, model, rng.randint(0, 40))
+
+    def test_seeded_corpus(self):
+        rng = random.Random(2024)
+        outcomes = []
+        for _ in range(2000):
+            n = rng.randint(0, 120)
+            terms = []
+            for coeff_id in range(1, rng.randint(0, 4) + 1):
+                factors = {}
+                for _ in range(rng.randint(0, 3)):
+                    signal = rng.choice(list(SignalKind))
+                    low = 1 if signal is SignalKind.OUTPUT else 0
+                    # one delay in ten sits around the record length
+                    if rng.random() < 0.1:
+                        delay = max(low, n + rng.randint(-1, 3))
+                    else:
+                        delay = rng.randint(low, 6)
+                    factors[(signal, delay)] = rng.randint(1, 3)
+                terms.append(Monomial(coeff_id, factors))
+            outcomes.append(self._check(rng, NarmaxModel(tuple(terms)), n))
+        finished = sum(isinstance(o, list) for o in outcomes)
+        # the corpus must exercise both endings
+        assert 200 < finished < 1800
+
+    def test_huge_delay_allocates_by_record_length(self):
+        model = parse_model_text("c1*u[-100000000] + xi")
+        tracemalloc.start()
+        try:
+            out = simulate(model, [1.0], [1.0] * 3, [0.0] * 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out == [0.0] * 3
+        assert peak < 2**20
 
 
 class TestClassify:
