@@ -26,11 +26,9 @@ from .models import (
     NbjModel,
     SignalKind,
     SimulationDivergedError,
-    TermIndexSets,
     canonicalize,
     classify,
     format_model_text,
-    index_sets,
     max_lags,
     parse_model_text,
     simulate,

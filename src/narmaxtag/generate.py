@@ -223,7 +223,7 @@ class _GrowthSampler:
         self.terms: list[list[FactorKey]] = []
 
     def _base_delay(self, signal: SignalKind) -> int:
-        if signal in self.roles.causal_signals:
+        if signal is SignalKind.OUTPUT:
             return 1
         if signal is SignalKind.NOISE and self.bounds.mode is Mode.STRICT:
             return 1
@@ -231,14 +231,14 @@ class _GrowthSampler:
 
     def _cost(self, signal: SignalKind) -> int:
         # strict-mode noise factors come with one immediate delay tree
-        built_in = signal in self.roles.causal_signals
+        built_in = signal is SignalKind.OUTPUT
         return 2 if (not built_in and self._base_delay(signal) == 1) else 1
 
     def _factor_fits(self, term: list[FactorKey], signal: SignalKind) -> bool:
         base = self._base_delay(signal)
         if base > self.bounds.max_delay:
             return False
-        if base == 1 and signal not in self.roles.causal_signals and not self.has_delay:
+        if base == 1 and signal is not SignalKind.OUTPUT and not self.has_delay:
             return False
         return term.count((signal, base)) + 1 <= self.bounds.max_exponent
 

@@ -141,33 +141,6 @@ class NarmaxModel:
         return tuple(_factor_key(term.factors) for term in self.terms)
 
 
-@dataclass(frozen=True)
-class TermIndexSets:
-    """Delay index sets of one term, per signal, with sorted enumerations."""
-
-    input_delays: frozenset[int]
-    noise_delays: frozenset[int]
-    output_delays: frozenset[int]
-    input_sequence: tuple[int, ...]
-    noise_sequence: tuple[int, ...]
-    output_sequence: tuple[int, ...]
-
-
-def index_sets(term: Monomial) -> TermIndexSets:
-    """Delays with nonzero exponent, split by signal."""
-    by_signal: dict[SignalKind, set[int]] = {kind: set() for kind in SignalKind}
-    for (signal, delay), _ in term.factors.items():
-        by_signal[signal].add(delay)
-    return TermIndexSets(
-        input_delays=frozenset(by_signal[SignalKind.INPUT]),
-        noise_delays=frozenset(by_signal[SignalKind.NOISE]),
-        output_delays=frozenset(by_signal[SignalKind.OUTPUT]),
-        input_sequence=tuple(sorted(by_signal[SignalKind.INPUT])),
-        noise_sequence=tuple(sorted(by_signal[SignalKind.NOISE])),
-        output_sequence=tuple(sorted(by_signal[SignalKind.OUTPUT])),
-    )
-
-
 def max_lags(model: NarmaxModel) -> tuple[int, int, int]:
     """Componentwise maximum delays ``(input, output, noise)``; 0 if absent."""
     lags = {kind: 0 for kind in SignalKind}

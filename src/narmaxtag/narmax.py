@@ -31,7 +31,6 @@ from .models import (
     NbjModel,
     SignalKind,
     canonicalize,
-    index_sets,
 )
 from .trees import (
     ROOT_ADDRESS,
@@ -45,8 +44,6 @@ from .trees import (
     SyntacticTree,
     TreeKind,
     derive,
-    is_saturated,
-    yield_of,
 )
 from .treeio import parse_tree
 
@@ -99,8 +96,8 @@ class SumRoles:
     ``term_slot`` is the address of the term node inside an additive
     tree (where multiplicative trees adjoin), the two factor slots are
     the addresses of the factor node inside additive and multiplicative
-    trees (where delay trees adjoin).  ``causal_tokens`` are the signal
-    tokens that carry one built-in backshift.
+    trees (where delay trees adjoin).  Output factors carry one built-in
+    backshift.
     """
 
     additive: Mapping[SignalKind, str]
@@ -110,7 +107,6 @@ class SumRoles:
     additive_factor_slot: GornAddress
     mult_factor_slot: GornAddress
     signal_tokens: Mapping[str, SignalKind]
-    causal_signals: frozenset[SignalKind]
     end_token: str
 
 
@@ -131,7 +127,6 @@ class NbjCatalog:
     noise_roles: SumRoles
     process_slot: GornAddress
     noise_slot: GornAddress
-    initial_name: str
 
 
 def _elementary(
@@ -214,7 +209,6 @@ def _sum_family(
         additive_factor_slot=_find_slot(some_additive, factor_nt),
         mult_factor_slot=_find_slot(multiplicative[SignalKind.INPUT].tree, factor_nt),
         signal_tokens=dict(tokens),
-        causal_signals=frozenset({SignalKind.OUTPUT}),
         end_token=end_token,
     )
     return [*additive.values(), *multiplicative.values(), delay], roles
@@ -308,43 +302,36 @@ def _delay_chain(
 ) -> DerivationTree | None:
     """Delay trees beyond the built-in backshift, each adjoined at its parent's root."""
     node: DerivationTree | None = None
-    for _ in range(delay - 1 if signal in roles.causal_signals else delay):
+    for _ in range(delay - 1 if signal is SignalKind.OUTPUT else delay):
         node = _node(roles.delay_tree, (ROOT_ADDRESS, node))
     return node
 
 
-def _factor_order(term: Monomial) -> list[FactorKey]:
-    """A term's factor occurrences in canonical order, leading factor first.
+_LEAD_RANK = {SignalKind.INPUT: 0, SignalKind.NOISE: 1, SignalKind.OUTPUT: 2}
 
-    The leading factor is the lowest-delay input factor if any, else
-    noise, else output; its exponent is consumed once by the lead.  The
-    remaining occurrences follow in signal-then-delay order.
+
+def _factor_order(term: Monomial) -> list[FactorKey]:
+    """A term's factor occurrences, one per unit of exponent, sorted by
+    signal (input, noise, output) and then delay.
+
+    The first occurrence is the term's leading factor: its lowest-delay
+    input factor if any, else noise, else output.
     """
-    sets = index_sets(term)
-    if sets.input_delays:
-        first = (SignalKind.INPUT, sets.input_sequence[0])
-    elif sets.noise_delays:
-        first = (SignalKind.NOISE, sets.noise_sequence[0])
-    elif sets.output_delays:
-        first = (SignalKind.OUTPUT, sets.output_sequence[0])
-    else:
+    if not term.factors:
         raise UnrepresentableModelError(
             "a constant term has no factor to hang the grammar's product on"
         )
-    order = [first]
-    for signal in (SignalKind.INPUT, SignalKind.NOISE, SignalKind.OUTPUT):
-        for delay in sorted(
-            d for (sig, d) in term.factors if sig is signal
-        ):
-            exponent = term.factors[(signal, delay)]
-            if (signal, delay) == first:
-                exponent -= 1
-            order.extend([(signal, delay)] * exponent)
+    order: list[FactorKey] = []
+    for key in sorted(term.factors, key=lambda k: (_LEAD_RANK[k[0]], k[1])):
+        order += [key] * term.factors[key]
     return order
 
 
-def _term_fragment(factors: Sequence[FactorKey], roles: SumRoles) -> DerivationTree:
-    """Derivation fragment for one term, factors in the given order.
+def _term_fragment(
+    factors: Sequence[FactorKey], roles: SumRoles, rest: DerivationTree | None
+) -> DerivationTree:
+    """Derivation fragment for one term, factors in the given order, with
+    the additive chain ``rest`` adjoined at its root.
 
     The first factor comes with the term's additive tree; every later
     one is a multiplicative tree, the second adjoined at the term slot
@@ -369,6 +356,7 @@ def _term_fragment(factors: Sequence[FactorKey], roles: SumRoles) -> DerivationT
         )
     return _node(
         roles.additive[lead],
+        (ROOT_ADDRESS, rest),
         (roles.additive_factor_slot, _delay_chain(roles, lead, lead_delay)),
         (roles.term_slot, mult_chain),
     )
@@ -385,12 +373,7 @@ def _sum_chain(
     """
     chain: DerivationTree | None = None
     for factors in terms:
-        head = _term_fragment(factors, roles)
-        chain = _node(
-            head.tree_name,
-            *((edge.address, edge.child) for edge in head.edges),
-            (ROOT_ADDRESS, chain),
-        )
+        chain = _term_fragment(factors, roles, chain)
     return chain
 
 
@@ -470,7 +453,7 @@ def _parse_token_sum(
             while i < n and tokens[i] == DELAY_TOKEN:
                 delay += 1
                 i += 1
-            if signal in roles.causal_signals and delay == 0:
+            if signal is SignalKind.OUTPUT and delay == 0:
                 raise fail(f"{sig_token!r} factor without a backshift", i - 1)
             key = (signal, delay)
             factors[key] = factors.get(key, 0) + 1
@@ -488,16 +471,31 @@ def _terms_from_maps(
     return tuple(Monomial(i + 1, factors) for i, factors in enumerate(maps))
 
 
+def _saturated_yield(tree: SyntacticTree) -> tuple[str, ...]:
+    """The yield of ``tree`` from one walk over its leaves.
+
+    A nonterminal leaf anywhere raises :class:`NotSaturatedError`, so it
+    is reported before any error in the yield.
+    """
+    labels = tree.labels
+    names = []
+    for nid in tree.leaves():
+        label = labels[nid]
+        if label.kind is LabelKind.TERMINAL:
+            names.append(label.name)
+        elif label.kind is LabelKind.NONTERMINAL:
+            raise NotSaturatedError("the tree still has nonterminal leaves")
+    return tuple(names)
+
+
 def derived_to_model(tree: SyntacticTree, mode: Mode = Mode.EXTENDED) -> NarmaxModel:
     """Parse a saturated derived tree's yield into a canonical model.
 
     Coefficient slots are numbered left to right before
     canonicalization renumbers the sorted result.
     """
-    if not is_saturated(tree):
-        raise NotSaturatedError("the tree still has nonterminal leaves")
     catalog = build_narmax_grammar()
-    maps = _parse_token_sum(yield_of(tree), catalog.roles, foreign={})
+    maps = _parse_token_sum(_saturated_yield(tree), catalog.roles, foreign={})
     return canonicalize(NarmaxModel(_terms_from_maps(maps), mode))
 
 
@@ -585,16 +583,13 @@ def build_nbj_grammar() -> NbjCatalog:
         noise_roles=noise_roles,
         process_slot=_find_slot(alpha1.tree, "expr0f"),
         noise_slot=_find_slot(alpha1.tree, "expr0g"),
-        initial_name="alpha1",
     )
 
 
 def nbj_derived_to_model(tree: SyntacticTree, mode: Mode = Mode.EXTENDED) -> NbjModel:
     """Split a saturated yield at its comma and parse both equations."""
-    if not is_saturated(tree):
-        raise NotSaturatedError("the tree still has nonterminal leaves")
     catalog = build_nbj_grammar()
-    tokens = yield_of(tree)
+    tokens = _saturated_yield(tree)
     splits = [i for i, token in enumerate(tokens) if token == COMMA_TOKEN]
     if len(splits) != 1:
         raise YieldNotInLanguageError(
@@ -629,7 +624,7 @@ def nbj_model_to_derivation(model: NbjModel) -> DerivationTree:
     process = canonicalize(NarmaxModel(model.process_terms, Mode.EXTENDED)).terms
     noise = canonicalize(NarmaxModel(model.noise_terms, model.mode)).terms
     return _node(
-        catalog.initial_name,
+        "alpha1",
         (
             catalog.process_slot,
             _sum_chain(map(_factor_order, process), catalog.process_roles),

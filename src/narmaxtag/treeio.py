@@ -14,7 +14,8 @@ terminal.
 
 Grammar format: ``nonterminals:`` / ``terminals:`` / ``start:`` header
 lines followed by named tree blocks ``initial NAME = TREE`` and
-``auxiliary NAME = TREE``.
+``auxiliary NAME = TREE``.  Header symbols are written like tree labels,
+quoted where needed, but without parentheses or markers.
 
 Derivation format: nested ``name[op@address -> child, ...]`` lists with
 ``op`` one of ``sub``/``adj`` and dotted Gorn addresses (``ε`` for the
@@ -55,6 +56,7 @@ class TextFormatError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 
@@ -289,22 +291,35 @@ def format_tree(tree: SyntacticTree) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _header_symbols(text: str) -> list[str]:
+    tokens = _tokenize_tree(text)
+    for tok in tokens:
+        if tok.kind != "label" or tok.marker:
+            raise TextFormatError("header symbols take no parentheses or markers", tok.pos)
+    return [tok.text for tok in tokens]
+
+
 def parse_grammar(text: str) -> Grammar:
+    """Read the grammar format; error positions are offsets into ``text``."""
     nonterminals: frozenset[str] | None = None
     terminals: frozenset[str] | None = None
     start: str | None = None
     initials: list[ElementaryTree] = []
     auxiliaries: list[ElementaryTree] = []
     offset = 0
-    for raw in text.splitlines():
+    for raw in text.splitlines(keepends=True):
+        pos = offset + len(raw) - len(raw.lstrip())  # the line's first character
+        offset += len(raw)
         line = raw.strip()
-        pos = offset
-        offset += len(raw) + 1
         if not line:
             continue
-        head, _, rest = line.partition(":")
-        if head in ("nonterminals", "terminals", "start") and _:
-            symbols = [tok.text for tok in _tokenize_tree(rest) if tok.kind == "label"]
+        head, colon, rest = line.partition(":")
+        if head in ("nonterminals", "terminals", "start") and colon:
+            try:
+                symbols = _header_symbols(rest)
+            except TextFormatError as err:
+                at = pos + len(head) + 1 + err.position
+                raise TextFormatError(err.message, at) from None
             if head == "nonterminals":
                 nonterminals = frozenset(symbols)
             elif head == "terminals":
@@ -320,7 +335,10 @@ def parse_grammar(text: str) -> Grammar:
         if nonterminals is None or terminals is None or start is None:
             raise TextFormatError("tree blocks must come after the header lines", pos)
         kind = TreeKind.INITIAL if match.group(1) == "initial" else TreeKind.AUXILIARY
-        tree = parse_tree(match.group(3), nonterminals=nonterminals, terminals=terminals)
+        try:
+            tree = parse_tree(match.group(3), nonterminals=nonterminals, terminals=terminals)
+        except TextFormatError as err:
+            raise TextFormatError(err.message, pos + match.start(3) + err.position) from None
         bucket = initials if kind is TreeKind.INITIAL else auxiliaries
         bucket.append(ElementaryTree(match.group(2), kind, tree))
     if nonterminals is None or terminals is None or start is None:
@@ -329,9 +347,11 @@ def parse_grammar(text: str) -> Grammar:
 
 
 def format_grammar(grammar: Grammar) -> str:
+    """The grammar format; terminals are quoted as tree labels would be."""
+    terminals = [NodeLabel.terminal(name) for name in sorted(grammar.terminals)]
     lines = [
         "nonterminals: " + " ".join(sorted(grammar.nonterminals)),
-        "terminals: " + " ".join(sorted(grammar.terminals)),
+        "terminals: " + " ".join([_format_label(label) for label in terminals]),
         "start: " + grammar.start,
     ]
     for entry in grammar.initials:

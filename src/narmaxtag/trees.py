@@ -186,8 +186,19 @@ class SyntacticTree:
             stack.extend(self.children[nid])
         return reversed(order)
 
-    def leaves(self) -> Iterator[int]:
-        return (nid for nid in self.pre_order() if self.is_leaf(nid))
+    def leaves(self) -> list[int]:
+        """Leaf ids in left-to-right order, from one explicit-stack walk."""
+        children = self.children
+        out = []
+        stack = [self.root]
+        while stack:
+            nid = stack.pop()
+            kids = children[nid]
+            if kids:
+                stack += reversed(kids)
+            else:
+                out.append(nid)
+        return out
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(
@@ -204,11 +215,7 @@ class SyntacticTree:
         return None
 
     def substitution_sites(self) -> tuple[int, ...]:
-        return tuple(
-            nid
-            for nid in self.pre_order()
-            if self.is_leaf(nid) and self.labels[nid].substitution_marker
-        )
+        return tuple([nid for nid in self.leaves() if self.labels[nid].substitution_marker])
 
     def address_of(self, nid: int) -> GornAddress:
         parents = self.parent_map()
@@ -537,21 +544,17 @@ def _splice(gamma: SyntacticTree, target: int, incoming: SyntacticTree) -> tuple
 
 
 def yield_of(tree: SyntacticTree) -> tuple[str, ...]:
-    """Left-to-right leaf labels; epsilon leaves are elided."""
-    out = []
-    for nid in tree.pre_order():
-        if tree.is_leaf(nid):
-            label = tree.label(nid)
-            if label.kind is not LabelKind.EPSILON:
-                out.append(label.name)
-    return tuple(out)
+    """Names of the leaves in left-to-right order (see
+    :meth:`SyntacticTree.leaves`); epsilon leaves are elided."""
+    labels = tree.labels
+    names = [labels[n].name for n in tree.leaves() if labels[n].kind is not LabelKind.EPSILON]
+    return tuple(names)
 
 
 def is_saturated(tree: SyntacticTree) -> bool:
     """True iff every leaf is a terminal or epsilon."""
-    return all(
-        tree.label(nid).kind is not LabelKind.NONTERMINAL for nid in tree.leaves()
-    )
+    labels = tree.labels
+    return LabelKind.NONTERMINAL not in {labels[nid].kind for nid in tree.leaves()}
 
 
 def derive(derivation: DerivationTree, grammar: Grammar) -> SyntacticTree:

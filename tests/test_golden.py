@@ -20,7 +20,7 @@ from narmaxtag.generate import (
     enumerate_models,
     sample_derivation,
 )
-from narmaxtag.models import Mode
+from narmaxtag.models import Mode, Monomial, NarmaxModel, SignalKind
 from narmaxtag.narmax import (
     GrammarPreset,
     build_nbj_grammar,
@@ -205,6 +205,36 @@ def test_model_to_derivation_over_enumeration():
     assert len(lines) == 1201
     assert sha256("\n".join(lines)) == (
         "b5fbf84d280f2afb9ca4abff368e969b2723c48daded033964d78524a180dc09"
+    )
+
+
+def _random_term_models(count: int, seed: int) -> list[NarmaxModel]:
+    """Models of 1-4 terms, each of 1-3 factors over all three signals,
+    with delays 0-6 (output 1-6) and exponents 1-3."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        terms = []
+        for coeff_id in range(1, rng.randint(1, 4) + 1):
+            factors = {}
+            for _ in range(rng.randint(1, 3)):
+                signal = rng.choice(list(SignalKind))
+                low = 1 if signal is SignalKind.OUTPUT else 0
+                factors[(signal, rng.randint(low, 6))] = rng.randint(1, 3)
+            terms.append(Monomial(coeff_id, factors))
+        out.append(NarmaxModel(tuple(terms)))
+    return out
+
+
+def test_model_to_derivation_over_random_models():
+    # pins each term's factor order and the shape of the built chains
+    # beyond the small enumerated space above
+    lines = [
+        format_derivation(model_to_derivation(model))
+        for model in _random_term_models(2000, seed=8)
+    ]
+    assert sha256("\n".join(lines)) == (
+        "987691b41e353c61a64802e7356bb6ca79d4f1b3d67bf14c9875743d42469dcd"
     )
 
 

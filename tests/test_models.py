@@ -18,7 +18,6 @@ from narmaxtag import (
     canonicalize,
     classify,
     format_model_text,
-    index_sets,
     max_lags,
     parse_model_text,
     simulate,
@@ -119,33 +118,6 @@ class TestCanonicalize:
         assert canonicalize(NarmaxModel(tuple(terms), model.mode)) == canonicalize(
             model
         )
-
-
-class TestIndexSets:
-    def test_output_square(self):
-        term = Monomial(1, {(SignalKind.OUTPUT, 1): 2})
-        sets = index_sets(term)
-        assert sets.output_delays == {1}
-        assert sets.input_delays == frozenset()
-        assert sets.noise_delays == frozenset()
-        assert sets.output_sequence == (1,)
-
-    def test_noise_product(self):
-        term = Monomial(
-            1,
-            {
-                (SignalKind.NOISE, 1): 1,
-                (SignalKind.NOISE, 2): 1,
-                (SignalKind.NOISE, 0): 1,
-            },
-        )
-        sets = index_sets(term)
-        assert sets.noise_delays == {0, 1, 2}
-        assert sets.noise_sequence == (0, 1, 2)
-
-    def test_constant_term(self):
-        sets = index_sets(Monomial(1, {}))
-        assert sets.input_delays == sets.noise_delays == sets.output_delays == frozenset()
 
 
 class TestMaxLags:

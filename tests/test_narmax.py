@@ -246,6 +246,21 @@ class TestNbj:
         with pytest.raises(SignalInWrongPartError):
             nbj_derived_to_model(tree)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a malformed process sum after the nonterminal leaf
+            'exprbj(expr0f↓ "," expr0g(ξ))',
+            # no comma at all
+            "exprbj(expr0f↓ expr0g(ξ))",
+            # two commas
+            'exprbj(expr0f(0) "," expr0g↓ "," ξ)',
+        ],
+    )
+    def test_saturation_checked_first(self, text):
+        with pytest.raises(NotSaturatedError, match="^the tree still has nonterminal leaves$"):
+            nbj_derived_to_model(parse_tree(text))
+
     def test_comma_count_enforced(self):
         tree = parse_tree('root(ξ)', nonterminals={"root"}, terminals={"ξ"})
         with pytest.raises(YieldNotInLanguageError):

@@ -105,6 +105,35 @@ class TestGrammarFormat:
         with pytest.raises(TextFormatError):
             parse_grammar("initial a = A(b)\nnonterminals: A\nterminals: b\nstart: A\n")
 
+    @pytest.mark.parametrize(
+        "text, char",
+        [
+            ("nonterminals: S\nterminals: a\n  start: S(T)\n", "("),
+            ("nonterminals: S A\nterminals: a\nstart: S\n\n  initial t = S(A(a) x)\n", "x"),
+            ("nonterminals: S\r\nterminals: a\r\nstart: S\r\nauxiliary b = S(S★ ★)\r\n", "★"),
+        ],
+    )
+    def test_errors_carry_file_positions(self, text, char):
+        with pytest.raises(TextFormatError) as info:
+            parse_grammar(text)
+        assert text[info.value.position] == char
+
+    def test_header_marker_is_an_error(self):
+        text = "nonterminals: S B↓\nterminals: a\nstart: S\n"
+        with pytest.raises(TextFormatError, match="no parentheses or markers") as info:
+            parse_grammar(text)
+        assert text[info.value.position:].startswith("B↓")
+
+    def test_quoted_terminals_roundtrip(self):
+        text = (
+            'nonterminals: S\nterminals: "(" a "two words"\nstart: S\n'
+            'initial t = S("two words" "(" a)\n'
+        )
+        grammar = parse_grammar(text)
+        assert grammar.terminals == {"(", "two words", "a"}
+        assert format_grammar(grammar) == text
+        assert format_grammar(parse_grammar(format_grammar(grammar))) == text
+
     def test_kind_assignment(self):
         grammar = parse_grammar(SENTENCE_GRAMMAR_TEXT)
         alpha1 = grammar.find("alpha1")
