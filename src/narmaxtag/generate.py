@@ -13,11 +13,15 @@ Tree names mean what they mean to ``derive``: the first entry of a
 name wins.
 
 Sampling grows a random model over the polynomial-model grammar (or one
-of its presets) extension by extension, tracking each term's factor
-occurrences in the order they were grown, so the drawn model respects
-the structural bounds by construction and is reproducible from the
-seed.  The derivation is then built from those lists by the builder
-that :func:`~narmaxtag.narmax.model_to_derivation` uses.
+of its presets) extension by extension: it draws a number of
+adjunctions to spend, then at each step one extension (a new term, a
+factor multiplied onto a term, or a factor's delay deepened) out of
+those that fit the adjunctions left and the structural bounds.  It
+tracks only each term's factor occurrences, in the order they were
+grown, so the drawn model respects the bounds by construction and is
+reproducible from the seed.  The derivation is then built from those
+lists by the builder that :func:`~narmaxtag.narmax.model_to_derivation`
+uses.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .models import FactorKey, Mode, NarmaxModel, SignalKind
 from .narmax import (
     PRESET_AUXILIARIES,
     GrammarPreset,
-    SumRoles,
     _narmax_derivation,
     build_narmax_grammar,
     derived_to_model,
@@ -192,112 +195,77 @@ def enumerate_models(
 # ---------------------------------------------------------------------------
 
 
-class _GrowthSampler:
-    """Random derivation growth under structural bounds.
+def _grow(bounds: GenBounds, preset: GrammarPreset, rng: random.Random) -> list[list[FactorKey]]:
+    """Random factor occurrences (signal, delay) per term, leading factor
+    first, grown within ``bounds``.
 
     Extensions: start a new term (one additive tree), multiply a factor
     onto an existing term (one multiplicative tree), or deepen a
-    factor's delay (one delay tree).  In strict mode a noise factor is
-    introduced together with one delay tree, so the current noise
-    sample never appears in a product.
+    factor's delay (one delay tree).  Each step draws one of the
+    extensions that fit the adjunctions left, in a fixed order.
     """
+    roles = build_narmax_grammar().roles
+    available = PRESET_AUXILIARIES[preset]
+    has_delay = roles.delay_tree in available
+    # a new factor's first occurrence and its cost in adjunctions: output
+    # factors carry a built-in backshift, and in strict mode a noise factor
+    # comes with one delay tree, so the current noise sample never appears
+    # in a product
+    noise = (1, 2) if bounds.mode is Mode.STRICT else (0, 1)
+    start = {
+        signal: ((signal, delay), cost)
+        for signal, (delay, cost) in (
+            (SignalKind.INPUT, (0, 1)), (SignalKind.OUTPUT, (1, 1)), (SignalKind.NOISE, noise)
+        )
+        if delay <= bounds.max_delay and (cost == 1 or has_delay)
+    }
+    additive = [signal for signal in start if roles.additive[signal] in available]
+    multiplicative = [signal for signal in start if roles.multiplicative[signal] in available]
 
-    def __init__(self, bounds: GenBounds, preset: GrammarPreset, rng: random.Random):
-        self.bounds = bounds
-        self.rng = rng
-        catalog = build_narmax_grammar()
-        self.roles: SumRoles = catalog.roles
-        available = PRESET_AUXILIARIES[preset]
-        self.additive_signals = [
-            sig
-            for sig in (SignalKind.INPUT, SignalKind.OUTPUT, SignalKind.NOISE)
-            if self.roles.additive[sig] in available
-        ]
-        self.mult_signals = [
-            sig
-            for sig in (SignalKind.INPUT, SignalKind.OUTPUT, SignalKind.NOISE)
-            if self.roles.multiplicative[sig] in available
-        ]
-        self.has_delay = self.roles.delay_tree in available
-        # factor occurrences (signal, delay) per term, leading factor first
-        self.terms: list[list[FactorKey]] = []
+    def fits(term: list[FactorKey], signal: SignalKind) -> bool:
+        factor, cost = start[signal]
+        return cost <= budget and term.count(factor) < bounds.max_exponent
 
-    def _base_delay(self, signal: SignalKind) -> int:
-        if signal is SignalKind.OUTPUT:
-            return 1
-        if signal is SignalKind.NOISE and self.bounds.mode is Mode.STRICT:
-            return 1
-        return 0
-
-    def _cost(self, signal: SignalKind) -> int:
-        # strict-mode noise factors come with one immediate delay tree
-        built_in = signal is SignalKind.OUTPUT
-        return 2 if (not built_in and self._base_delay(signal) == 1) else 1
-
-    def _factor_fits(self, term: list[FactorKey], signal: SignalKind) -> bool:
-        base = self._base_delay(signal)
-        if base > self.bounds.max_delay:
-            return False
-        if base == 1 and signal is not SignalKind.OUTPUT and not self.has_delay:
-            return False
-        return term.count((signal, base)) + 1 <= self.bounds.max_exponent
-
-    def options(self, budget: int) -> list[tuple]:
-        out: list[tuple] = []
-        if self.bounds.max_exponent >= 1:
-            if len(self.terms) < self.bounds.max_terms:
-                for sig in self.additive_signals:
-                    if self._cost(sig) <= budget and self._factor_fits([], sig):
-                        out.append(("term", sig.value))
-            for index, term in enumerate(self.terms):
-                for sig in self.mult_signals:
-                    if self._cost(sig) <= budget and self._factor_fits(term, sig):
-                        out.append(("factor", index, sig.value))
-        if self.has_delay and budget >= 1:
-            for t_index, term in enumerate(self.terms):
-                for f_index, (signal, delay) in enumerate(term):
-                    deeper = delay + 1
-                    if (
-                        deeper <= self.bounds.max_delay
-                        and term.count((signal, deeper)) + 1
-                        <= self.bounds.max_exponent
-                    ):
-                        out.append(("delay", t_index, f_index))
-        return out
-
-    def apply(self, option: tuple) -> int:
-        if option[0] == "delay":
-            _, t_index, f_index = option
-            signal, delay = self.terms[t_index][f_index]
-            self.terms[t_index][f_index] = (signal, delay + 1)
-            return 1
-        signal = SignalKind(option[-1])
-        if option[0] == "term":
-            self.terms.append([])
-            term = self.terms[-1]
-        else:
-            term = self.terms[option[1]]
-        # strict-mode noise factors come with their first delay tree
-        term.append((signal, self._base_delay(signal)))
-        return self._cost(signal)
-
-    def grow(self) -> DerivationTree:
-        target = self.rng.randint(0, self.bounds.max_adjunctions)
-        spent = 0
-        while spent < target:
-            options = self.options(target - spent)
-            if not options:
-                break
-            spent += self.apply(self.rng.choice(options))
-        return _narmax_derivation(self.terms)
+    terms: list[list[FactorKey]] = []
+    budget = rng.randint(0, bounds.max_adjunctions)
+    while budget > 0:
+        # an option is (term, or None for a new one; signal of the new
+        # factor) or (term, index of the factor to deepen)
+        options: list[tuple] = []
+        if len(terms) < bounds.max_terms:
+            options += [(None, signal) for signal in additive if fits([], signal)]
+        for term in terms:
+            options += [(term, signal) for signal in multiplicative if fits(term, signal)]
+        if has_delay:
+            for term in terms:
+                options += [
+                    (term, index)
+                    for index, (signal, delay) in enumerate(term)
+                    if delay < bounds.max_delay
+                    and term.count((signal, delay + 1)) < bounds.max_exponent
+                ]
+        if not options:
+            break
+        term, choice = rng.choice(options)
+        if isinstance(choice, int):
+            signal, delay = term[choice]
+            term[choice] = (signal, delay + 1)
+            budget -= 1
+            continue
+        if term is None:
+            term = []
+            terms.append(term)
+        factor, cost = start[choice]
+        term.append(factor)
+        budget -= cost
+    return terms
 
 
 def sample_derivation(
     config: SampleConfig, preset: GrammarPreset = GrammarPreset.NARMAX
 ) -> DerivationTree:
     """One random derivation within bounds; reproducible from the seed."""
-    rng = random.Random(config.seed)
-    return _GrowthSampler(config.bounds, preset, rng).grow()
+    return _narmax_derivation(_grow(config.bounds, preset, random.Random(config.seed)))
 
 
 def sample_model(

@@ -237,7 +237,7 @@ def parse_tree(
         if not open_nodes:
             break
         if i == len(tokens):
-            raise TextFormatError("missing ')'", tokens[-1].pos)
+            raise TextFormatError("missing ')'", len(text))
     if i != len(tokens):
         raise TextFormatError("trailing tokens after tree", tokens[i].pos)
     nts = None if nonterminals is None else frozenset(nonterminals)
@@ -347,12 +347,15 @@ def parse_grammar(text: str) -> Grammar:
 
 
 def format_grammar(grammar: Grammar) -> str:
-    """The grammar format; terminals are quoted as tree labels would be."""
+    """The grammar format; header symbols are written as tree labels
+    would be, so a nonterminal name the format cannot write raises
+    ``ValueError`` as in :func:`format_tree`."""
+    nonterminals = [NodeLabel.nonterminal(name) for name in sorted(grammar.nonterminals)]
     terminals = [NodeLabel.terminal(name) for name in sorted(grammar.terminals)]
     lines = [
-        "nonterminals: " + " ".join(sorted(grammar.nonterminals)),
+        "nonterminals: " + " ".join([_format_label(label) for label in nonterminals]),
         "terminals: " + " ".join([_format_label(label) for label in terminals]),
-        "start: " + grammar.start,
+        "start: " + _format_label(NodeLabel.nonterminal(grammar.start)),
     ]
     for entry in grammar.initials:
         lines.append(f"initial {entry.name} = {format_tree(entry.tree)}")

@@ -205,9 +205,6 @@ class SyntacticTree:
             (parent, kid) for parent, kids in self.children.items() for kid in kids
         )
 
-    def parent_map(self) -> dict[int, int]:
-        return {kid: parent for parent, kids in self.children.items() for kid in kids}
-
     def foot_node(self) -> int | None:
         for nid in self.pre_order():
             if self.labels[nid].foot_marker:
@@ -218,7 +215,7 @@ class SyntacticTree:
         return tuple([nid for nid in self.leaves() if self.labels[nid].substitution_marker])
 
     def address_of(self, nid: int) -> GornAddress:
-        parents = self.parent_map()
+        parents = {kid: parent for parent, kids in self.children.items() for kid in kids}
         path: list[int] = []
         cur = nid
         while cur != self.root:
@@ -319,8 +316,8 @@ class _Table:
 
     Nodes are the indices 0..n-1 in pre-order: ``labels`` and
     ``children`` are indexed by them, ``rank`` gives each node's place in
-    post-order, and ``feet`` is the tree's foot summary (see
-    :func:`_top_feet`).
+    post-order, and ``feet`` counts its foot-marked nodes with no foot
+    above them.
     """
 
     __slots__ = ("entry", "labels", "children", "rank", "feet")
@@ -585,8 +582,8 @@ def derive(derivation: DerivationTree, grammar: Grammar) -> SyntacticTree:
 
 class _Part:
     """A checked derivation node: its compiled tree, the operations on
-    that tree by node index, each with the part it brings, and the foot
-    summary of the tree it derives."""
+    that tree by node index, each with the part it brings, and the number
+    of top feet of the tree it derives (see :func:`_top_feet`)."""
 
     __slots__ = ("table", "ops", "feet")
 
@@ -596,25 +593,29 @@ class _Part:
         self.feet = _top_feet(table, ops) if ops else table.feet
 
 
-def _top_feet(table: _Table, ops: dict[int, tuple[Operation, _Part]]) -> list[int]:
-    """The foot-marked nodes of the tree that ``table`` derives with
-    ``ops`` applied, keeping those with no foot above them, in pre-order,
-    each given as the number of feet below it.
+def _top_feet(table: _Table, ops: dict[int, tuple[Operation, _Part]]) -> int:
+    """The number of foot-marked nodes with no foot above them in the
+    tree that ``table`` derives with ``ops`` applied.
 
     Adjunction clears the first of these and replaces what hangs below
-    it, so the list tells whether a part still has a foot after any
+    it, so the count tells whether a part still has a foot after any
     number of adjunctions into it.
     """
-    tops: list[list[int]] = [[]] * len(table.labels)
-    for i in reversed(range(len(table.labels))):  # children before parents
-        below = [count for kid in table.children[i] for count in tops[kid]]
+    count = 0
+    stack = [0]
+    while stack:
+        i = stack.pop()
         if i in ops:
-            # the node is replaced; a substituted part has no feet
-            below += ops[i][1].feet[1:]
+            # the node's children hang under the adjoined part's cleared
+            # foot; a substituted part has no feet
+            operation, part = ops[i]
+            if operation is Operation.ADJUNCTION:
+                count += part.feet - 1
         elif table.labels[i].foot_marker:
-            below = [len(below) + sum(below)]
-        tops[i] = below
-    return tops[0]
+            count += 1
+            continue
+        stack += table.children[i]
+    return count
 
 
 def _open(node: DerivationTree, table: _Table) -> tuple:

@@ -8,6 +8,7 @@ of a built derivation shows up here as a digest mismatch.
 """
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -194,6 +195,23 @@ def test_sample_derivation_text(preset, mode):
         for seed in range(200)
     )
     assert sha256(text) == DERIVATION_DIGESTS[(preset, mode)]
+
+
+def test_sample_derivation_text_at_edge_bounds():
+    # every preset and mode over small and zero bounds, where the
+    # sampler's option list is empty, cut short or missing whole kinds
+    lines = [
+        format_derivation(sample_derivation(
+            SampleConfig(GenBounds(adjunctions, terms, delay, exponent, mode), seed), preset
+        ))
+        for preset, mode, adjunctions, terms, delay, exponent, seed in itertools.product(
+            GrammarPreset, Mode, (0, 1, 2, 5, 9), (0, 1, 3), (0, 1, 3), (0, 1, 2), range(6)
+        )
+    ]
+    assert len(lines) == 8100
+    assert sha256("\n".join(lines)) == (
+        "caea7fc4414762276dfe41f59114bd1095d56d345046c6eea4d20d3b12ea8907"
+    )
 
 
 def test_model_to_derivation_over_enumeration():

@@ -1,6 +1,6 @@
 import pytest
 
-from narmaxtag import DerivationTree, LabelKind, Operation
+from narmaxtag import DerivationTree, Grammar, LabelKind, Operation
 from narmaxtag.treeio import (
     TextFormatError,
     format_derivation,
@@ -69,6 +69,12 @@ class TestTreeFormat:
         with pytest.raises(TextFormatError):
             parse_tree("A(b) c")
 
+    @pytest.mark.parametrize("text", ["S(a b", "S(a b  ", "S(a(b c)", "S("])
+    def test_missing_paren_is_reported_at_the_end(self, text):
+        with pytest.raises(TextFormatError, match="missing '\\)'") as info:
+            parse_tree(text)
+        assert info.value.position == len(text)
+
     def test_roundtrip_is_stable(self):
         for text in (
             "expr0(ξ)",
@@ -117,6 +123,21 @@ class TestGrammarFormat:
         with pytest.raises(TextFormatError) as info:
             parse_grammar(text)
         assert text[info.value.position] == char
+
+    def test_missing_paren_is_reported_at_the_tree_block_end(self):
+        text = "nonterminals: S\nterminals: a b\nstart: S\ninitial t = S(a b  \n"
+        with pytest.raises(TextFormatError, match="missing") as info:
+            parse_grammar(text)
+        assert text[: info.value.position].endswith("initial t = S(a b")
+
+    @pytest.mark.parametrize(
+        "nonterminals, start", [({"A B", "S"}, "S"), ({"S"}, "A B"), ({"S", ""}, "S")]
+    )
+    def test_unwritable_header_names_are_rejected(self, nonterminals, start):
+        # written unquoted, "A B" would read back as two nonterminals
+        grammar = Grammar(nonterminals, {"a"}, start, (), ())
+        with pytest.raises(ValueError, match="reserved characters"):
+            format_grammar(grammar)
 
     def test_header_marker_is_an_error(self):
         text = "nonterminals: S B↓\nterminals: a\nstart: S\n"
