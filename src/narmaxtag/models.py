@@ -102,11 +102,8 @@ def _factor_key(factors: Mapping[FactorKey, int]) -> tuple:
     )
 
 
-def _sorted_factors(factors: Mapping[FactorKey, int]) -> dict[FactorKey, int]:
-    return {
-        key: factors[key]
-        for key in sorted(factors, key=lambda k: (_SIGNAL_RANK[k[0]], k[1]))
-    }
+def _sorted_factors(factors: Mapping[FactorKey, int]) -> list[tuple[FactorKey, int]]:
+    return sorted(factors.items(), key=lambda item: (_SIGNAL_RANK[item[0][0]], item[0][1]))
 
 
 @dataclass(frozen=True)
@@ -175,7 +172,7 @@ def canonicalize(model: NarmaxModel) -> NarmaxModel:
             )
     ordered = sorted(merged.items(), key=lambda item: (sum(item[1][0].values()), item[0]))
     terms = tuple(
-        Monomial(i + 1, _sorted_factors(factors), value if numeric else None)
+        Monomial(i + 1, dict(_sorted_factors(factors)), value if numeric else None)
         for i, (_, (factors, value, numeric)) in enumerate(ordered)
     )
     return NarmaxModel(terms, model.mode)
@@ -292,9 +289,8 @@ CLASS_TAG_ORDER = ("FIR", "Volterra", "ARX", "ARMAX", "NARX", "NARMAX")
 # Text format
 # ---------------------------------------------------------------------------
 
-_SIGNAL_TOKEN = {"u": SignalKind.INPUT, "y": SignalKind.OUTPUT, "xi": SignalKind.NOISE}
-
-
+# built once: iterating SignalKind for each factor read costs ~4x this dict
+_SIGNAL_TOKEN = {signal.value: signal for signal in SignalKind}
 _INTEGER_RE = re.compile(r"\d+")
 _REAL_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 
@@ -373,9 +369,7 @@ def format_model_text(model: NarmaxModel) -> str:
         text = f"c{term.coeff_id}"
         if term.coeff_value is not None:
             text += f":{term.coeff_value!r}"
-        for (signal, delay), exponent in sorted(
-            term.factors.items(), key=lambda item: (_SIGNAL_RANK[item[0][0]], item[0][1])
-        ):
+        for (signal, delay), exponent in _sorted_factors(term.factors):
             text += f"*{signal.value}[{-delay if delay else 0}]"
             if exponent > 1:
                 text += f"^{exponent}"

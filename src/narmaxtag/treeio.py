@@ -10,7 +10,10 @@ Labels that collide with the markers or the structural characters are
 written in double quotes.  When the alphabets are known the label kinds
 are resolved against them; otherwise internal and marked nodes are read
 as nonterminals, ``ε`` as the empty leaf and everything else as a
-terminal.
+terminal.  Tree text is lexed by one compiled pattern.  Its bare-label
+rule, like the tree-name rule ``[\\w.\\-]+``, is shared by the readers
+and the writers, so a writer refuses what its reader could not read
+back.
 
 Grammar format: ``nonterminals:`` / ``terminals:`` / ``start:`` header
 lines followed by named tree blocks ``initial NAME = TREE`` and
@@ -48,7 +51,17 @@ from .trees import (
     format_address,
 )
 
-_SPECIAL = set("()\"" + SUBSTITUTION_MARK + FOOT_MARK)
+_MARKERS = SUBSTITUTION_MARK + FOOT_MARK
+_BARE_LABEL_RE = re.compile(rf'[^\s()"{_MARKERS}]+')
+# "(" or ")" | a quoted or bare label with an optional marker | any other
+# non-space character, an error; whitespace between tokens matches nothing
+_TREE_TOKEN_RE = re.compile(
+    rf'([()])|(?:"((?:[^"\\]|\\.)*)"|({_BARE_LABEL_RE.pattern}))([{_MARKERS}])?|(\S)',
+    re.DOTALL,
+)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_NAME_RE = re.compile(r"[\w.\-]+")
+_BLOCK_RE = re.compile(rf"(initial|auxiliary)\s+({_NAME_RE.pattern})\s*=\s*(.+)$")
 
 
 class TextFormatError(ValueError):
@@ -116,55 +129,22 @@ class _Scanner:
 # ---------------------------------------------------------------------------
 
 
-class _Token:
-    __slots__ = ("kind", "text", "marker", "quoted", "pos")
-
-    def __init__(self, kind, text, pos, marker=None, quoted=False):
-        self.kind = kind  # "label", "(", ")"
-        self.text = text
-        self.marker = marker
-        self.quoted = quoted
-        self.pos = pos
-
-
-def _tokenize_tree(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch in (SUBSTITUTION_MARK, FOOT_MARK):
-            raise TextFormatError("marker without a preceding label", i)
-        start = i
-        if ch == '"':
-            i += 1
-            parts = []
-            while i < n and text[i] != '"':
-                if text[i] == "\\" and i + 1 < n:
-                    parts.append(text[i + 1])
-                    i += 2
-                else:
-                    parts.append(text[i])
-                    i += 1
-            if i >= n:
-                raise TextFormatError("unterminated quoted label", start)
-            i += 1
-            label, quoted = "".join(parts), True
+def _tokenize_tree(text: str) -> list[tuple]:
+    """``(kind, text, pos, marker, quoted)`` tuples; kind is "label", "(" or ")"."""
+    tokens: list[tuple] = []
+    for found in _TREE_TOKEN_RE.finditer(text):
+        punct, quoted, bare, marker, other = found.groups()
+        pos = found.start()
+        if punct:
+            tokens.append((punct, punct, pos, None, False))
+        elif bare:
+            tokens.append(("label", bare, pos, marker, False))
+        elif quoted is not None:
+            tokens.append(("label", _ESCAPE_RE.sub(r"\1", quoted), pos, marker, True))
+        elif other == '"':
+            raise TextFormatError("unterminated quoted label", pos)
         else:
-            while i < n and not text[i].isspace() and text[i] not in _SPECIAL:
-                i += 1
-            label, quoted = text[start:i], False
-        marker = None
-        if i < n and text[i] in (SUBSTITUTION_MARK, FOOT_MARK):
-            marker = text[i]
-            i += 1
-        tokens.append(_Token("label", label, start, marker=marker, quoted=quoted))
+            raise TextFormatError("marker without a preceding label", pos)
     return tokens
 
 
@@ -174,31 +154,31 @@ def _tokenize_tree(text: str) -> list[_Token]:
 
 
 def _resolve_label(
-    tok: _Token,
+    token: tuple,
     internal: bool,
     nonterminals: frozenset[str] | None,
     terminals: frozenset[str] | None,
 ) -> NodeLabel:
-    site = tok.marker == SUBSTITUTION_MARK
-    foot = tok.marker == FOOT_MARK
-    name = tok.text
+    _, name, pos, marker, quoted = token
+    site = marker == SUBSTITUTION_MARK
+    foot = marker == FOOT_MARK
     if not name:
-        raise TextFormatError("empty label", tok.pos)
+        raise TextFormatError("empty label", pos)
     if nonterminals is not None or terminals is not None:
-        if not tok.quoted and name in (nonterminals or frozenset()):
+        if not quoted and name in (nonterminals or frozenset()):
             return NodeLabel.nonterminal(name, site=site, foot=foot)
-        if not tok.quoted and name == EPSILON:
+        if not quoted and name == EPSILON:
             return NodeLabel.epsilon()
         if name in (terminals or frozenset()):
-            if tok.marker:
-                raise TextFormatError(f"terminal {name!r} cannot carry a marker", tok.pos)
+            if marker:
+                raise TextFormatError(f"terminal {name!r} cannot carry a marker", pos)
             return NodeLabel.terminal(name)
-        raise TextFormatError(f"label {name!r} is not in the alphabets", tok.pos)
-    if internal or tok.marker:
-        if tok.quoted:
-            raise TextFormatError("quoted labels denote terminals", tok.pos)
+        raise TextFormatError(f"label {name!r} is not in the alphabets", pos)
+    if internal or marker:
+        if quoted:
+            raise TextFormatError("quoted labels denote terminals", pos)
         return NodeLabel.nonterminal(name, site=site, foot=foot)
-    if name == EPSILON and not tok.quoted:
+    if name == EPSILON and not quoted:
         return NodeLabel.epsilon()
     return NodeLabel.terminal(name)
 
@@ -214,24 +194,24 @@ def parse_tree(
         raise TextFormatError("empty tree text", 0)
     # structure first, labels after: a structural error anywhere in the
     # text wins over a label error; node ids are 1..n in pre-order
-    heads: dict[int, _Token] = {}
+    heads: dict[int, tuple] = {}
     kids: dict[int, list[int]] = {}
     open_nodes: list[int] = []  # nodes whose ')' is pending
     i = 0
     while True:
-        if tokens[i].kind != "label":
-            raise TextFormatError("expected a node label", tokens[i].pos)
+        if tokens[i][0] != "label":
+            raise TextFormatError("expected a node label", tokens[i][2])
         nid = len(heads) + 1
         heads[nid], kids[nid] = tokens[i], []
         if open_nodes:
             kids[open_nodes[-1]].append(nid)
         i += 1
-        if i < len(tokens) and tokens[i].kind == "(":
+        if i < len(tokens) and tokens[i][0] == "(":
             i += 1
-            if i < len(tokens) and tokens[i].kind == ")":
-                raise TextFormatError("empty child list", tokens[i].pos)
+            if i < len(tokens) and tokens[i][0] == ")":
+                raise TextFormatError("empty child list", tokens[i][2])
             open_nodes.append(nid)
-        while open_nodes and i < len(tokens) and tokens[i].kind == ")":
+        while open_nodes and i < len(tokens) and tokens[i][0] == ")":
             open_nodes.pop()
             i += 1
         if not open_nodes:
@@ -239,24 +219,19 @@ def parse_tree(
         if i == len(tokens):
             raise TextFormatError("missing ')'", len(text))
     if i != len(tokens):
-        raise TextFormatError("trailing tokens after tree", tokens[i].pos)
+        raise TextFormatError("trailing tokens after tree", tokens[i][2])
     nts = None if nonterminals is None else frozenset(nonterminals)
     ts = None if terminals is None else frozenset(terminals)
-    labels = {nid: _resolve_label(tok, bool(kids[nid]), nts, ts) for nid, tok in heads.items()}
+    labels = {nid: _resolve_label(head, bool(kids[nid]), nts, ts) for nid, head in heads.items()}
     children = {nid: tuple(ids) for nid, ids in kids.items()}
     return SyntacticTree._build(1, labels, children)
 
 
 def _format_label(label: NodeLabel) -> str:
-    name = label.name
     if label.kind is LabelKind.EPSILON:
         return EPSILON
-    needs_quote = (
-        not name
-        or any(ch.isspace() or ch in _SPECIAL for ch in name)
-        or (label.kind is LabelKind.TERMINAL and name == EPSILON)
-    )
-    if needs_quote:
+    name = label.name
+    if not _BARE_LABEL_RE.fullmatch(name) or (label.kind is LabelKind.TERMINAL and name == EPSILON):
         if label.kind is not LabelKind.TERMINAL:
             raise ValueError(f"nonterminal name {name!r} contains reserved characters")
         name = '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -293,10 +268,10 @@ def format_tree(tree: SyntacticTree) -> str:
 
 def _header_symbols(text: str) -> list[str]:
     tokens = _tokenize_tree(text)
-    for tok in tokens:
-        if tok.kind != "label" or tok.marker:
-            raise TextFormatError("header symbols take no parentheses or markers", tok.pos)
-    return [tok.text for tok in tokens]
+    for kind, _, pos, marker, _ in tokens:
+        if kind != "label" or marker:
+            raise TextFormatError("header symbols take no parentheses or markers", pos)
+    return [token[1] for token in tokens]
 
 
 def parse_grammar(text: str) -> Grammar:
@@ -329,7 +304,7 @@ def parse_grammar(text: str) -> Grammar:
                     raise TextFormatError("start line needs exactly one symbol", pos)
                 start = symbols[0]
             continue
-        match = re.match(r"(initial|auxiliary)\s+([\w.\-]+)\s*=\s*(.+)$", line)
+        match = _BLOCK_RE.match(line)
         if not match:
             raise TextFormatError(f"cannot parse grammar line {line!r}", pos)
         if nonterminals is None or terminals is None or start is None:
@@ -346,10 +321,17 @@ def parse_grammar(text: str) -> Grammar:
     return Grammar(nonterminals, terminals, start, tuple(initials), tuple(auxiliaries))
 
 
+def _format_name(name: str) -> str:
+    if not _NAME_RE.fullmatch(name):
+        raise ValueError(f"tree name {name!r} is not a word of letters, digits, '_', '.' or '-'")
+    return name
+
+
 def format_grammar(grammar: Grammar) -> str:
     """The grammar format; header symbols are written as tree labels
     would be, so a nonterminal name the format cannot write raises
-    ``ValueError`` as in :func:`format_tree`."""
+    ``ValueError`` as in :func:`format_tree`, and so do a tree name
+    outside ``[\\w.\\-]+`` and a terminal with a line break."""
     nonterminals = [NodeLabel.nonterminal(name) for name in sorted(grammar.nonterminals)]
     terminals = [NodeLabel.terminal(name) for name in sorted(grammar.terminals)]
     lines = [
@@ -358,17 +340,19 @@ def format_grammar(grammar: Grammar) -> str:
         "start: " + _format_label(NodeLabel.nonterminal(grammar.start)),
     ]
     for entry in grammar.initials:
-        lines.append(f"initial {entry.name} = {format_tree(entry.tree)}")
+        lines.append(f"initial {_format_name(entry.name)} = {format_tree(entry.tree)}")
     for entry in grammar.auxiliaries:
-        lines.append(f"auxiliary {entry.name} = {format_tree(entry.tree)}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"auxiliary {_format_name(entry.name)} = {format_tree(entry.tree)}")
+    text = "\n".join(lines) + "\n"
+    if text.splitlines() != lines:
+        raise ValueError("a grammar label contains a line break")
+    return text
 
 
 # ---------------------------------------------------------------------------
 # Derivation format
 # ---------------------------------------------------------------------------
 
-_NAME_RE = re.compile(r"[\w.\-]+")
 _ADDRESS_RE = re.compile(rf"{EPSILON}|\d+(?:\.\d+)*")
 
 
@@ -378,13 +362,13 @@ def _address(text: str) -> tuple[int, ...]:
 
 def _edge_head(scanner: _Scanner, name: str, edges: list[DerivationEdge]) -> tuple:
     """Read ``op@address ->`` of the next edge of node ``name``."""
-    op_name = scanner.match(_NAME_RE, "an elementary-tree name")
+    scanner.skip_ws()
+    start = scanner.pos
+    op_name = scanner.match(_NAME_RE, "an operation (sub/adj)")
     try:
         operation = Operation(op_name)
     except ValueError:
-        raise TextFormatError(
-            f"unknown operation {op_name!r} (expected sub/adj)", scanner.pos
-        ) from None
+        raise TextFormatError(f"unknown operation {op_name!r} (expected sub/adj)", start) from None
     scanner.expect("@")
     address = scanner.number(_ADDRESS_RE, "a Gorn address", _address)
     scanner.expect("->")
@@ -432,7 +416,7 @@ def format_derivation(derivation: DerivationTree) -> str:
         if isinstance(item, str):
             parts.append(item)
             continue
-        parts.append(item.tree_name)
+        parts.append(_format_name(item.tree_name))
         if item.edges:
             pending: list[DerivationTree | str] = ["]"]
             for edge in reversed(item.edges):

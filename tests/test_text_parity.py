@@ -16,7 +16,18 @@ which changes 1,215 of its 10,000 outcomes.  The tree digest was
 captured with one change applied to the parsers of the shared scanner:
 a missing ``)`` is reported at the end of the text, where it is
 missing, instead of at the last token, which changes 271 of its 10,000
+outcomes.  The derivation digest was re-captured from the same parsers
+with one change applied: where an operation is expected, a missing one
+is reported as "expected an operation (sub/adj)" instead of as a missing
+elementary-tree name, and an unknown operation is reported at its first
+character instead of after its last, which changes 751 of its 10,000
 outcomes.
+
+The code-point digest feeds every character below 0x80, every
+whitespace character, the markers, ``ε`` and 2,000 seeded code points
+to the tree parser in six contexts (alone, inside a bare label, quoted,
+escaped, as a child and before a marker); it was captured from the
+character-loop lexer that predates the compiled token pattern.
 """
 
 import hashlib
@@ -34,7 +45,7 @@ from narmaxtag.treeio import (
     parse_derivation,
     parse_tree,
 )
-from narmaxtag.trees import SyntacticTree
+from narmaxtag.trees import NodeLabel, SyntacticTree
 
 TREE_LABELS = ("A", "expr0", "b", "ε", '"ε"', "q⁻¹", '"x y"', '"★"', '"a\\"b"')
 TREE_PIECES = TREE_LABELS + ("(", ")", " ", "↓", "★", '"', "\\", "")
@@ -132,7 +143,7 @@ CASES = {
 
 DIGESTS = {
     "tree": "2f2dc49f5c1799842cfc763b8f43b2a33d1e481be3424271eb6afbd26a3a87d6",
-    "derivation": "23e0d6ddd08c15fda0cd117fcc7f13f2e8fbc733421e818aa0598e80042c066d",
+    "derivation": "3e78d6e67ce0d0648920d86bedcd1a10ec82bd80a206e23165ad5aa33c37f9f9",
     "model": "bfdb8ba5517acddfde976617f0e4f271b5f16f0e61ebed136bfca0c24ec60ff9",
 }
 
@@ -142,6 +153,45 @@ def test_outcome_digest(fmt):
     generate, pieces, run = CASES[fmt]
     lines = [run(text) for text in corpus(generate, pieces)]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DIGESTS[fmt]
+
+
+def code_points():
+    """Every code point below 0x80 and every whitespace code point, the
+    markers and ``ε``, then 2,000 code points drawn with a fixed seed
+    (surrogates skipped: they cannot be encoded for the digest)."""
+    chars = [chr(c) for c in range(0x80)]
+    chars += [chr(c) for c in range(0x110000) if chr(c).isspace()]
+    chars += ["↓", "★", "ε"]
+    rng = random.Random(0)
+    drawn: list[str] = []
+    while len(drawn) < 2000:
+        c = rng.randrange(0x110000)
+        if not 0xD800 <= c <= 0xDFFF:
+            drawn.append(chr(c))
+    return chars + drawn
+
+
+CODE_POINT_CONTEXTS = ("{}", "x{}y", '"{}"', '"\\{}"', "A({})", "A({}↓ b)")
+CODE_POINT_DIGEST = "f4574864570cb8e3a0518d4dbac2f97d9ab131c3796b15589638ca7017c1e4e5"
+
+
+def test_code_point_outcome_digest():
+    """Pins how the tree lexer treats each code point: as whitespace, as a
+    bare-label character, inside quotes and after an escape."""
+    lines = [
+        both_tree_outcomes(context.format(c))
+        for c in code_points()
+        for context in CODE_POINT_CONTEXTS
+    ]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CODE_POINT_DIGEST
+
+
+def test_terminal_labels_round_trip():
+    for c in code_points():
+        label = NodeLabel.terminal("a" + c)
+        tree = SyntacticTree(1, {1: NodeLabel.nonterminal("A"), 2: label}, {1: (2,)})
+        back = parse_tree(format_tree(tree))
+        assert back.labels == tree.labels and back.children == tree.children, repr(c)
 
 
 def texts(pieces):

@@ -1,6 +1,7 @@
 import pytest
 
-from narmaxtag import DerivationTree, Grammar, LabelKind, Operation
+from narmaxtag import DerivationTree, ElementaryTree, Grammar, LabelKind, Operation
+from narmaxtag.trees import DerivationEdge, TreeKind
 from narmaxtag.treeio import (
     TextFormatError,
     format_derivation,
@@ -139,6 +140,21 @@ class TestGrammarFormat:
         with pytest.raises(ValueError, match="reserved characters"):
             format_grammar(grammar)
 
+    @pytest.mark.parametrize("name", ["alpha 1", ""])
+    def test_unreadable_tree_names_are_rejected(self, name):
+        # "initial alpha 1 = S(a)" is a line parse_grammar cannot read
+        tree = ElementaryTree(name, TreeKind.INITIAL, parse_tree("S(a)"))
+        grammar = Grammar({"S"}, {"a"}, "S", (tree,), ())
+        with pytest.raises(ValueError, match="tree name"):
+            format_grammar(grammar)
+
+    @pytest.mark.parametrize("terminal", ["x\ny", "x\u2028y", "x\r"])
+    def test_terminals_with_line_breaks_are_rejected(self, terminal):
+        # the quoted label would span two lines of the file
+        grammar = Grammar({"S"}, {terminal}, "S", (), ())
+        with pytest.raises(ValueError, match="line break"):
+            format_grammar(grammar)
+
     def test_header_marker_is_an_error(self):
         text = "nonterminals: S B↓\nterminals: a\nstart: S\n"
         with pytest.raises(TextFormatError, match="no parentheses or markers") as info:
@@ -190,6 +206,29 @@ class TestDerivationFormat:
     def test_bad_operation(self):
         with pytest.raises(TextFormatError):
             parse_derivation("a[sup@1 -> b]")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a[sub@1 -> b, ]", "expected an operation (sub/adj) (at position 14)"),
+            ("a[ sup@1 -> b]", "unknown operation 'sup' (expected sub/adj) (at position 3)"),
+        ],
+    )
+    def test_operation_errors_point_at_the_operation(self, text, message):
+        with pytest.raises(TextFormatError) as err:
+            parse_derivation(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "derivation",
+        [
+            DerivationTree("a b"),
+            DerivationTree("a", (DerivationEdge(Operation.ADJUNCTION, (1,), DerivationTree("")),)),
+        ],
+    )
+    def test_unreadable_tree_names_are_rejected(self, derivation):
+        with pytest.raises(ValueError, match="tree name"):
+            format_derivation(derivation)
 
     def test_trailing_junk(self):
         with pytest.raises(TextFormatError):
