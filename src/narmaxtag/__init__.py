@@ -34,9 +34,8 @@ from .models import (
     simulate,
 )
 from .narmax import (
+    Catalog,
     GrammarPreset,
-    NarmaxCatalog,
-    NbjCatalog,
     NotSaturatedError,
     SignalInWrongPartError,
     UnrepresentableModelError,

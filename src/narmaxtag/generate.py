@@ -34,7 +34,7 @@ from .models import FactorKey, Mode, NarmaxModel, SignalKind
 from .narmax import (
     PRESET_AUXILIARIES,
     GrammarPreset,
-    _narmax_derivation,
+    _derivation,
     build_narmax_grammar,
     derived_to_model,
 )
@@ -128,9 +128,12 @@ def enumerate_derivations(
     """
     slots, roots = _slot_table(grammar)
     # A frame is (tree name, its slots, next slot, edges so far, parent
-    # frame); the parent's next slot is the one the frame fills.  A stack
-    # entry is a decision still to try: at ``frame``'s next slot, with
-    # ``budget`` adjunctions left, open ``choice`` there (None: skip it).
+    # frame); the parent's next slot is the one the frame fills.  The
+    # edges so far are a chain (last edge, earlier chain) ending in None,
+    # shared by the frames that extend it, and become a tuple once, when
+    # the frame is complete.  A stack entry is a decision still to try:
+    # at ``frame``'s next slot, with ``budget`` adjunctions left, open
+    # ``choice`` there (None: skip it).
     budget = bounds.max_adjunctions
     stack: list[tuple] = [(None, budget, root) for root in reversed(roots)]
     while stack:
@@ -144,15 +147,15 @@ def enumerate_derivations(
                     budget -= 1
                 else:
                     _check_cycle(frame, choice)
-            name, own, index, edges, parent = choice, slots[choice], 0, (), frame
+            name, own, index, edges, parent = choice, slots[choice], 0, None, frame
         while index == len(own):  # the frame is complete: hand it to its parent
-            derivation = DerivationTree(name, edges)
+            derivation = DerivationTree(name, _unchain(edges))
             if parent is None:
                 yield derivation
                 break
             name, own, index, edges, parent = parent
             operation, address, _ = own[index]
-            edges += (DerivationEdge(operation, address, derivation),)
+            edges = (DerivationEdge(operation, address, derivation), edges)
             index += 1
         else:
             operation, _, names = own[index]
@@ -162,6 +165,16 @@ def enumerate_derivations(
                 stack += [(frame, budget, n) for n in reversed(names)]
             if operation is Operation.ADJUNCTION:
                 stack.append((frame, budget, None))
+
+
+def _unchain(chain: tuple | None) -> tuple[DerivationEdge, ...]:
+    """The edges of a chain (last edge, earlier chain), first edge first."""
+    edges = []
+    while chain is not None:
+        edge, chain = chain
+        edges.append(edge)
+    edges.reverse()
+    return tuple(edges)
 
 
 def _check_cycle(frame: tuple, name: str) -> None:
@@ -204,7 +217,7 @@ def _grow(bounds: GenBounds, preset: GrammarPreset, rng: random.Random) -> list[
     factor's delay (one delay tree).  Each step draws one of the
     extensions that fit the adjunctions left, in a fixed order.
     """
-    roles = build_narmax_grammar().roles
+    (roles,) = build_narmax_grammar().equations
     available = PRESET_AUXILIARIES[preset]
     has_delay = roles.delay_tree in available
     # a new factor's first occurrence and its cost in adjunctions: output
@@ -265,7 +278,8 @@ def sample_derivation(
     config: SampleConfig, preset: GrammarPreset = GrammarPreset.NARMAX
 ) -> DerivationTree:
     """One random derivation within bounds; reproducible from the seed."""
-    return _narmax_derivation(_grow(config.bounds, preset, random.Random(config.seed)))
+    terms = _grow(config.bounds, preset, random.Random(config.seed))
+    return _derivation(build_narmax_grammar(), [terms])
 
 
 def sample_model(

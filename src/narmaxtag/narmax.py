@@ -1,19 +1,25 @@
-"""The concrete grammar whose tree language is the polynomial model class.
+"""The concrete grammars whose tree languages are the polynomial model classes.
 
-One initial tree yields the bare noise token; seven auxiliary trees
-split into three families: *additive* trees (root and foot ``expr0``)
-prepend one coefficient-times-factor term to the sum, *multiplicative*
-trees (root and foot ``expr1``) append one factor to an existing term,
-and the *delay* tree (root and foot ``expr2``) postfixes one backshift
-token to a factor.  Output factors embed one built-in backshift, so
-feedback is causal by construction.
+A catalog is built from an equation table with one row per
+comma-separated part of the yield: the part's side suffix, its name, its
+signal tokens and its end token.  The single-output model grammar has
+one row; the two-equation nonlinear Box-Jenkins grammar has a process
+row and a noise row.  The alphabets come from the table, and so does
+the one initial tree, which yields each part's end token alone
+(comma-separated).  Each row brings one sum family of auxiliary trees:
+*additive* trees (root and foot ``expr0``) prepend one
+coefficient-times-factor term to the part's sum, *multiplicative* trees
+(root and foot ``expr1``) append one factor to an existing term, and the
+*delay* tree (root and foot ``expr2``) postfixes one backshift token to
+a factor.  Output factors embed one built-in backshift, so feedback is
+causal by construction.
 
-Both directions of the model/derivation correspondence live here:
-:func:`model_to_derivation` builds a derivation tree for any
-representable canonical model, and :func:`derived_to_model` parses a
-saturated derived tree's yield back into a model.  The two-equation
-nonlinear Box-Jenkins catalog is built from the same sum-family table,
-one family per equation, and shares the same derivation builder.
+Both directions of the model/derivation correspondence are written
+once, over the parts: :func:`_to_derivation` hangs one sum chain per
+part under the initial tree, :func:`_to_parts` splits a saturated yield
+at its comma and parses each part, and :func:`_roundtrip` composes the
+two.  The public NARMAX and NBJ functions are entry points over the two
+catalogs.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .models import (
@@ -91,13 +98,15 @@ class UnrepresentableModelError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SumRoles:
-    """Role bookkeeping for one sum-shaped expression grammar.
+    """Role bookkeeping for one part of the yield, a sum-shaped expression.
 
-    ``term_slot`` is the address of the term node inside an additive
-    tree (where multiplicative trees adjoin), the two factor slots are
-    the addresses of the factor node inside additive and multiplicative
-    trees (where delay trees adjoin).  Output factors carry one built-in
-    backshift.
+    ``slot`` is the address in the initial tree where the part's sum
+    chain adjoins.  ``term_slot`` is the address of the term node inside
+    an additive tree (where multiplicative trees adjoin), the two factor
+    slots are the addresses of the factor node inside additive and
+    multiplicative trees (where delay trees adjoin).  Output factors
+    carry one built-in backshift.  ``foreign`` maps each signal token of
+    the other parts that this part lacks to its part's name.
     """
 
     additive: Mapping[SignalKind, str]
@@ -108,25 +117,17 @@ class SumRoles:
     mult_factor_slot: GornAddress
     signal_tokens: Mapping[str, SignalKind]
     end_token: str
+    slot: GornAddress
+    foreign: Mapping[str, str]
 
 
 @dataclass(frozen=True, eq=False)
-class NarmaxCatalog:
-    """The validated grammar together with its role map."""
+class Catalog:
+    """A validated grammar and the role map of each of its yield's one or
+    two parts, in yield order."""
 
     grammar: Grammar
-    roles: SumRoles
-
-
-@dataclass(frozen=True, eq=False)
-class NbjCatalog:
-    """Grammar for the two-equation structure, with per-side role maps."""
-
-    grammar: Grammar
-    process_roles: SumRoles
-    noise_roles: SumRoles
-    process_slot: GornAddress
-    noise_slot: GornAddress
+    equations: tuple[SumRoles, ...]
 
 
 def _elementary(
@@ -150,7 +151,7 @@ def _find_slot(tree: SyntacticTree, name: str) -> GornAddress:
     ]
     if len(hits) != 1:
         raise ValueError(f"expected exactly one internal {name!r} node")
-    return tree.address_of(hits[0])
+    return tree.addresses_of(hits)[hits[0]]
 
 
 _SIGNAL_ORDER = (SignalKind.INPUT, SignalKind.OUTPUT, SignalKind.NOISE)
@@ -160,10 +161,12 @@ def _sum_family(
     side: str,
     tokens: Mapping[str, SignalKind],
     end_token: str,
+    slot: GornAddress,
+    foreign: Mapping[str, str],
     nonterminals: frozenset[str],
     terminals: frozenset[str],
 ) -> tuple[list[ElementaryTree], SumRoles]:
-    """Auxiliary trees and role map of one sum-shaped expression.
+    """Auxiliary trees and role map of one part's sum-shaped expression.
 
     Trees are named ``beta<side><k>``: k = 1-3 prepend a term and
     k = 4-6 append a factor (input, output, noise order), k = 7
@@ -210,39 +213,82 @@ def _sum_family(
         mult_factor_slot=_find_slot(multiplicative[SignalKind.INPUT].tree, factor_nt),
         signal_tokens=dict(tokens),
         end_token=end_token,
+        slot=slot,
+        foreign=foreign,
     )
     return [*additive.values(), *multiplicative.values(), delay], roles
 
 
-@lru_cache(maxsize=1)
-def build_narmax_grammar() -> NarmaxCatalog:
-    """Construct the single-output polynomial model grammar."""
-    nts = frozenset({"expr0", "expr1", "expr2", "op", "par"})
+# An equation table has one row per comma-separated part of the yield:
+# (side suffix, part name, signal tokens in input, output, noise order
+# with None for a signal the part lacks, end token).
+_EquationRow = tuple[str, str, tuple[str | None, str | None, str | None], str]
+
+_NARMAX_TABLE: tuple[_EquationRow, ...] = (
+    ("", "model", (INPUT_TOKEN, OUTPUT_TOKEN, NOISE_TOKEN), NOISE_TOKEN),
+)
+# The process side ranges over inputs and the delayed simulated output,
+# the noise side over inputs, the delayed disturbance and noise.
+_NBJ_TABLE: tuple[_EquationRow, ...] = (
+    ("f", "process-equation", (INPUT_TOKEN, PROCESS_OUTPUT_TOKEN, None), EMPTY_SUM_TOKEN),
+    ("g", "noise-equation", (INPUT_TOKEN, NOISE_FEEDBACK_TOKEN, NOISE_TOKEN), NOISE_TOKEN),
+)
+
+
+def _catalog(start: str, table: tuple[_EquationRow, ...]) -> Catalog:
+    """The grammar of a table with one or two rows, and its role maps.
+
+    The initial tree is the one part's sum over its end token, or the
+    start symbol over both parts' sums, comma-separated.
+    """
+    signals = [
+        {token: signal for token, signal in zip(tokens, _SIGNAL_ORDER) if token}
+        for _, _, tokens, _ in table
+    ]
+    nts = frozenset(
+        {start, "op", "par"} | {f"expr{level}{side}" for side, *_ in table for level in range(3)}
+    )
     ts = frozenset(
-        {
-            INPUT_TOKEN,
-            OUTPUT_TOKEN,
-            NOISE_TOKEN,
-            PLUS_TOKEN,
-            COEFF_TOKEN,
-            TIMES_TOKEN,
-            DELAY_TOKEN,
+        {PLUS_TOKEN, COEFF_TOKEN, TIMES_TOKEN, DELAY_TOKEN}
+        | {token for tokens in signals for token in tokens}
+        | {end for *_, end in table}
+        | ({COMMA_TOKEN} if len(table) > 1 else set())
+    )
+    sums = f" {COMMA_TOKEN} ".join(f"expr0{side}({end})" for side, _, _, end in table)
+    alpha1 = _elementary(
+        "alpha1", TreeKind.INITIAL, sums if len(table) == 1 else f"{start}({sums})", nts, ts
+    )
+    auxiliaries: list[ElementaryTree] = []
+    equations = []
+    for tokens, (side, _, _, end) in zip(signals, table):
+        foreign = {
+            token: name
+            for others, (_, name, _, _) in zip(signals, table)
+            for token in others
+            if token not in tokens
         }
-    )
-    alpha1 = _elementary("alpha1", TreeKind.INITIAL, "expr0(ξ)", nts, ts)
-    auxiliaries, roles = _sum_family(
-        "",
-        {
-            INPUT_TOKEN: SignalKind.INPUT,
-            OUTPUT_TOKEN: SignalKind.OUTPUT,
-            NOISE_TOKEN: SignalKind.NOISE,
-        },
-        NOISE_TOKEN,
-        nts,
-        ts,
-    )
-    grammar = Grammar(nts, ts, "expr0", (alpha1,), tuple(auxiliaries))
-    return NarmaxCatalog(grammar, roles)
+        slot = _find_slot(alpha1.tree, f"expr0{side}")
+        trees, roles = _sum_family(side, tokens, end, slot, foreign, nts, ts)
+        auxiliaries += trees
+        equations.append(roles)
+    return Catalog(Grammar(nts, ts, start, (alpha1,), auxiliaries), tuple(equations))
+
+
+@lru_cache(maxsize=1)
+def build_narmax_grammar() -> Catalog:
+    """Construct the single-output polynomial model grammar."""
+    return _catalog("expr0", _NARMAX_TABLE)
+
+
+@lru_cache(maxsize=1)
+def build_nbj_grammar() -> Catalog:
+    """Construct the two-equation (process + noise) grammar.
+
+    The initial tree yields ``0 , ξ``: an empty process sum and a bare
+    noise equation.  The process side has no noise trees
+    (``betaf3``/``betaf6``).
+    """
+    return _catalog("exprbj", _NBJ_TABLE)
 
 
 class GrammarPreset(Enum):
@@ -294,7 +340,7 @@ def _node(
         for address, child in children
         if child is not None
     ]
-    return DerivationTree(name, tuple(sorted(edges, key=lambda e: e.address)))
+    return DerivationTree(name, tuple(sorted(edges, key=attrgetter("address"))))
 
 
 def _delay_chain(
@@ -377,21 +423,27 @@ def _sum_chain(
     return chain
 
 
-def _narmax_derivation(terms: Iterable[Sequence[FactorKey]]) -> DerivationTree:
-    """The initial tree with the terms' sum chain adjoined at its root."""
-    chain = _sum_chain(terms, build_narmax_grammar().roles)
-    return _node("alpha1", (ROOT_ADDRESS, chain))
+def _derivation(
+    catalog: Catalog, parts: Iterable[Iterable[Sequence[FactorKey]]]
+) -> DerivationTree:
+    """The initial tree with each part's sum chain, built from its terms'
+    factor lists, adjoined at the part's slot."""
+    return _node(
+        "alpha1",
+        *[(roles.slot, _sum_chain(terms, roles)) for roles, terms in zip(catalog.equations, parts)],
+    )
 
 
-def model_to_derivation(model: NarmaxModel) -> DerivationTree:
-    """Derivation tree whose derived tree parses back to the same model.
+def _to_derivation(catalog: Catalog, parts: Iterable[NarmaxModel]) -> DerivationTree:
+    """Derivation tree whose derived tree parses back to the same models,
+    one per part.
 
-    The model is canonicalized first; each term becomes one additive
+    Each model is canonicalized first; each term becomes one additive
     tree with delay and multiplicative chains below it.  Constant terms
     are not representable: every term of the tree language carries at
     least one signal factor.
     """
-    return _narmax_derivation(map(_factor_order, canonicalize(model).terms))
+    return _derivation(catalog, [map(_factor_order, canonicalize(part).terms) for part in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -400,23 +452,22 @@ def model_to_derivation(model: NarmaxModel) -> DerivationTree:
 
 
 def _parse_token_sum(
-    tokens: tuple[str, ...],
-    roles: SumRoles,
-    foreign: Mapping[str, str],
-    offset: int = 0,
-) -> list[dict[tuple[SignalKind, int], int]]:
-    """Parse ``(term '+')* end`` over the role's signal tokens.
+    tokens: tuple[str, ...], roles: SumRoles, offset: int
+) -> list[Monomial]:
+    """Parse ``(term '+')* end`` over the part's signal tokens, numbering
+    the terms' coefficient slots left to right.
 
-    ``foreign`` maps signal tokens of the *other* part of a split yield
-    to a description, so misplaced signals raise the dedicated error
-    rather than a generic syntax failure.  ``offset`` shifts reported
-    token indices for split yields.
+    A signal token of another part (``roles.foreign``) raises the
+    dedicated error rather than a generic syntax failure.  ``offset`` is
+    the index of the part's first token in the whole yield, so reported
+    indices are yield indices.
     """
+    foreign = roles.foreign
 
     def fail(message: str, index: int) -> YieldNotInLanguageError:
         return YieldNotInLanguageError(message, offset + index)
 
-    maps: list[dict[tuple[SignalKind, int], int]] = []
+    terms: list[Monomial] = []
     i = 0
     n = len(tokens)
     while True:
@@ -426,7 +477,7 @@ def _parse_token_sum(
         if token == roles.end_token:
             if i != n - 1:
                 raise fail(f"tokens after the closing {roles.end_token!r}", i + 1)
-            return maps
+            return terms
         if token in foreign:
             raise SignalInWrongPartError(
                 f"{token!r} belongs to the {foreign[token]} part", offset + i
@@ -459,16 +510,10 @@ def _parse_token_sum(
             factors[key] = factors.get(key, 0) + 1
         if not factors:
             raise fail("term without factors", i)
-        maps.append(factors)
+        terms.append(Monomial(len(terms) + 1, factors))
         if i >= n or tokens[i] != PLUS_TOKEN:
             raise fail("expected '+'", i)
         i += 1
-
-
-def _terms_from_maps(
-    maps: list[dict[tuple[SignalKind, int], int]]
-) -> tuple[Monomial, ...]:
-    return tuple(Monomial(i + 1, factors) for i, factors in enumerate(maps))
 
 
 def _saturated_yield(tree: SyntacticTree) -> tuple[str, ...]:
@@ -488,161 +533,78 @@ def _saturated_yield(tree: SyntacticTree) -> tuple[str, ...]:
     return tuple(names)
 
 
-def derived_to_model(tree: SyntacticTree, mode: Mode = Mode.EXTENDED) -> NarmaxModel:
-    """Parse a saturated derived tree's yield into a canonical model.
+def _to_parts(catalog: Catalog, tree: SyntacticTree, mode: Mode) -> list[NarmaxModel]:
+    """Parse a saturated derived tree's yield into one canonical model per
+    part; a two-part yield is split at its one comma.
 
     Coefficient slots are numbered left to right before
     canonicalization renumbers the sorted result.
     """
-    catalog = build_narmax_grammar()
-    maps = _parse_token_sum(_saturated_yield(tree), catalog.roles, foreign={})
-    return canonicalize(NarmaxModel(_terms_from_maps(maps), mode))
+    tokens = _saturated_yield(tree)
+    bounds = [-1, len(tokens)]  # each part lies strictly between two bounds
+    if len(catalog.equations) > 1:
+        commas = [i for i, token in enumerate(tokens) if token == COMMA_TOKEN]
+        if len(commas) != 1:
+            raise YieldNotInLanguageError(
+                f"expected exactly one {COMMA_TOKEN!r}, found {len(commas)}", 0
+            )
+        bounds[1:1] = commas
+    return [
+        canonicalize(NarmaxModel(_parse_token_sum(tokens[start + 1 : end], roles, start + 1), mode))
+        for roles, start, end in zip(catalog.equations, bounds, bounds[1:])
+    ]
 
 
-def roundtrip_check(model: NarmaxModel) -> bool:
-    """True iff the model survives derivation and re-parsing structurally.
+def _roundtrip(catalog: Catalog, parts: Sequence[NarmaxModel], mode: Mode) -> bool:
+    """True iff every part survives derivation and re-parsing structurally.
 
     Coefficient values are attachments, not grammar content, so the
     comparison is on canonical factor structure.
     """
-    derivation = model_to_derivation(model)
-    derived = derive(derivation, build_narmax_grammar().grammar)
-    back = derived_to_model(derived, mode=model.mode)
-    return canonicalize(model).structure() == back.structure()
+    derived = derive(_to_derivation(catalog, parts), catalog.grammar)
+    back = [part.structure() for part in _to_parts(catalog, derived, mode)]
+    return [canonicalize(part).structure() for part in parts] == back
 
 
 # ---------------------------------------------------------------------------
-# Two-equation extension
+# Entry points
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def build_nbj_grammar() -> NbjCatalog:
-    """Construct the two-equation (process + noise) grammar.
-
-    The initial tree yields ``0 , ξ``: an empty process sum and a bare
-    noise equation, comma-separated.  Each side gets its own sum family
-    (``betaf*`` and ``betag*``): the process side ranges over inputs and
-    the delayed simulated output, so it has no ``betaf3``/``betaf6``; the
-    noise side ranges over inputs, the delayed disturbance and noise.
-    """
-    nts = frozenset(
-        {
-            "exprbj",
-            "expr0f",
-            "expr1f",
-            "expr2f",
-            "expr0g",
-            "expr1g",
-            "expr2g",
-            "op",
-            "par",
-        }
-    )
-    ts = frozenset(
-        {
-            INPUT_TOKEN,
-            PROCESS_OUTPUT_TOKEN,
-            NOISE_FEEDBACK_TOKEN,
-            NOISE_TOKEN,
-            EMPTY_SUM_TOKEN,
-            PLUS_TOKEN,
-            COEFF_TOKEN,
-            TIMES_TOKEN,
-            DELAY_TOKEN,
-            COMMA_TOKEN,
-        }
-    )
-    alpha1 = _elementary(
-        "alpha1", TreeKind.INITIAL, 'exprbj(expr0f(0) "," expr0g(ξ))', nts, ts
-    )
-    process_trees, process_roles = _sum_family(
-        "f",
-        {INPUT_TOKEN: SignalKind.INPUT, PROCESS_OUTPUT_TOKEN: SignalKind.OUTPUT},
-        EMPTY_SUM_TOKEN,
-        nts,
-        ts,
-    )
-    noise_trees, noise_roles = _sum_family(
-        "g",
-        {
-            INPUT_TOKEN: SignalKind.INPUT,
-            NOISE_FEEDBACK_TOKEN: SignalKind.OUTPUT,
-            NOISE_TOKEN: SignalKind.NOISE,
-        },
-        NOISE_TOKEN,
-        nts,
-        ts,
-    )
-    grammar = Grammar(
-        nts, ts, "exprbj", (alpha1,), (*process_trees, *noise_trees)
-    )
-    return NbjCatalog(
-        grammar=grammar,
-        process_roles=process_roles,
-        noise_roles=noise_roles,
-        process_slot=_find_slot(alpha1.tree, "expr0f"),
-        noise_slot=_find_slot(alpha1.tree, "expr0g"),
-    )
+def model_to_derivation(model: NarmaxModel) -> DerivationTree:
+    """Derivation tree whose derived tree parses back to the same model."""
+    return _to_derivation(build_narmax_grammar(), (model,))
 
 
-def nbj_derived_to_model(tree: SyntacticTree, mode: Mode = Mode.EXTENDED) -> NbjModel:
-    """Split a saturated yield at its comma and parse both equations."""
-    catalog = build_nbj_grammar()
-    tokens = _saturated_yield(tree)
-    splits = [i for i, token in enumerate(tokens) if token == COMMA_TOKEN]
-    if len(splits) != 1:
-        raise YieldNotInLanguageError(
-            f"expected exactly one {COMMA_TOKEN!r}, found {len(splits)}", 0
-        )
-    cut = splits[0]
-    process_tokens, noise_tokens = tokens[:cut], tokens[cut + 1 :]
-    process_maps = _parse_token_sum(
-        process_tokens,
-        catalog.process_roles,
-        foreign={
-            NOISE_TOKEN: "noise-equation",
-            NOISE_FEEDBACK_TOKEN: "noise-equation",
-        },
+def derived_to_model(tree: SyntacticTree, mode: Mode = Mode.EXTENDED) -> NarmaxModel:
+    """Parse a saturated derived tree's yield into a canonical model."""
+    return _to_parts(build_narmax_grammar(), tree, mode)[0]
+
+
+def roundtrip_check(model: NarmaxModel) -> bool:
+    """True iff the model survives derivation and re-parsing structurally."""
+    return _roundtrip(build_narmax_grammar(), (model,), model.mode)
+
+
+def _nbj_parts(model: NbjModel) -> tuple[NarmaxModel, NarmaxModel]:
+    # the process side has no noise factors, so the mode does not change it
+    return (
+        NarmaxModel(model.process_terms, model.mode),
+        NarmaxModel(model.noise_terms, model.mode),
     )
-    noise_maps = _parse_token_sum(
-        noise_tokens,
-        catalog.noise_roles,
-        foreign={PROCESS_OUTPUT_TOKEN: "process-equation"},
-        offset=cut + 1,
-    )
-    process = canonicalize(
-        NarmaxModel(_terms_from_maps(process_maps), Mode.EXTENDED)
-    ).terms
-    noise = canonicalize(NarmaxModel(_terms_from_maps(noise_maps), mode)).terms
-    return NbjModel(process, noise, mode)
 
 
 def nbj_model_to_derivation(model: NbjModel) -> DerivationTree:
     """Derivation over the two-equation grammar, one sum chain per side."""
-    catalog = build_nbj_grammar()
-    process = canonicalize(NarmaxModel(model.process_terms, Mode.EXTENDED)).terms
-    noise = canonicalize(NarmaxModel(model.noise_terms, model.mode)).terms
-    return _node(
-        "alpha1",
-        (
-            catalog.process_slot,
-            _sum_chain(map(_factor_order, process), catalog.process_roles),
-        ),
-        (
-            catalog.noise_slot,
-            _sum_chain(map(_factor_order, noise), catalog.noise_roles),
-        ),
-    )
+    return _to_derivation(build_nbj_grammar(), _nbj_parts(model))
+
+
+def nbj_derived_to_model(tree: SyntacticTree, mode: Mode = Mode.EXTENDED) -> NbjModel:
+    """Split a saturated yield at its comma and parse both equations."""
+    process, noise = _to_parts(build_nbj_grammar(), tree, mode)
+    return NbjModel(process.terms, noise.terms, mode)
 
 
 def nbj_roundtrip_check(model: NbjModel) -> bool:
-    derivation = nbj_model_to_derivation(model)
-    derived = derive(derivation, build_nbj_grammar().grammar)
-    back = nbj_derived_to_model(derived, mode=model.mode)
-    def structure(terms: tuple[Monomial, ...]) -> tuple:
-        return canonicalize(NarmaxModel(terms, Mode.EXTENDED)).structure()
-
-    return structure(model.process_terms) == structure(back.process_terms) and (
-        structure(model.noise_terms) == structure(back.noise_terms)
-    )
+    """True iff both equations survive derivation and re-parsing structurally."""
+    return _roundtrip(build_nbj_grammar(), _nbj_parts(model), model.mode)

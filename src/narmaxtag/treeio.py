@@ -227,7 +227,10 @@ def parse_tree(
     return SyntacticTree._build(1, labels, children)
 
 
-def _format_label(label: NodeLabel) -> str:
+def _format_label(label: NodeLabel, leaf: bool) -> str:
+    """A label as the tree format writes it; a bare ``ε`` leaf reads back
+    as the empty leaf, so an unmarked nonterminal leaf of that name is
+    refused."""
     if label.kind is LabelKind.EPSILON:
         return EPSILON
     name = label.name
@@ -235,6 +238,8 @@ def _format_label(label: NodeLabel) -> str:
         if label.kind is not LabelKind.TERMINAL:
             raise ValueError(f"nonterminal name {name!r} contains reserved characters")
         name = '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    elif name == EPSILON and leaf and not (label.substitution_marker or label.foot_marker):
+        raise ValueError(f"a nonterminal leaf named {EPSILON!r} reads back as the empty leaf")
     if label.substitution_marker:
         name += SUBSTITUTION_MARK
     if label.foot_marker:
@@ -250,8 +255,8 @@ def format_tree(tree: SyntacticTree) -> str:
         if isinstance(item, str):
             parts.append(item)
             continue
-        parts.append(_format_label(tree.labels[item]))
         kids = tree.children[item]
+        parts.append(_format_label(tree.labels[item], not kids))
         if kids:
             pending: list[int | str] = [")"]
             for kid in reversed(kids):
@@ -335,9 +340,9 @@ def format_grammar(grammar: Grammar) -> str:
     nonterminals = [NodeLabel.nonterminal(name) for name in sorted(grammar.nonterminals)]
     terminals = [NodeLabel.terminal(name) for name in sorted(grammar.terminals)]
     lines = [
-        "nonterminals: " + " ".join([_format_label(label) for label in nonterminals]),
-        "terminals: " + " ".join([_format_label(label) for label in terminals]),
-        "start: " + _format_label(NodeLabel.nonterminal(grammar.start)),
+        "nonterminals: " + " ".join([_format_label(label, False) for label in nonterminals]),
+        "terminals: " + " ".join([_format_label(label, False) for label in terminals]),
+        "start: " + _format_label(NodeLabel.nonterminal(grammar.start), False),
     ]
     for entry in grammar.initials:
         lines.append(f"initial {_format_name(entry.name)} = {format_tree(entry.tree)}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 GornAddress = tuple[int, ...]
 
@@ -96,9 +96,6 @@ class NodeLabel:
     def epsilon() -> "NodeLabel":
         return NodeLabel(LabelKind.EPSILON, EPSILON)
 
-    def key(self) -> tuple:
-        return (self.kind.value, self.name, self.substitution_marker, self.foot_marker)
-
 
 @dataclass(frozen=True, eq=False)
 class SyntacticTree:
@@ -154,17 +151,11 @@ class SyntacticTree:
 
     # -- queries ---------------------------------------------------------
 
-    def node_ids(self) -> frozenset[int]:
-        return frozenset(self.labels)
-
     def label(self, nid: int) -> NodeLabel:
         return self.labels[nid]
 
     def child_ids(self, nid: int) -> tuple[int, ...]:
         return self.children[nid]
-
-    def is_leaf(self, nid: int) -> bool:
-        return not self.children[nid]
 
     def is_internal(self, nid: int) -> bool:
         return bool(self.children[nid])
@@ -200,31 +191,29 @@ class SyntacticTree:
                 out.append(nid)
         return out
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (parent, kid) for parent, kids in self.children.items() for kid in kids
-        )
-
     def foot_node(self) -> int | None:
         for nid in self.pre_order():
             if self.labels[nid].foot_marker:
                 return nid
         return None
 
-    def substitution_sites(self) -> tuple[int, ...]:
-        return tuple([nid for nid in self.leaves() if self.labels[nid].substitution_marker])
-
-    def address_of(self, nid: int) -> GornAddress:
-        parents = {kid: parent for parent, kids in self.children.items() for kid in kids}
-        path: list[int] = []
-        cur = nid
-        while cur != self.root:
-            parent = parents.get(cur)
-            if parent is None:
-                raise InvalidAddressError(f"node {nid} is not part of the tree")
-            path.append(self.children[parent].index(cur) + 1)
-            cur = parent
-        return tuple(reversed(path))
+    def addresses_of(self, nids: Iterable[int]) -> dict[int, GornAddress]:
+        """The Gorn address of each of ``nids`` (nodes of this tree), from
+        one walk that records every node's parent and position; each
+        address then costs its own length."""
+        steps = {}
+        for parent, kids in self.children.items():
+            for step, kid in enumerate(kids, 1):
+                steps[kid] = (parent, step)
+        out = {}
+        for nid in nids:
+            path = []
+            node = nid
+            while node in steps:
+                node, step = steps[node]
+                path.append(step)
+            out[nid] = tuple(reversed(path))
+        return out
 
     # -- structure -------------------------------------------------------
 
@@ -240,27 +229,6 @@ class SyntacticTree:
 
     def max_id(self) -> int:
         return max(self.labels)
-
-    def structural_key(self, start: int | None = None) -> tuple:
-        top = self.root if start is None else start
-        keys: dict[int, tuple] = {}
-        for nid in reversed(list(self.pre_order(top))):  # children before parents
-            keys[nid] = (
-                self.labels[nid].key(),
-                tuple(keys[kid] for kid in self.children[nid]),
-            )
-        return keys[top]
-
-    def structurally_equal(self, other: "SyntacticTree") -> bool:
-        # flat pre-order (label, arity) lists: comparing nested keys
-        # recurses once per level
-        def shape(tree: SyntacticTree) -> list[tuple]:
-            return [
-                (tree.labels[nid].key(), len(tree.children[nid]))
-                for nid in tree.pre_order()
-            ]
-
-        return shape(self) == shape(other)
 
 
 class TreeKind(Enum):
@@ -403,13 +371,6 @@ class DerivationTree:
 
     def __hash__(self) -> int:
         return hash(tuple(self._shape()))
-
-    def node_names(self) -> Iterator[str]:
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node.tree_name
-            stack.extend(edge.child for edge in reversed(node.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -783,12 +744,11 @@ def validate_grammar(grammar: Grammar) -> list[Diagnostic]:
 
 
 def _check_tree(entry: ElementaryTree, grammar: Grammar) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
+    found: list[tuple[str, str, int | None]] = []  # (code, message, node)
     tree = entry.tree
 
     def diag(code: str, message: str, nid: int | None = None) -> None:
-        address = None if nid is None else format_address(tree.address_of(nid))
-        out.append(Diagnostic(code, message, tree=entry.name, address=address))
+        found.append((code, message, nid))
 
     feet = [nid for nid in tree.pre_order() if tree.label(nid).foot_marker]
     if entry.kind is TreeKind.AUXILIARY and not feet:
@@ -820,4 +780,13 @@ def _check_tree(entry: ElementaryTree, grammar: Grammar) -> list[Diagnostic]:
             diag("unknown-label", f"nonterminal {label.name!r} is not in the alphabet", nid)
         if label.kind is LabelKind.TERMINAL and label.name not in grammar.terminals:
             diag("unknown-label", f"terminal {label.name!r} is not in the alphabet", nid)
-    return out
+    addresses = tree.addresses_of(nid for _, _, nid in found if nid is not None)
+    return [
+        Diagnostic(
+            code,
+            message,
+            tree=entry.name,
+            address=None if nid is None else format_address(addresses[nid]),
+        )
+        for code, message, nid in found
+    ]

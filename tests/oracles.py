@@ -43,6 +43,70 @@ from narmaxtag.trees import (
 )
 
 # ---------------------------------------------------------------------------
+# Structural views of trees, read off ``labels`` and ``children``
+# ---------------------------------------------------------------------------
+
+
+def label_key(label: NodeLabel) -> tuple:
+    return (label.kind.value, label.name, label.substitution_marker, label.foot_marker)
+
+
+def edge_set(tree: SyntacticTree) -> frozenset[tuple[int, int]]:
+    return frozenset((parent, kid) for parent, kids in tree.children.items() for kid in kids)
+
+
+def substitution_sites(tree: SyntacticTree) -> list[int]:
+    """Marked leaves, left to right."""
+    return [
+        nid for nid in tree.pre_order()
+        if not tree.children[nid] and tree.labels[nid].substitution_marker
+    ]
+
+
+def structural_key(tree: SyntacticTree, start: int | None = None) -> tuple:
+    """Nested (label key, child keys) of the subtree at ``start``, built
+    children first, so any depth works."""
+    top = tree.root if start is None else start
+    keys: dict[int, tuple] = {}
+    for nid in reversed(list(tree.pre_order(top))):
+        keys[nid] = (label_key(tree.labels[nid]), tuple(keys[kid] for kid in tree.children[nid]))
+    return keys[top]
+
+
+def structurally_equal(first: SyntacticTree, second: SyntacticTree) -> bool:
+    """Same shape and labels; compares flat pre-order (label, arity) lists."""
+
+    def shape(tree: SyntacticTree) -> list[tuple]:
+        return [
+            (label_key(tree.labels[nid]), len(tree.children[nid]))
+            for nid in tree.pre_order()
+        ]
+
+    return shape(first) == shape(second)
+
+
+def node_names(derivation: DerivationTree) -> list[str]:
+    """Tree names of a derivation's nodes in pre-order."""
+    names, stack = [], [derivation]
+    while stack:
+        node = stack.pop()
+        names.append(node.tree_name)
+        stack.extend(edge.child for edge in reversed(node.edges))
+    return names
+
+
+def address_of(tree: SyntacticTree, nid: int) -> tuple[int, ...]:
+    """Gorn address of ``nid``, by a search down from the root."""
+    stack = [(tree.root, ())]
+    while stack:
+        node, address = stack.pop()
+        if node == nid:
+            return address
+        stack.extend((kid, address + (step,)) for step, kid in enumerate(tree.children[node], 1))
+    raise InvalidAddressError(f"node {nid} is not part of the tree")
+
+
+# ---------------------------------------------------------------------------
 # Independent renumbering and the vertex/edge set expressions
 # ---------------------------------------------------------------------------
 
@@ -76,7 +140,7 @@ def expected_substitution(gamma: SyntacticTree, site: int, inner: SyntacticTree)
     """V''/E'' for substitution, evaluated straight from the set equations."""
     inner_v, inner_e, inner_root, _ = preorder_renumber(inner, max(gamma.labels) + 1)
     host_v = set(gamma.labels)
-    host_e = set(gamma.edge_set())
+    host_e = set(edge_set(gamma))
     vertices = (host_v | inner_v) - {site}
     edges = (
         {(a, b) for (a, b) in host_e if b != site}
@@ -93,7 +157,7 @@ def expected_adjunction(gamma: SyntacticTree, at: int, aux: SyntacticTree):
     aux_v, aux_e, aux_root, aux_labels = preorder_renumber(aux, max(gamma.labels) + 1)
     inst_foot = next(nid for nid in aux_labels if aux_labels[nid].foot_marker)
     host_v = set(gamma.labels)
-    host_e = set(gamma.edge_set())
+    host_e = set(edge_set(gamma))
     vertices = (host_v | aux_v) - {at}
     edges = (
         {(a, b) for (a, b) in host_e if a != at and b != at}
@@ -201,7 +265,7 @@ def reference_enumerate(grammar: Grammar, budget: int) -> Iterator[DerivationTre
                 key=lambda e: e.name,
             )
             if fitting or operation is Operation.SUBSTITUTION:
-                slots.append((tree.address_of(nid), operation, fitting))
+                slots.append((address_of(tree, nid), operation, fitting))
         slots.sort(key=lambda slot: slot[0])
         return slots
 
@@ -298,7 +362,7 @@ def substitution_case(rng: random.Random):
     """(host, site id, initial tree) with all preconditions satisfied."""
     while True:
         gamma = random_tree(rng)
-        sites = gamma.substitution_sites()
+        sites = substitution_sites(gamma)
         if sites:
             break
     site = rng.choice(sites)
@@ -401,7 +465,7 @@ def random_derivation(
                 continue
             if rng.random() < 0.05:
                 operation = rng.choice(list(Operation))
-            address = tree.address_of(nid)
+            address = address_of(tree, nid)
             if rng.random() < 0.05:
                 address += (rng.randint(1, 3),)
             if address in used:

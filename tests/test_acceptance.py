@@ -38,9 +38,11 @@ from narmaxtag.models import SignalKind, canonicalize
 
 from oracles import (
     adjunction_case,
+    edge_set,
     expected_adjunction,
     expected_substitution,
     random_model,
+    structural_key,
     substitution_case,
 )
 
@@ -144,15 +146,15 @@ def test_criterion_6_operation_algebra():
             gamma, site, inner = substitution_case(rng)
             vertices, edges, root = expected_substitution(gamma, site, inner)
             result = substitute(gamma, site, inner)
-            assert set(result.node_ids()) == vertices
-            assert set(result.edge_set()) == edges
+            assert set(result.labels) == vertices
+            assert edge_set(result) == edges
             assert result.root == root
         for _ in range(500):
             gamma, at, aux = adjunction_case(rng)
             vertices, edges, root = expected_adjunction(gamma, at, aux)
             result = adjoin(gamma, at, aux)
-            assert set(result.node_ids()) == vertices
-            assert set(result.edge_set()) == edges
+            assert set(result.labels) == vertices
+            assert edge_set(result) == edges
             assert result.root == root
 
 
@@ -213,7 +215,7 @@ def test_criterion_8_order_independence(narmax_catalog, sentence_grammar):
                         host = substitute(host, targets[i], part)
                     else:
                         host = adjoin(host, targets[i], part)
-                keys.add(host.structural_key())
+                keys.add(structural_key(host))
             assert len(keys) == 1
 
 

@@ -1,15 +1,21 @@
 import random
+import time
 from itertools import islice
 
 import pytest
 
 from narmaxtag import (
     DerivationTree,
+    ElementaryTree,
+    Grammar,
     GenBounds,
     GrammarPreset,
     Mode,
+    NodeLabel,
     SampleConfig,
+    SyntacticTree,
     TagError,
+    TreeKind,
     build_nbj_grammar,
     classify,
     derive,
@@ -20,13 +26,14 @@ from narmaxtag import (
     sample_derivation,
     sample_model,
 )
-from narmaxtag.treeio import parse_grammar
+from narmaxtag.treeio import parse_grammar, parse_tree
 
 from conftest import SENTENCE_GRAMMAR_TEXT
 from oracles import (
     adjunctions_required,
     all_models_within_cost,
     first_entries,
+    node_names,
     random_grammar,
     reference_enumerate,
 )
@@ -92,7 +99,7 @@ class TestEnumerate:
         # one complete sentence with and without the adverb
         assert len(derivations) == 2
         for derivation in derivations:
-            names = set(derivation.node_names())
+            names = set(node_names(derivation))
             assert {"alpha1", "alpha2", "alpha3"} <= names
 
     def test_arx_enumeration_classifies_arx(self):
@@ -119,7 +126,7 @@ class TestEnumerate:
             islice(enumerate_derivations(grammar, GenBounds(max_adjunctions=3000)), 600)
         )
         assert len(items) == 600
-        assert max(sum(1 for _ in d.node_names()) for d in items) > 500
+        assert max(len(node_names(d)) for d in items) > 500
 
     def test_first_entry_of_a_name_wins(self):
         # a second ``beta1`` is neither a second candidate nor the source
@@ -140,6 +147,26 @@ class TestEnumerate:
         )
         with pytest.raises(TagError, match="t1 -> t1"):
             list(enumerate_derivations(grammar, GenBounds(max_adjunctions=1)))
+
+    def test_wide_tree_in_linear_time(self):
+        # one initial tree with 64,000 substitution sites, each filled by
+        # the same leaf tree: one derivation with 64,000 edges
+        count = 64000
+        labels = {0: NodeLabel.nonterminal("S")}
+        labels.update((nid, NodeLabel.nonterminal("B", site=True)) for nid in range(1, count + 1))
+        wide = SyntacticTree(0, labels, {0: tuple(range(1, count + 1))})
+        leaf = parse_tree("B(b)")
+        grammar = Grammar(
+            {"S", "B"}, {"b"}, "S",
+            (ElementaryTree("wide", TreeKind.INITIAL, wide),
+             ElementaryTree("leaf", TreeKind.INITIAL, leaf)),
+            (),
+        )
+        start = time.perf_counter()
+        (derivation,) = enumerate_derivations(grammar, GenBounds(max_adjunctions=0))
+        elapsed = time.perf_counter() - start
+        assert [edge.address for edge in derivation.edges] == [(i,) for i in range(1, count + 1)]
+        assert elapsed < 4.0, f"enumeration took {elapsed:.2f}s of its 4s budget"
 
 
 PARITY_GRAMMARS = [(preset.value, 5) for preset in GrammarPreset] + [("nbj", 4)]
@@ -256,4 +283,4 @@ class TestSample:
                 SampleConfig(GenBounds(max_adjunctions=8), seed=seed),
                 GrammarPreset.ARX,
             )
-            assert set(derivation.node_names()) <= allowed
+            assert set(node_names(derivation)) <= allowed

@@ -1,10 +1,14 @@
 """Byte-level golden outputs of the grammar catalogs, the sampler, the
-model-to-derivation direction and the simulate command.
+model-to-derivation direction, the yield parsers, grammar validation and
+the simulate command.
 
 The digests were captured from the implementation that predates the
 shared sum-family table and derivation builder; any change to a
 catalog's text, to the sampler's random-call sequence or to the shape
-of a built derivation shows up here as a digest mismatch.
+of a built derivation shows up here as a digest mismatch.  The
+yield-parser and validation digests were captured from the
+implementation with separate NARMAX and NBJ correspondences and a
+per-diagnostic address search.
 """
 
 import hashlib
@@ -21,17 +25,22 @@ from narmaxtag.generate import (
     enumerate_models,
     sample_derivation,
 )
-from narmaxtag.models import Mode, Monomial, NarmaxModel, SignalKind
+from narmaxtag.models import Mode, ModelError, Monomial, NarmaxModel, SignalKind
 from narmaxtag.narmax import (
     GrammarPreset,
+    YieldError,
+    build_narmax_grammar,
     build_nbj_grammar,
+    derived_to_model,
     model_to_derivation,
     nbj_derived_to_model,
     nbj_model_to_derivation,
     restrict,
 )
 from narmaxtag.treeio import format_derivation
-from narmaxtag.trees import derive
+from narmaxtag.trees import NodeLabel, SyntacticTree, derive, validate_grammar, yield_of
+
+from oracles import random_grammar
 
 NARMAX_SHOW = """\
 nonterminals: expr0 expr1 expr2 op par
@@ -284,4 +293,69 @@ def test_simulate_stdout_from_files(capsys, tmp_path):
     out = stdout_of(capsys, "simulate", *SIMULATE_TARGET, "--u", str(u), "--xi", str(xi))
     assert sha256(out) == (
         "435f2336275cdda0469d399c77b573e5a4aed146e1f7e0beca9bd2b0ecb76bb6"
+    )
+
+
+def _yield_corpus() -> list[tuple[str, ...]]:
+    """The yields of every derivation with at most 3 adjunctions of both
+    built-in grammars, each followed by three seeded mutants: one token
+    deleted, one inserted and one replaced, the new tokens drawn from the
+    union of both grammars' terminals."""
+    catalogs = (build_narmax_grammar(), build_nbj_grammar())
+    alphabet = sorted(set().union(*(c.grammar.terminals for c in catalogs)))
+    rng = random.Random(20261018)
+    corpus = []
+    for catalog in catalogs:
+        grammar = catalog.grammar
+        for derivation in enumerate_derivations(grammar, GenBounds(max_adjunctions=3)):
+            tokens = yield_of(derive(derivation, grammar))
+            i = rng.randrange(len(tokens))
+            j = rng.randrange(len(tokens) + 1)
+            k = rng.randrange(len(tokens))
+            corpus += [
+                tokens,
+                tokens[:i] + tokens[i + 1:],
+                tokens[:j] + (rng.choice(alphabet),) + tokens[j:],
+                tokens[:k] + (rng.choice(alphabet),) + tokens[k + 1:],
+            ]
+    return corpus
+
+
+def _flat_tree(tokens: tuple[str, ...]) -> SyntacticTree:
+    labels = {0: NodeLabel.nonterminal("root")}
+    labels.update((i, NodeLabel.terminal(token)) for i, token in enumerate(tokens, 1))
+    return SyntacticTree(0, labels, {0: tuple(range(1, len(tokens) + 1))})
+
+
+def test_yield_parsers_over_mutated_yields():
+    # pins what both yield parsers accept, build and report (error type,
+    # message and token index) on near-miss yields in both modes
+    lines = []
+    for tokens in _yield_corpus():
+        tree = _flat_tree(tokens)
+        for parse, mode in itertools.product(
+            (derived_to_model, nbj_derived_to_model), (Mode.STRICT, Mode.EXTENDED)
+        ):
+            try:
+                outcome = repr(parse(tree, mode=mode))
+            except (YieldError, ModelError) as exc:
+                outcome = f"{type(exc).__name__}: {exc}"
+            lines.append(" ".join(tokens) + " => " + outcome)
+    assert len(lines) == 7744
+    assert sha256("\n".join(lines)) == (
+        "b277606934976220c01b5610bddc61c875b30a639fe30f3e30975d227fd037e8"
+    )
+
+
+def test_validate_grammar_over_random_grammars():
+    # diagnostic order, codes, messages, tree names and addresses on
+    # grammars with missing, doubled and inner feet and repeated names
+    rng = random.Random(2000)
+    lines = []
+    for index in range(2000):
+        diagnostics = validate_grammar(random_grammar(rng))
+        lines += [f"{index}: {diagnostic}" for diagnostic in diagnostics]
+    assert len(lines) == 5743
+    assert sha256("\n".join(lines)) == (
+        "19c724bb37d5f751580daf8f0175189458a8dc07ec8a6d856b19e491af023821"
     )

@@ -1,7 +1,7 @@
 import pytest
 
 from narmaxtag import DerivationTree, ElementaryTree, Grammar, LabelKind, Operation
-from narmaxtag.trees import DerivationEdge, TreeKind
+from narmaxtag.trees import DerivationEdge, NodeLabel, SyntacticTree, TreeKind
 from narmaxtag.treeio import (
     TextFormatError,
     format_derivation,
@@ -13,6 +13,7 @@ from narmaxtag.treeio import (
 )
 
 from conftest import ADVERB_DERIVATION, PLAIN_DERIVATION, SENTENCE_GRAMMAR_TEXT
+from oracles import structurally_equal, substitution_sites
 
 
 class TestTreeFormat:
@@ -26,13 +27,13 @@ class TestTreeFormat:
 
     def test_markers(self):
         tree = parse_tree("sentence(sub↓ pred↓)")
-        assert len(tree.substitution_sites()) == 2
+        assert len(substitution_sites(tree)) == 2
         assert format_tree(tree) == "sentence(sub↓ pred↓)"
 
     def test_whitespace_insensitive(self):
         a = parse_tree("A( b   c(d) )")
         b = parse_tree("A(b c(d))")
-        assert a.structurally_equal(b)
+        assert structurally_equal(a, b)
         assert format_tree(a) == "A(b c(d))"
 
     def test_quoted_terminals(self):
@@ -40,13 +41,27 @@ class TestTreeFormat:
         assert [tree.label(n).name for n in tree.leaves()] == ["(", "two words", "★"]
         text = format_tree(tree)
         assert text == 'A("(" "two words" "★")'
-        assert parse_tree(text).structurally_equal(tree)
+        assert structurally_equal(parse_tree(text), tree)
 
     def test_epsilon_and_quoted_epsilon(self):
         tree = parse_tree('A(ε "ε")')
         kinds = [tree.label(n).kind for n in tree.leaves()]
         assert kinds == [LabelKind.EPSILON, LabelKind.TERMINAL]
         assert format_tree(tree) == 'A(ε "ε")'
+
+    def test_nonterminal_epsilon_leaf_is_refused(self):
+        # read back without alphabets, a bare ``ε`` leaf is the empty leaf
+        tree = SyntacticTree(
+            1, {1: NodeLabel.nonterminal("A"), 2: NodeLabel.nonterminal("ε")}, {1: (2,)}
+        )
+        with pytest.raises(ValueError, match="empty leaf"):
+            format_tree(tree)
+        # marked or internal, it reads back as a nonterminal
+        for text in ("A(ε↓)", "A(ε★)", "ε(a)"):
+            tree = parse_tree(text)
+            (label,) = [label for label in tree.labels.values() if label.name == "ε"]
+            assert label.kind is LabelKind.NONTERMINAL
+            assert format_tree(tree) == text
 
     def test_kind_resolution_with_alphabets(self):
         tree = parse_tree("A(B)", nonterminals={"A", "B"}, terminals=set())
@@ -174,7 +189,7 @@ class TestGrammarFormat:
     def test_kind_assignment(self):
         grammar = parse_grammar(SENTENCE_GRAMMAR_TEXT)
         alpha1 = grammar.find("alpha1")
-        sites = alpha1.tree.substitution_sites()
+        sites = substitution_sites(alpha1.tree)
         assert len(sites) == 2
         assert all(
             alpha1.tree.label(n).kind is LabelKind.NONTERMINAL for n in sites

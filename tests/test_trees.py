@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -33,12 +34,18 @@ from narmaxtag.treeio import parse_tree
 
 from oracles import (
     adjunction_case,
+    edge_set,
     expected_adjunction,
     expected_substitution,
+    label_key,
+    node_names,
     random_derivation,
     random_grammar,
     reference_derive,
+    structural_key,
+    structurally_equal,
     substitution_case,
+    substitution_sites,
 )
 
 
@@ -92,17 +99,17 @@ class TestDeepWalkers:
         assert list(chain_tree(self.N).post_order()) == list(range(self.N, 0, -1))
 
     def test_structural_key_of_chain(self):
-        key = chain_tree(self.N).structural_key()
+        key = structural_key(chain_tree(self.N))
         depth = 0
         while key[1]:
             (key,) = key[1]
             depth += 1
         assert depth == self.N - 1
-        assert key[0] == NodeLabel.terminal("a").key()
+        assert key[0] == label_key(NodeLabel.terminal("a"))
 
     def test_structural_equality_of_chains(self):
-        assert chain_tree(self.N).structurally_equal(chain_tree(self.N))
-        assert not chain_tree(self.N).structurally_equal(chain_tree(self.N, leaf="b"))
+        assert structurally_equal(chain_tree(self.N), chain_tree(self.N))
+        assert not structurally_equal(chain_tree(self.N), chain_tree(self.N, leaf="b"))
 
     @staticmethod
     def chain_derivation(n, leaf="leaf"):
@@ -114,7 +121,7 @@ class TestDeepWalkers:
 
     def test_node_names_of_deep_derivation(self):
         derivation = self.chain_derivation(self.N)
-        assert list(derivation.node_names()) == ["beta"] * (self.N - 1) + ["leaf"]
+        assert node_names(derivation) == ["beta"] * (self.N - 1) + ["leaf"]
 
     def test_equality_and_hash_of_deep_derivations(self):
         first, second = self.chain_derivation(self.N), self.chain_derivation(self.N)
@@ -138,7 +145,7 @@ class TestNodeAt:
         tree = parse_tree("A(B(c))")
         nid = node_at(tree, (1, 1))
         assert tree.label(nid).name == "c"
-        assert tree.is_leaf(nid)
+        assert not tree.children[nid]
 
     def test_invalid_address(self):
         tree = parse_tree("A(a)")
@@ -180,11 +187,9 @@ class TestSubstitute:
         for _ in range(100):
             gamma, site, inner = substitution_case(rng)
             result = substitute(gamma, site, inner)
-            assert len(result.node_ids()) == len(gamma.node_ids()) + len(
-                inner.node_ids()
-            ) - 1
-            assert len(result.edge_set()) == len(gamma.edge_set()) + len(
-                inner.edge_set()
+            assert len(result.labels) == len(gamma.labels) + len(inner.labels) - 1
+            assert len(edge_set(result)) == len(edge_set(gamma)) + len(
+                edge_set(inner)
             )
 
     def test_matches_set_expressions(self):
@@ -193,8 +198,8 @@ class TestSubstitute:
             gamma, site, inner = substitution_case(rng)
             vertices, edges, root = expected_substitution(gamma, site, inner)
             result = substitute(gamma, site, inner)
-            assert set(result.node_ids()) == vertices
-            assert set(result.edge_set()) == edges
+            assert set(result.labels) == vertices
+            assert edge_set(result) == edges
             assert result.root == root
 
 
@@ -229,16 +234,16 @@ class TestAdjoin:
         rng = random.Random(4321)
         for _ in range(100):
             gamma, at, aux = adjunction_case(rng)
-            before = gamma.structural_key(at)
+            before = structural_key(gamma, at)
             result = adjoin(gamma, at, aux)
             vertices, edges, root = expected_adjunction(gamma, at, aux)
-            assert set(result.node_ids()) == vertices
-            assert set(result.edge_set()) == edges
+            assert set(result.labels) == vertices
+            assert edge_set(result) == edges
             assert result.root == root
             # the excised node's former children hang below the foot, in order
-            feet = [n for n in result.node_ids()
+            feet = [n for n in result.labels
                     if result.child_ids(n) == gamma.child_ids(at)
-                    and n not in gamma.node_ids()]
+                    and n not in gamma.labels]
             assert feet
 
 
@@ -247,22 +252,22 @@ class TestPurity:
         alpha1 = find(sentence_grammar, "alpha1")
         alpha2 = find(sentence_grammar, "alpha2")
         host = alpha1.tree.renumbered(1)
-        key_host = host.structural_key()
-        key_inner = alpha2.tree.structural_key()
+        key_host = structural_key(host)
+        key_inner = structural_key(alpha2.tree)
         first = substitute(host, node_at(host, (1,)), alpha2)
         second = substitute(host, node_at(host, (1,)), alpha2)
-        assert host.structural_key() == key_host
-        assert alpha2.tree.structural_key() == key_inner
-        assert first.structurally_equal(second)
+        assert structural_key(host) == key_host
+        assert structural_key(alpha2.tree) == key_inner
+        assert structurally_equal(first, second)
 
     def test_adjoin_leaves_inputs_alone(self, sentence_grammar, plain_derivation):
         tree = derive(plain_derivation, sentence_grammar)
         beta1 = find(sentence_grammar, "beta1")
-        key = tree.structural_key()
+        key = structural_key(tree)
         first = adjoin(tree, tree.root, beta1)
         second = adjoin(tree, tree.root, beta1)
-        assert tree.structural_key() == key
-        assert first.structurally_equal(second)
+        assert structural_key(tree) == key
+        assert structurally_equal(first, second)
 
 
 class TestYield:
@@ -300,7 +305,7 @@ class TestYield:
             sub_yield = [
                 gamma.label(n).name
                 for n in gamma.pre_order(at)
-                if gamma.is_leaf(n) and gamma.label(n).kind is not LabelKind.EPSILON
+                if not gamma.children[n] and gamma.label(n).kind is not LabelKind.EPSILON
             ]
             result = yield_of(adjoin(gamma, at, aux))
             if sub_yield:
@@ -323,13 +328,13 @@ class TestSaturation:
         for _ in range(60):
             gamma, site, inner = substitution_case(rng)
             result = substitute(gamma, site, inner)
-            delta = len(result.substitution_sites()) - len(gamma.substitution_sites())
-            assert delta == len(inner.substitution_sites()) - 1
+            delta = len(substitution_sites(result)) - len(substitution_sites(gamma))
+            assert delta == len(substitution_sites(inner)) - 1
         for _ in range(60):
             gamma, at, aux = adjunction_case(rng)
             result = adjoin(gamma, at, aux)
-            delta = len(result.substitution_sites()) - len(gamma.substitution_sites())
-            assert delta == len(aux.substitution_sites())
+            delta = len(substitution_sites(result)) - len(substitution_sites(gamma))
+            assert delta == len(substitution_sites(aux))
 
 
 class TestDerive:
@@ -353,7 +358,7 @@ class TestDerive:
     def test_single_node_is_the_tree_itself(self, sentence_grammar):
         alpha1 = find(sentence_grammar, "alpha1")
         derived = derive(DerivationTree("alpha1"), sentence_grammar)
-        assert derived.structurally_equal(alpha1.tree)
+        assert structurally_equal(derived, alpha1.tree)
 
     def test_unknown_name(self, sentence_grammar):
         with pytest.raises(DanglingReferenceError):
@@ -406,7 +411,7 @@ class TestDerive:
                     host = substitute(host, targets[i], part)
                 else:
                     host = adjoin(host, targets[i], part)
-            keys.add(host.structural_key())
+            keys.add(structural_key(host))
         assert len(keys) == 1
 
 
@@ -432,12 +437,12 @@ class TestDeriveParity:
             grammar = restrict(GrammarPreset(name))
         for derivation in enumerate_derivations(grammar, GenBounds(max_adjunctions=budget)):
             fast = derive(derivation, grammar)
-            assert fast.structurally_equal(reference_derive(derivation, grammar))
+            assert structurally_equal(fast, reference_derive(derivation, grammar))
 
     def test_sentence_fixture(self, sentence_grammar, plain_derivation, adverb_derivation):
         for derivation in (plain_derivation, adverb_derivation):
             fast = derive(derivation, sentence_grammar)
-            assert fast.structurally_equal(reference_derive(derivation, sentence_grammar))
+            assert structurally_equal(fast, reference_derive(derivation, sentence_grammar))
 
     def test_random_grammars(self):
         # malformed grammars and derivations: same tree or same error
@@ -450,7 +455,7 @@ class TestDeriveParity:
             slow, slow_error = _outcome(reference_derive, derivation, grammar)
             assert fast_error == slow_error, seed
             if fast is not None:
-                assert fast.structurally_equal(slow), seed
+                assert structurally_equal(fast, slow), seed
                 SyntacticTree(fast.root, fast.labels, fast.children)
                 assert list(fast.pre_order()) == list(range(1, len(fast.labels) + 1))
             outcomes.add(fast_error[0] if fast_error else None)
@@ -495,3 +500,20 @@ class TestValidateGrammar:
         codes = [d.code for d in validate_grammar(grammar)]
         assert "alphabets-overlap" in codes
         assert "unknown-label" in codes
+
+    def test_many_diagnostics_in_linear_time(self):
+        # a root over 8,000 internal nodes labelled with a terminal: one
+        # diagnostic each, every one with its own address
+        count = 8000
+        labels = {0: NodeLabel.nonterminal("S")}
+        children = {0: tuple(range(1, 2 * count, 2))}
+        for nid in range(1, 2 * count, 2):
+            labels[nid] = labels[nid + 1] = NodeLabel.terminal("x")
+            children[nid] = (nid + 1,)
+        tree = SyntacticTree(0, labels, children)
+        grammar = Grammar({"S"}, {"x"}, "S", (ElementaryTree("t", TreeKind.INITIAL, tree),), ())
+        start = time.perf_counter()
+        diagnostics = validate_grammar(grammar)
+        elapsed = time.perf_counter() - start
+        assert [d.address for d in diagnostics] == [str(i) for i in range(1, count + 1)]
+        assert elapsed < 3.0, f"validate took {elapsed:.2f}s of its 3s budget"
