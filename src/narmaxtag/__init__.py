@@ -80,6 +80,7 @@ from .trees import (
     UndefinedSubstitutionError,
     adjoin,
     derive,
+    derived_leaves,
     is_saturated,
     node_at,
     substitute,

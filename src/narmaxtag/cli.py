@@ -10,6 +10,7 @@ quietly with 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -45,6 +46,10 @@ from .trees import TagError, derive, validate_grammar, yield_of
 # every domain error of the package (models, yields, text formats, bounds)
 # subclasses ValueError
 _DOMAIN_ERRORS = (TagError, ValueError, OSError)
+
+# distinct lines `classify --all` remembers, which bounds its memory on
+# long streams
+_CLASSIFY_CACHE_LINES = 65_536
 
 
 def _read(path: str) -> str:
@@ -105,6 +110,9 @@ def _cmd_roundtrip(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    # one classification per distinct line; an error is not cached, so
+    # the first bad line still ends the run
+    @functools.lru_cache(maxsize=_CLASSIFY_CACHE_LINES)
     def tags_of(text: str) -> str:
         model = parse_model_text(text, mode=Mode(args.mode))
         tags = classify(model)

@@ -35,19 +35,19 @@ from .narmax import (
     PRESET_AUXILIARIES,
     GrammarPreset,
     _derivation,
+    _leaves_to_model,
     build_narmax_grammar,
-    derived_to_model,
 )
 from .trees import (
     DerivationEdge,
     DerivationTree,
-    GornAddress,
     Grammar,
     LabelKind,
     Operation,
     TagError,
     TreeKind,
-    derive,
+    _gorn_address,
+    derived_leaves,
 )
 
 
@@ -96,21 +96,21 @@ def _slot_table(grammar: Grammar) -> tuple[dict[str, tuple[tuple, ...]], list[st
         fitting.setdefault((table.entry.kind, table.labels[0].name), []).append(name)
     slots = {}
     for name, table in tables.items():
-        addresses: list[GornAddress] = [()] * len(table.labels)
+        steps = {}  # each node's (parent, position), so a slot's address costs its length
         found = []
         for i, label in enumerate(table.labels):  # pre-order is address order
             kids = table.children[i]
             for step, kid in enumerate(kids, 1):
-                addresses[kid] = addresses[i] + (step,)
+                steps[kid] = (i, step)
             if label.kind is not LabelKind.NONTERMINAL:
                 continue
             if kids:
                 names = fitting.get((TreeKind.AUXILIARY, label.name))
                 if names:
-                    found.append((Operation.ADJUNCTION, addresses[i], tuple(names)))
+                    found.append((Operation.ADJUNCTION, _gorn_address(steps, i), tuple(names)))
             elif label.substitution_marker:
                 names = fitting.get((TreeKind.INITIAL, label.name), [])
-                found.append((Operation.SUBSTITUTION, addresses[i], tuple(names)))
+                found.append((Operation.SUBSTITUTION, _gorn_address(steps, i), tuple(names)))
         slots[name] = tuple(found)
     return slots, fitting.get((TreeKind.INITIAL, grammar.start), [])
 
@@ -197,10 +197,10 @@ def _check_cycle(frame: tuple, name: str) -> None:
 def enumerate_models(
     grammar: Grammar, bounds: GenBounds
 ) -> Iterator[tuple[DerivationTree, NarmaxModel]]:
-    """Enumerated derivations over a polynomial-model grammar, parsed."""
+    """Enumerated derivations over a polynomial-model grammar, parsed
+    from their derived trees' leaves."""
     for derivation in enumerate_derivations(grammar, bounds):
-        derived = derive(derivation, grammar)
-        yield derivation, derived_to_model(derived, mode=bounds.mode)
+        yield derivation, _leaves_to_model(derived_leaves(derivation, grammar), bounds.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +287,8 @@ def sample_model(
 ) -> NarmaxModel:
     """Parse a sampled derivation's derived tree into a canonical model."""
     derivation = sample_derivation(config, preset)
-    grammar = build_narmax_grammar().grammar
-    model = derived_to_model(derive(derivation, grammar), mode=config.bounds.mode)
+    leaves = derived_leaves(derivation, build_narmax_grammar().grammar)
+    model = _leaves_to_model(leaves, config.bounds.mode)
     _check_bounds(model, config.bounds)
     return model
 

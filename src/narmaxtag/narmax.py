@@ -16,10 +16,10 @@ causal by construction.
 
 Both directions of the model/derivation correspondence are written
 once, over the parts: :func:`_to_derivation` hangs one sum chain per
-part under the initial tree, :func:`_to_parts` splits a saturated yield
-at its comma and parses each part, and :func:`_roundtrip` composes the
-two.  The public NARMAX and NBJ functions are entry points over the two
-catalogs.
+part under the initial tree, :func:`_to_parts` splits the yield of a
+derived tree's leaf labels at its comma and parses each part, and
+:func:`_roundtrip` composes the two.  The public NARMAX and NBJ
+functions are entry points over the two catalogs.
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ from .trees import (
     GornAddress,
     Grammar,
     LabelKind,
+    NodeLabel,
     Operation,
     SyntacticTree,
     TreeKind,
-    derive,
+    derived_leaves,
 )
 from .treeio import parse_tree
 
@@ -516,16 +517,14 @@ def _parse_token_sum(
         i += 1
 
 
-def _saturated_yield(tree: SyntacticTree) -> tuple[str, ...]:
-    """The yield of ``tree`` from one walk over its leaves.
+def _saturated_yield(leaves: Iterable[NodeLabel]) -> tuple[str, ...]:
+    """The yield of a derived tree from its leaf labels, left to right.
 
     A nonterminal leaf anywhere raises :class:`NotSaturatedError`, so it
     is reported before any error in the yield.
     """
-    labels = tree.labels
     names = []
-    for nid in tree.leaves():
-        label = labels[nid]
+    for label in leaves:
         if label.kind is LabelKind.TERMINAL:
             names.append(label.name)
         elif label.kind is LabelKind.NONTERMINAL:
@@ -533,14 +532,15 @@ def _saturated_yield(tree: SyntacticTree) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _to_parts(catalog: Catalog, tree: SyntacticTree, mode: Mode) -> list[NarmaxModel]:
-    """Parse a saturated derived tree's yield into one canonical model per
-    part; a two-part yield is split at its one comma.
+def _to_parts(catalog: Catalog, leaves: Iterable[NodeLabel], mode: Mode) -> list[NarmaxModel]:
+    """Parse the yield of a saturated derived tree, given its leaf labels
+    left to right, into one canonical model per part; a two-part yield is
+    split at its one comma.
 
     Coefficient slots are numbered left to right before
     canonicalization renumbers the sorted result.
     """
-    tokens = _saturated_yield(tree)
+    tokens = _saturated_yield(leaves)
     bounds = [-1, len(tokens)]  # each part lies strictly between two bounds
     if len(catalog.equations) > 1:
         commas = [i for i, token in enumerate(tokens) if token == COMMA_TOKEN]
@@ -561,8 +561,8 @@ def _roundtrip(catalog: Catalog, parts: Sequence[NarmaxModel], mode: Mode) -> bo
     Coefficient values are attachments, not grammar content, so the
     comparison is on canonical factor structure.
     """
-    derived = derive(_to_derivation(catalog, parts), catalog.grammar)
-    back = [part.structure() for part in _to_parts(catalog, derived, mode)]
+    leaves = derived_leaves(_to_derivation(catalog, parts), catalog.grammar)
+    back = [part.structure() for part in _to_parts(catalog, leaves, mode)]
     return [canonicalize(part).structure() for part in parts] == back
 
 
@@ -578,7 +578,13 @@ def model_to_derivation(model: NarmaxModel) -> DerivationTree:
 
 def derived_to_model(tree: SyntacticTree, mode: Mode = Mode.EXTENDED) -> NarmaxModel:
     """Parse a saturated derived tree's yield into a canonical model."""
-    return _to_parts(build_narmax_grammar(), tree, mode)[0]
+    return _leaves_to_model([tree.labels[nid] for nid in tree.leaves()], mode)
+
+
+def _leaves_to_model(leaves: Iterable[NodeLabel], mode: Mode) -> NarmaxModel:
+    """:func:`derived_to_model` over a derived tree's leaf labels, such as
+    :func:`~narmaxtag.trees.derived_leaves` returns."""
+    return _to_parts(build_narmax_grammar(), leaves, mode)[0]
 
 
 def roundtrip_check(model: NarmaxModel) -> bool:
@@ -601,7 +607,8 @@ def nbj_model_to_derivation(model: NbjModel) -> DerivationTree:
 
 def nbj_derived_to_model(tree: SyntacticTree, mode: Mode = Mode.EXTENDED) -> NbjModel:
     """Split a saturated yield at its comma and parse both equations."""
-    process, noise = _to_parts(build_nbj_grammar(), tree, mode)
+    leaves = [tree.labels[nid] for nid in tree.leaves()]
+    process, noise = _to_parts(build_nbj_grammar(), leaves, mode)
     return NbjModel(process.terms, noise.terms, mode)
 
 

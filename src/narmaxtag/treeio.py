@@ -227,18 +227,23 @@ def parse_tree(
     return SyntacticTree._build(1, labels, children)
 
 
-def _format_label(label: NodeLabel, leaf: bool) -> str:
-    """A label as the tree format writes it; a bare ``ε`` leaf reads back
-    as the empty leaf, so an unmarked nonterminal leaf of that name is
-    refused."""
+def _format_label(label: NodeLabel, leaf: bool, epsilon_nonterminal: bool = False) -> str:
+    """A label as the tree format writes it.  A bare ``ε`` leaf reads back
+    as the empty leaf, or as the nonterminal ``ε`` where the reader's
+    nonterminals include it (``epsilon_nonterminal``); a leaf that would
+    read back as the other is refused."""
     if label.kind is LabelKind.EPSILON:
+        if epsilon_nonterminal:
+            raise ValueError(f"an empty leaf reads back as the nonterminal {EPSILON!r}")
         return EPSILON
     name = label.name
     if not _BARE_LABEL_RE.fullmatch(name) or (label.kind is LabelKind.TERMINAL and name == EPSILON):
         if label.kind is not LabelKind.TERMINAL:
             raise ValueError(f"nonterminal name {name!r} contains reserved characters")
         name = '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    elif name == EPSILON and leaf and not (label.substitution_marker or label.foot_marker):
+    elif name == EPSILON and leaf and not (
+        epsilon_nonterminal or label.substitution_marker or label.foot_marker
+    ):
         raise ValueError(f"a nonterminal leaf named {EPSILON!r} reads back as the empty leaf")
     if label.substitution_marker:
         name += SUBSTITUTION_MARK
@@ -248,6 +253,10 @@ def _format_label(label: NodeLabel, leaf: bool) -> str:
 
 
 def format_tree(tree: SyntacticTree) -> str:
+    return _format_tree(tree, False)
+
+
+def _format_tree(tree: SyntacticTree, epsilon_nonterminal: bool) -> str:
     parts: list[str] = []
     stack: list[int | str] = [tree.root]  # node ids and pending punctuation
     while stack:
@@ -256,7 +265,7 @@ def format_tree(tree: SyntacticTree) -> str:
             parts.append(item)
             continue
         kids = tree.children[item]
-        parts.append(_format_label(tree.labels[item], not kids))
+        parts.append(_format_label(tree.labels[item], not kids, epsilon_nonterminal))
         if kids:
             pending: list[int | str] = [")"]
             for kid in reversed(kids):
@@ -336,7 +345,9 @@ def format_grammar(grammar: Grammar) -> str:
     """The grammar format; header symbols are written as tree labels
     would be, so a nonterminal name the format cannot write raises
     ``ValueError`` as in :func:`format_tree`, and so do a tree name
-    outside ``[\\w.\\-]+`` and a terminal with a line break."""
+    outside ``[\\w.\\-]+`` and a terminal with a line break.  Where
+    ``ε`` is a nonterminal, :func:`parse_grammar` reads a bare ``ε`` leaf
+    as that nonterminal, so an empty leaf raises ``ValueError``."""
     nonterminals = [NodeLabel.nonterminal(name) for name in sorted(grammar.nonterminals)]
     terminals = [NodeLabel.terminal(name) for name in sorted(grammar.terminals)]
     lines = [
@@ -344,10 +355,10 @@ def format_grammar(grammar: Grammar) -> str:
         "terminals: " + " ".join([_format_label(label, False) for label in terminals]),
         "start: " + _format_label(NodeLabel.nonterminal(grammar.start), False),
     ]
-    for entry in grammar.initials:
-        lines.append(f"initial {_format_name(entry.name)} = {format_tree(entry.tree)}")
-    for entry in grammar.auxiliaries:
-        lines.append(f"auxiliary {_format_name(entry.name)} = {format_tree(entry.tree)}")
+    epsilon_nonterminal = EPSILON in grammar.nonterminals
+    for entry in grammar.elementary():
+        tree = _format_tree(entry.tree, epsilon_nonterminal)
+        lines.append(f"{entry.kind.value} {_format_name(entry.name)} = {tree}")
     text = "\n".join(lines) + "\n"
     if text.splitlines() != lines:
         raise ValueError("a grammar label contains a line break")

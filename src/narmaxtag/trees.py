@@ -14,7 +14,8 @@ tree in its place and re-hangs the excised node's children below the
 auxiliary tree's foot.  They are the reference semantics of
 :func:`derive`, which evaluates a whole derivation in one pass over a
 grammar compiled once, in time linear in the size of the derived tree
-and with no limit on its depth.
+and with no limit on its depth; :func:`derived_leaves` makes the same
+checks and returns only the derived tree's leaf labels.
 """
 
 from __future__ import annotations
@@ -205,15 +206,7 @@ class SyntacticTree:
         for parent, kids in self.children.items():
             for step, kid in enumerate(kids, 1):
                 steps[kid] = (parent, step)
-        out = {}
-        for nid in nids:
-            path = []
-            node = nid
-            while node in steps:
-                node, step = steps[node]
-                path.append(step)
-            out[nid] = tuple(reversed(path))
-        return out
+        return {nid: _gorn_address(steps, nid) for nid in nids}
 
     # -- structure -------------------------------------------------------
 
@@ -229,6 +222,16 @@ class SyntacticTree:
 
     def max_id(self) -> int:
         return max(self.labels)
+
+
+def _gorn_address(steps: Mapping[int, tuple[int, int]], node: int) -> GornAddress:
+    """The address of ``node``, given the (parent, position) of every
+    node but the root; it costs its own length."""
+    path = []
+    while node in steps:
+        node, step = steps[node]
+        path.append(step)
+    return tuple(reversed(path))
 
 
 class TreeKind(Enum):
@@ -529,6 +532,42 @@ def derive(derivation: DerivationTree, grammar: Grammar) -> SyntacticTree:
     the nodes 1..n in pre-order; both are loops, so the cost is linear in
     the size of the derived tree and any depth is allowed.
     """
+    return _emit(_checked(derivation, grammar))
+
+
+def derived_leaves(derivation: DerivationTree, grammar: Grammar) -> list[NodeLabel]:
+    """The leaf labels of ``derive(derivation, grammar)``, left to right.
+
+    The checks and errors are those of :func:`derive`; the labels come
+    from one walk over the checked parts that builds no tree.  As in
+    :func:`_emit`, a foot met inside an adjoined part hands over to the
+    excised node, whose children (it has some) are walked instead.
+    """
+    out: list[NodeLabel] = []
+    excised: list[tuple[_Part, int]] = []  # adjunctions still to meet their foot
+    stack: list[tuple[_Part, int]] = [(_checked(derivation, grammar), 0)]
+    while stack:
+        part, i = stack.pop()
+        op = part.ops.get(i)
+        if op is not None:
+            if op[0] is Operation.ADJUNCTION:
+                excised.append((part, i))
+            stack.append((op[1], 0))
+            continue
+        label = part.table.labels[i]
+        if label.foot_marker and excised:
+            part, i = excised.pop()
+        kids = part.table.children[i]
+        if kids:
+            stack += [(part, kid) for kid in reversed(kids)]
+        else:
+            out.append(label)
+    return out
+
+
+def _checked(derivation: DerivationTree, grammar: Grammar) -> _Part:
+    """The checked part of a whole derivation, whose root must name an
+    initial tree rooted at the start symbol."""
     tables = grammar._tables
     table = tables.get(derivation.tree_name)
     if table is None:
@@ -538,7 +577,7 @@ def derive(derivation: DerivationTree, grammar: Grammar) -> SyntacticTree:
             f"derivation root {derivation.tree_name!r} is not an initial tree "
             f"rooted at {grammar.start!r}"
         )
-    return _emit(_check(derivation, tables))
+    return _check(derivation, tables)
 
 
 class _Part:

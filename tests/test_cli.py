@@ -113,6 +113,57 @@ class TestClassifyCommand:
         assert code == 2
 
 
+ALL_TAGS = "FIR Volterra ARX ARMAX NARX NARMAX"
+# duplicates, blank and padded lines, a line strict mode refuses, then a
+# line no mode accepts, then one that is never reached
+CLASSIFY_STDIN = (
+    "c1*u[0] + xi\n"
+    "\n"
+    "   \n"
+    "  c1*u[0] + xi\t\n"
+    "c1*xi[0]*xi[-1] + xi\n"
+    "c1*u[0] + xi\n"
+    "c1*y[0] + xi\n"
+    "c1*u[-1] + xi\n"
+)
+
+
+class TestClassifyAll:
+    def classify_all(self, capsys, monkeypatch, stdin, *argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        return run(capsys, "classify", "--all", *argv)
+
+    def test_first_bad_line_ends_the_run(self, capsys, monkeypatch):
+        code, out, err = self.classify_all(capsys, monkeypatch, CLASSIFY_STDIN)
+        assert code == 1
+        assert out == (
+            f"c1*u[0] + xi\t{ALL_TAGS}\n"
+            f"c1*u[0] + xi\t{ALL_TAGS}\n"
+            "c1*xi[0]*xi[-1] + xi\tNARMAX\n"
+            f"c1*u[0] + xi\t{ALL_TAGS}\n"
+        )
+        assert err == "error: y[0] violates causality (position 3)\n"
+
+    def test_strict_mode(self, capsys, monkeypatch):
+        # the extended run before it must not answer for strict mode
+        self.classify_all(capsys, monkeypatch, CLASSIFY_STDIN)
+        code, out, err = self.classify_all(capsys, monkeypatch, CLASSIFY_STDIN, "--mode", "strict")
+        assert code == 1
+        assert out == f"c1*u[0] + xi\t{ALL_TAGS}\n" * 2
+        assert err == "error: strict mode forbids the current noise sample in products\n"
+
+    def test_a_bad_line_seen_again_fails_again(self, capsys, monkeypatch):
+        stdin = "c1*u[0] + xi\nc1*u[0] +\nc1*u[0] + xi\n"
+        for _ in range(2):
+            code, out, err = self.classify_all(capsys, monkeypatch, stdin)
+            assert (code, out, err) == (
+                1, f"c1*u[0] + xi\t{ALL_TAGS}\n", "error: expected 'c' (at position 9)\n"
+            )
+
+    def test_empty_stdin(self, capsys, monkeypatch):
+        assert self.classify_all(capsys, monkeypatch, "") == (0, "", "")
+
+
 class TestEnumerateCommand:
     def test_arx_lines_all_arx(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--preset", "arx", "--max", "3")

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -167,6 +168,29 @@ class TestEnumerate:
         elapsed = time.perf_counter() - start
         assert [edge.address for edge in derivation.edges] == [(i,) for i in range(1, count + 1)]
         assert elapsed < 4.0, f"enumeration took {elapsed:.2f}s of its 4s budget"
+
+    def test_deep_chain_in_bounded_memory(self):
+        # one initial tree that is a chain 8,000 deep ending in the one
+        # substitution site: only that slot's address is built, not one
+        # per node (which would hold the sum of all depths, ~250 MiB)
+        depth = 8000
+        labels = {nid: NodeLabel.nonterminal("A") for nid in range(depth)}
+        labels[depth] = NodeLabel.nonterminal("B", site=True)
+        chain = SyntacticTree(0, labels, {nid: (nid + 1,) for nid in range(depth)})
+        grammar = Grammar(
+            {"A", "B"}, {"b"}, "A",
+            (ElementaryTree("chain", TreeKind.INITIAL, chain),
+             ElementaryTree("leaf", TreeKind.INITIAL, parse_tree("B(b)"))),
+            (),
+        )
+        tracemalloc.start()
+        try:
+            (derivation,) = enumerate_derivations(grammar, GenBounds(max_adjunctions=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [edge.address for edge in derivation.edges] == [(1,) * depth]
+        assert peak < 16 * 2**20, f"enumeration peaked at {peak / 2**20:.1f} MiB"
 
 
 PARITY_GRAMMARS = [(preset.value, 5) for preset in GrammarPreset] + [("nbj", 4)]

@@ -12,6 +12,7 @@ per-diagnostic address search.
 """
 
 import hashlib
+import io
 import itertools
 import random
 
@@ -232,6 +233,19 @@ def test_model_to_derivation_over_enumeration():
     assert len(lines) == 1201
     assert sha256("\n".join(lines)) == (
         "b5fbf84d280f2afb9ca4abff368e969b2723c48daded033964d78524a180dc09"
+    )
+
+
+def test_enumerate_classify_pipeline(capsys):
+    # enumerate --max 4 | classify --all: 1,201 rows over 246 distinct models
+    listing = stdout_of(capsys, "enumerate", "--max", "4")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("sys.stdin", io.StringIO(listing))
+        out = stdout_of(capsys, "classify", "--all")
+    assert len(out.splitlines()) == 1201
+    assert len(set(listing.splitlines())) == 246
+    assert sha256(out) == (
+        "bed0b8033cd9269c60f31c3860a9969da9cb4f6bf27bc06ba964a1e6b9cdbf41"
     )
 
 

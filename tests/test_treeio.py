@@ -170,6 +170,27 @@ class TestGrammarFormat:
         with pytest.raises(ValueError, match="line break"):
             format_grammar(grammar)
 
+    @staticmethod
+    def epsilon_grammar(leaf):
+        # nonterminals {A, ε}: parse_grammar reads a bare ``ε`` leaf as
+        # the nonterminal
+        tree = SyntacticTree(
+            1, {1: NodeLabel.nonterminal("A"), 2: leaf, 3: NodeLabel.terminal("a")}, {1: (2, 3)}
+        )
+        return Grammar({"A", "ε"}, {"a"}, "A", (ElementaryTree("t", TreeKind.INITIAL, tree),), ())
+
+    def test_empty_leaf_beside_an_epsilon_nonterminal_is_refused(self):
+        with pytest.raises(ValueError, match="reads back as the nonterminal"):
+            format_grammar(self.epsilon_grammar(NodeLabel.epsilon()))
+
+    def test_epsilon_nonterminal_leaf_roundtrips(self):
+        grammar = self.epsilon_grammar(NodeLabel.nonterminal("ε"))
+        text = format_grammar(grammar)
+        assert text.splitlines()[-1] == "initial t = A(ε a)"
+        back = parse_grammar(text)
+        assert structurally_equal(back.initials[0].tree, grammar.initials[0].tree)
+        assert format_grammar(back) == text
+
     def test_header_marker_is_an_error(self):
         text = "nonterminals: S B↓\nterminals: a\nstart: S\n"
         with pytest.raises(TextFormatError, match="no parentheses or markers") as info:

@@ -22,6 +22,7 @@ from narmaxtag import (
     UndefinedSubstitutionError,
     adjoin,
     derive,
+    derived_leaves,
     is_saturated,
     node_at,
     substitute,
@@ -458,6 +459,43 @@ class TestDeriveParity:
                 assert structurally_equal(fast, slow), seed
                 SyntacticTree(fast.root, fast.labels, fast.children)
                 assert list(fast.pre_order()) == list(range(1, len(fast.labels) + 1))
+            outcomes.add(fast_error[0] if fast_error else None)
+        assert outcomes == {None, DanglingReferenceError, InapplicableOperationError}
+
+
+def _leaf_labels(derivation, grammar):
+    tree = derive(derivation, grammar)
+    return [tree.labels[nid] for nid in tree.leaves()]
+
+
+class TestDerivedLeavesParity:
+    """``derived_leaves`` against the leaves of the tree ``derive``
+    builds, over the corpora of :class:`TestDeriveParity`."""
+
+    @pytest.mark.parametrize("name, budget", PARITY_GRAMMARS)
+    def test_enumerated_derivations(self, name, budget):
+        if name == "nbj":
+            grammar = build_nbj_grammar().grammar
+        else:
+            grammar = restrict(GrammarPreset(name))
+        for derivation in enumerate_derivations(grammar, GenBounds(max_adjunctions=budget)):
+            assert derived_leaves(derivation, grammar) == _leaf_labels(derivation, grammar)
+
+    def test_sentence_fixture(self, sentence_grammar, plain_derivation, adverb_derivation):
+        for derivation in (plain_derivation, adverb_derivation):
+            leaves = derived_leaves(derivation, sentence_grammar)
+            assert leaves == _leaf_labels(derivation, sentence_grammar)
+
+    def test_random_grammars(self):
+        # malformed grammars and derivations: same labels or same error
+        outcomes = set()
+        for seed in range(2000):
+            rng = random.Random(seed)
+            grammar = random_grammar(rng)
+            derivation = random_derivation(rng, grammar)
+            fast, fast_error = _outcome(derived_leaves, derivation, grammar)
+            slow, slow_error = _outcome(_leaf_labels, derivation, grammar)
+            assert (fast, fast_error) == (slow, slow_error), seed
             outcomes.add(fast_error[0] if fast_error else None)
         assert outcomes == {None, DanglingReferenceError, InapplicableOperationError}
 
