@@ -24,6 +24,7 @@ functions are entry points over the two catalogs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -348,8 +349,13 @@ def _delay_chain(
     roles: SumRoles, signal: SignalKind, delay: int
 ) -> DerivationTree | None:
     """Delay trees beyond the built-in backshift, each adjoined at its parent's root."""
+    length = delay - 1 if signal is SignalKind.OUTPUT else delay
+    if length >= sys.maxsize:  # the chain and the factor's own tree
+        raise UnrepresentableModelError(
+            f"a {signal.value} delay needs more than sys.maxsize adjunctions"
+        )
     node: DerivationTree | None = None
-    for _ in range(delay - 1 if signal is SignalKind.OUTPUT else delay):
+    for _ in range(length):
         node = _node(roles.delay_tree, (ROOT_ADDRESS, node))
     return node
 
@@ -370,6 +376,10 @@ def _factor_order(term: Monomial) -> list[FactorKey]:
         )
     order: list[FactorKey] = []
     for key in sorted(term.factors, key=lambda k: (_LEAD_RANK[k[0]], k[1])):
+        if term.factors[key] > sys.maxsize:  # one adjunction per occurrence
+            raise UnrepresentableModelError(
+                f"a {key[0].value} exponent needs more than sys.maxsize adjunctions"
+            )
         order += [key] * term.factors[key]
     return order
 

@@ -25,12 +25,19 @@ Derivation format: nested ``name[op@address -> child, ...]`` lists with
 root).
 
 Derivation text and the model text of :mod:`narmaxtag.models` are read
-with one cursor, :class:`_Scanner`.  Every parser and printer here is a
-loop over an explicit stack, so nesting depth is bounded by memory only.
+with one cursor, :class:`_Scanner`.  Derivation text has three
+productions (a node name, an edge head, the separator after a child),
+and each is read by one compiled pattern; where a pattern does not
+match, the scanner's stepwise reads take over at the same position, so
+errors and their positions come from one reader.  Both tree and
+derivation readers resolve each distinct label or name once per call.
+Every parser and printer here is a loop over an explicit stack, so
+nesting depth is bounded by memory only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from typing import Any, Callable, Iterable
@@ -129,23 +136,23 @@ class _Scanner:
 # ---------------------------------------------------------------------------
 
 
-def _tokenize_tree(text: str) -> list[tuple]:
-    """``(kind, text, pos, marker, quoted)`` tuples; kind is "label", "(" or ")"."""
-    tokens: list[tuple] = []
-    for found in _TREE_TOKEN_RE.finditer(text):
-        punct, quoted, bare, marker, other = found.groups()
-        pos = found.start()
-        if punct:
-            tokens.append((punct, punct, pos, None, False))
-        elif bare:
-            tokens.append(("label", bare, pos, marker, False))
-        elif quoted is not None:
-            tokens.append(("label", _ESCAPE_RE.sub(r"\1", quoted), pos, marker, True))
-        elif other == '"':
-            raise TextFormatError("unterminated quoted label", pos)
-        else:
-            raise TextFormatError("marker without a preceding label", pos)
+def _lex_tree(text: str) -> list[tuple[str, str, str, str, str]]:
+    """The tokens of tree text as ``(punct, quoted, bare, marker, other)``
+    string tuples, ``""`` for a group that did not take part, so a quoted
+    label is a token with none of ``punct``, ``bare`` and ``other``.  The
+    first ``other`` token, a lone ``"`` or marker, is an error."""
+    tokens = _TREE_TOKEN_RE.findall(text)
+    if any(token[4] for token in tokens):
+        index = next(index for index, token in enumerate(tokens) if token[4])
+        if tokens[index][4] == '"':
+            raise TextFormatError("unterminated quoted label", _token_start(text, index))
+        raise TextFormatError("marker without a preceding label", _token_start(text, index))
     return tokens
+
+
+def _token_start(text: str, index: int) -> int:
+    """The position of token ``index`` of ``text``, for error reports."""
+    return next(itertools.islice(_TREE_TOKEN_RE.finditer(text), index, None)).start()
 
 
 # ---------------------------------------------------------------------------
@@ -154,31 +161,39 @@ def _tokenize_tree(text: str) -> list[tuple]:
 
 
 def _resolve_label(
-    token: tuple,
+    text: str,
+    tokens: list[tuple],
+    index: int,
     internal: bool,
     nonterminals: frozenset[str] | None,
     terminals: frozenset[str] | None,
 ) -> NodeLabel:
-    _, name, pos, marker, quoted = token
+    """The label of token ``index``, a label token, at an internal node or a leaf."""
+    _, quoted, bare, marker, _ = tokens[index]
+    name = bare or _ESCAPE_RE.sub(r"\1", quoted)
     site = marker == SUBSTITUTION_MARK
     foot = marker == FOOT_MARK
+
+    def error(message: str) -> TextFormatError:
+        return TextFormatError(message, _token_start(text, index))
+
     if not name:
-        raise TextFormatError("empty label", pos)
+        raise error("empty label")
     if nonterminals is not None or terminals is not None:
-        if not quoted and name in (nonterminals or frozenset()):
+        if bare and name in (nonterminals or frozenset()):
             return NodeLabel.nonterminal(name, site=site, foot=foot)
-        if not quoted and name == EPSILON:
+        if bare and name == EPSILON:
             return NodeLabel.epsilon()
         if name in (terminals or frozenset()):
             if marker:
-                raise TextFormatError(f"terminal {name!r} cannot carry a marker", pos)
+                raise error(f"terminal {name!r} cannot carry a marker")
             return NodeLabel.terminal(name)
-        raise TextFormatError(f"label {name!r} is not in the alphabets", pos)
+        raise error(f"label {name!r} is not in the alphabets")
     if internal or marker:
-        if quoted:
-            raise TextFormatError("quoted labels denote terminals", pos)
+        if not bare:
+            raise error("quoted labels denote terminals")
         return NodeLabel.nonterminal(name, site=site, foot=foot)
-    if name == EPSILON and not quoted:
+    if name == EPSILON and bare:
         return NodeLabel.epsilon()
     return NodeLabel.terminal(name)
 
@@ -189,41 +204,54 @@ def parse_tree(
     nonterminals: Iterable[str] | None = None,
     terminals: Iterable[str] | None = None,
 ) -> SyntacticTree:
-    tokens = _tokenize_tree(text)
+    tokens = _lex_tree(text)
     if not tokens:
         raise TextFormatError("empty tree text", 0)
     # structure first, labels after: a structural error anywhere in the
     # text wins over a label error; node ids are 1..n in pre-order
-    heads: dict[int, tuple] = {}
-    kids: dict[int, list[int]] = {}
-    open_nodes: list[int] = []  # nodes whose ')' is pending
+    heads: list[int] = []  # the label token of each node, by node id - 1
+    kids: list[list[int]] = []  # the child ids of each node, by node id - 1
+    open_kids: list[list[int]] = []  # those of the nodes whose ')' is pending
+    count = len(tokens)
     i = 0
     while True:
-        if tokens[i][0] != "label":
-            raise TextFormatError("expected a node label", tokens[i][2])
-        nid = len(heads) + 1
-        heads[nid], kids[nid] = tokens[i], []
-        if open_nodes:
-            kids[open_nodes[-1]].append(nid)
+        if tokens[i][0]:
+            raise TextFormatError("expected a node label", _token_start(text, i))
+        heads.append(i)
+        own: list[int] = []
+        kids.append(own)
+        if open_kids:
+            open_kids[-1].append(len(heads))
         i += 1
-        if i < len(tokens) and tokens[i][0] == "(":
+        if i < count and tokens[i][0] == "(":
             i += 1
-            if i < len(tokens) and tokens[i][0] == ")":
-                raise TextFormatError("empty child list", tokens[i][2])
-            open_nodes.append(nid)
-        while open_nodes and i < len(tokens) and tokens[i][0] == ")":
-            open_nodes.pop()
+            if i < count and tokens[i][0] == ")":
+                raise TextFormatError("empty child list", _token_start(text, i))
+            open_kids.append(own)
+        while open_kids and i < count and tokens[i][0] == ")":
+            open_kids.pop()
             i += 1
-        if not open_nodes:
+        if not open_kids:
             break
-        if i == len(tokens):
+        if i == count:
             raise TextFormatError("missing ')'", len(text))
-    if i != len(tokens):
-        raise TextFormatError("trailing tokens after tree", tokens[i][2])
+    if i != count:
+        raise TextFormatError("trailing tokens after tree", _token_start(text, i))
     nts = None if nonterminals is None else frozenset(nonterminals)
     ts = None if terminals is None else frozenset(terminals)
-    labels = {nid: _resolve_label(head, bool(kids[nid]), nts, ts) for nid, head in heads.items()}
-    children = {nid: tuple(ids) for nid, ids in kids.items()}
+    # each distinct label token is resolved once for leaves and once for
+    # internal nodes; an error is not kept, so it is raised at the first
+    # node that has it
+    resolved: tuple[dict, dict] = ({}, {})
+    labels: dict[int, NodeLabel] = {}
+    for nid, index in enumerate(heads, 1):
+        internal = bool(kids[nid - 1])
+        label = resolved[internal].get(tokens[index])
+        if label is None:
+            label = _resolve_label(text, tokens, index, internal, nts, ts)
+            resolved[internal][tokens[index]] = label
+        labels[nid] = label
+    children = {nid: tuple(ids) for nid, ids in enumerate(kids, 1)}
     return SyntacticTree._build(1, labels, children)
 
 
@@ -281,11 +309,12 @@ def _format_tree(tree: SyntacticTree, epsilon_nonterminal: bool) -> str:
 
 
 def _header_symbols(text: str) -> list[str]:
-    tokens = _tokenize_tree(text)
-    for kind, _, pos, marker, _ in tokens:
-        if kind != "label" or marker:
-            raise TextFormatError("header symbols take no parentheses or markers", pos)
-    return [token[1] for token in tokens]
+    tokens = _lex_tree(text)
+    for index, (punct, _, _, marker, _) in enumerate(tokens):
+        if punct or marker:
+            message = "header symbols take no parentheses or markers"
+            raise TextFormatError(message, _token_start(text, index))
+    return [bare or _ESCAPE_RE.sub(r"\1", quoted) for _, quoted, bare, _, _ in tokens]
 
 
 def parse_grammar(text: str) -> Grammar:
@@ -370,14 +399,41 @@ def format_grammar(grammar: Grammar) -> str:
 # ---------------------------------------------------------------------------
 
 _ADDRESS_RE = re.compile(rf"{EPSILON}|\d+(?:\.\d+)*")
+# the three productions of derivation text, each read by one pattern
+# that consumes what the stepwise reads consume: a node name with an
+# optional "[", an edge head "op@address ->", and the "," or "]" after
+# a child
+_NODE_RE = re.compile(rf"\s*({_NAME_RE.pattern})\s*(\[?)")
+_EDGE_HEAD_RE = re.compile(
+    rf"\s*({'|'.join(op.value for op in Operation)})\s*@\s*({_ADDRESS_RE.pattern})\s*->"
+)
+_AFTER_CHILD_RE = re.compile(r"\s*([,\]])")
 
 
 def _address(text: str) -> tuple[int, ...]:
     return () if text == EPSILON else tuple(int(part) for part in text.split("."))
 
 
-def _edge_head(scanner: _Scanner, name: str, edges: list[DerivationEdge]) -> tuple:
-    """Read ``op@address ->`` of the next edge of node ``name``."""
+def _node_head(scanner: _Scanner) -> tuple[str, bool]:
+    """Read a node's name and whether a ``[`` opens its edge list."""
+    found = _NODE_RE.match(scanner.text, scanner.pos)
+    if found:
+        scanner.pos = found.end()
+        return found[1], bool(found[2])
+    return scanner.match(_NAME_RE, "an elementary-tree name"), scanner.take("[")
+
+
+def _edge_head(scanner: _Scanner) -> tuple[Operation, tuple[int, ...]]:
+    """Read ``op@address ->`` of the next edge."""
+    found = _EDGE_HEAD_RE.match(scanner.text, scanner.pos)
+    if found:
+        try:
+            address = _address(found[2])
+        except ValueError:  # too many digits: the stepwise reads report it
+            pass
+        else:
+            scanner.pos = found.end()
+            return Operation(found[1]), address
     scanner.skip_ws()
     start = scanner.pos
     op_name = scanner.match(_NAME_RE, "an operation (sub/adj)")
@@ -388,17 +444,31 @@ def _edge_head(scanner: _Scanner, name: str, edges: list[DerivationEdge]) -> tup
     scanner.expect("@")
     address = scanner.number(_ADDRESS_RE, "a Gorn address", _address)
     scanner.expect("->")
-    return name, edges, operation, address
+    return operation, address
+
+
+def _another_edge(scanner: _Scanner) -> bool:
+    """Read the ``,`` (another edge follows) or ``]`` after a child."""
+    found = _AFTER_CHILD_RE.match(scanner.text, scanner.pos)
+    if found:
+        scanner.pos = found.end()
+        return found[1] == ","
+    if scanner.take(","):
+        return True
+    scanner.expect("]")
+    return False
 
 
 def parse_derivation(text: str) -> DerivationTree:
     scanner = _Scanner(text, TextFormatError)
+    names: dict[str, str] = {}  # one string per distinct tree name
     # (name, edges, operation, address) of the nodes whose edge waits for its child
     stack: list[tuple] = []
     while True:
-        name = scanner.match(_NAME_RE, "an elementary-tree name")
-        if scanner.take("["):
-            stack.append(_edge_head(scanner, name, []))
+        name, opens = _node_head(scanner)
+        name = names.setdefault(name, name)
+        if opens:
+            stack.append((name, [], *_edge_head(scanner)))
             continue
         node = DerivationTree(name)
         while stack:
@@ -409,10 +479,9 @@ def parse_derivation(text: str) -> DerivationTree:
                 edges.append(DerivationEdge(operation, address, node))
             except ValueError as exc:
                 raise TextFormatError(str(exc), scanner.pos) from None
-            if scanner.take(","):
-                stack.append(_edge_head(scanner, parent, edges))
+            if _another_edge(scanner):
+                stack.append((parent, edges, *_edge_head(scanner)))
                 break
-            scanner.expect("]")
             try:
                 node = DerivationTree(parent, tuple(edges))
             except ValueError as exc:

@@ -318,6 +318,27 @@ class TestDomainErrors:
                 ["simulate", "c1*u[0] + xi", "--coeffs", "abc", "--n", "3"],
                 "could not convert string to float: 'abc'",
             ),
+            # past sys.maxsize adjunctions; these fail before anything is built
+            (
+                ["parse", "c1*u[0]^9223372036854775808 + xi"],
+                "a u exponent needs more than sys.maxsize adjunctions",
+            ),
+            (
+                ["roundtrip", "c1*u[0]^9223372036854775808 + xi"],
+                "a u exponent needs more than sys.maxsize adjunctions",
+            ),
+            (
+                ["parse", "c1*u[-99999999999999999999] + xi"],
+                "a u delay needs more than sys.maxsize adjunctions",
+            ),
+            (
+                ["roundtrip", "c1*xi[-9223372036854775807] + xi"],
+                "a xi delay needs more than sys.maxsize adjunctions",
+            ),
+            (
+                ["parse", "c1*y[-9223372036854775808] + xi"],
+                "a y delay needs more than sys.maxsize adjunctions",
+            ),
         ],
     )
     def test_exit_one_with_one_line(self, capsys, argv, message):
@@ -374,3 +395,56 @@ class TestUsageErrors:
 
     def test_missing_argument(self, capsys):
         assert run(capsys, "parse")[0] == 2
+
+
+class TestRepeatedCalls:
+    """`main` keeps no state between calls in one process: each call
+    prints what it prints as the only call of a process."""
+
+    MODEL = "c1*u[0]*xi[0] + xi"
+
+    def call(self, capsys, monkeypatch, argv, stdin=""):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        return run(capsys, *argv)
+
+    def test_mode_does_not_carry_over(self, capsys, monkeypatch):
+        assert self.call(capsys, monkeypatch, ["parse", "--mode", "strict", self.MODEL]) == (
+            1, "", "error: strict mode forbids the current noise sample in products\n"
+        )
+        assert self.call(capsys, monkeypatch, ["parse", self.MODEL]) == (
+            0, "alpha1[adj@ε -> beta1[adj@1 -> beta6]]\n", ""
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["parse", "--bogus"], "the following arguments are required: model"),
+            (["parse", "c1*u[0] + xi", "--bogus"], "unrecognized arguments: --bogus"),
+        ],
+    )
+    def test_usage_error_then_a_good_call(self, capsys, monkeypatch, argv, message):
+        code, out, err = self.call(capsys, monkeypatch, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: narmaxtag") and err.endswith(f"error: {message}\n")
+        assert self.call(capsys, monkeypatch, ["parse", "c1*u[0] + xi"]) == (
+            0, "alpha1[adj@ε -> beta1]\n", ""
+        )
+
+    def test_classify_all_after_simulate_with_options(self, capsys, monkeypatch):
+        simulate = [
+            "simulate", "c1*u[0] + xi", "--n", "3", "--noise-seed", "4",
+            "--noise-std", "0.5", "--mode", "strict", "--coeffs", "0.5",
+        ]
+        assert self.call(capsys, monkeypatch, simulate) == (
+            0,
+            "0.020427972396552023\n0.23243271006973606\n-0.23044891781958698\n",
+            "noise-seed=4 noise-std=0.5\n",
+        )
+        stdin = f"c1*u[0] + xi\n{self.MODEL}\nc1*y[-1]*xi[-1] + xi\n"
+        assert self.call(capsys, monkeypatch, ["classify", "--all"], stdin) == (
+            0,
+            "c1*u[0] + xi\tFIR Volterra ARX ARMAX NARX NARMAX\n"
+            f"{self.MODEL}\tNARMAX\n"
+            "c1*y[-1]*xi[-1] + xi\tNARMAX\n",
+            "",
+        )

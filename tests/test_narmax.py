@@ -127,6 +127,20 @@ class TestModelToDerivation:
         with pytest.raises(UnrepresentableModelError):
             model_to_derivation(model)
 
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            {(SignalKind.INPUT, 0): 2**63},
+            {(SignalKind.OUTPUT, 2**63): 1},
+            {(SignalKind.INPUT, 0): 1, (SignalKind.NOISE, 10**30): 1},
+        ],
+    )
+    def test_past_maxsize_adjunctions_unrepresentable(self, factors):
+        # these fail before any derivation node is built
+        model = NarmaxModel((Monomial(1, factors),))
+        with pytest.raises(UnrepresentableModelError, match="sys.maxsize"):
+            model_to_derivation(model)
+
     def test_exponents_become_chains(self, narmax_catalog):
         model = parse_model_text("c1*u[-2]^2 + xi")
         derivation = model_to_derivation(model)

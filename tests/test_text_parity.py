@@ -28,6 +28,10 @@ whitespace character, the markers, ``ε`` and 2,000 seeded code points
 to the tree parser in six contexts (alone, inside a bare label, quoted,
 escaped, as a child and before a marker); it was captured from the
 character-loop lexer that predates the compiled token pattern.
+
+Beyond the short strings, the readers must rebuild what the writers
+wrote on large texts (100-term models, as large as the benchmark's) and
+on every derivation of the model grammar within 4 adjunctions.
 """
 
 import hashlib
@@ -37,7 +41,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from narmaxtag.models import ModelError, format_model_text, parse_model_text
+from narmaxtag.generate import GenBounds, enumerate_derivations
+from narmaxtag.models import (
+    ModelError,
+    Monomial,
+    NarmaxModel,
+    SignalKind,
+    format_model_text,
+    parse_model_text,
+)
+from narmaxtag.narmax import model_to_derivation
 from narmaxtag.treeio import (
     TextFormatError,
     format_derivation,
@@ -45,7 +58,7 @@ from narmaxtag.treeio import (
     parse_derivation,
     parse_tree,
 )
-from narmaxtag.trees import NodeLabel, SyntacticTree
+from narmaxtag.trees import NodeLabel, SyntacticTree, derive
 
 TREE_LABELS = ("A", "expr0", "b", "ε", '"ε"', "q⁻¹", '"x y"', '"★"', '"a\\"b"')
 TREE_PIECES = TREE_LABELS + ("(", ")", " ", "↓", "★", '"', "\\", "")
@@ -234,3 +247,56 @@ def test_model_parser_raises_only_model_errors(text):
     except ModelError:
         return
     assert parse_model_text(format_model_text(model)) == model
+
+
+def preorder_maps(tree):
+    """``labels`` and ``children`` with the node ids renumbered 1..n in
+    pre-order, the numbering :func:`parse_tree` gives."""
+    order = list(tree.pre_order())
+    ids = {nid: index for index, nid in enumerate(order, 1)}
+    labels = {ids[nid]: tree.labels[nid] for nid in order}
+    children = {ids[nid]: tuple(ids[kid] for kid in tree.children[nid]) for nid in order}
+    return labels, children
+
+
+def assert_texts_round_trip(derivation, tree):
+    back = parse_derivation(format_derivation(derivation))
+    assert back == derivation  # tree names, operations, addresses and arities in pre-order
+    read = parse_tree(format_tree(tree))
+    assert read.root == 1
+    assert (read.labels, read.children) == preorder_maps(tree)
+
+
+def large_model(seed, n_terms=100, max_delay=10):
+    """A model of ``n_terms`` distinct terms of 1-3 factors, exponents 1-2."""
+    rng = random.Random(seed)
+    grid = [
+        (signal, delay)
+        for signal in SignalKind
+        for delay in range(1 if signal is SignalKind.OUTPUT else 0, max_delay + 1)
+    ]
+    seen, terms = set(), []
+    while len(terms) < n_terms:
+        keys = frozenset(rng.sample(grid, rng.randint(1, 3)))
+        if keys not in seen:
+            seen.add(keys)
+            factors = {key: rng.randint(1, 2) for key in keys}
+            terms.append(Monomial(len(terms) + 1, factors))
+    return NarmaxModel(tuple(terms))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_large_texts_round_trip(seed, narmax_catalog):
+    derivation = model_to_derivation(large_model(seed))
+    tree = derive(derivation, narmax_catalog.grammar)
+    assert len(tree.labels) > 3000
+    assert_texts_round_trip(derivation, tree)
+
+
+def test_enumerated_texts_round_trip(narmax_catalog):
+    grammar = narmax_catalog.grammar
+    count = 0
+    for derivation in enumerate_derivations(grammar, GenBounds(max_adjunctions=4)):
+        assert_texts_round_trip(derivation, derive(derivation, grammar))
+        count += 1
+    assert count == 1201

@@ -70,6 +70,38 @@ class TestTreeFormat:
         bare = parse_tree("A(B)")
         assert bare.label(next(iter(bare.leaves()))).kind is LabelKind.TERMINAL
 
+    # one name as internal, leaf, quoted, ``↓`` and ``★``: each occurrence
+    # keeps its own label kind, though the reader resolves each distinct
+    # label token once
+    MIXED = 'A(A "A" A↓ A★ B(A "A") A(A↓))'
+
+    def test_one_name_in_every_role(self):
+        tree = parse_tree(self.MIXED)
+        nt, t = NodeLabel.nonterminal("A"), NodeLabel.terminal("A")
+        site, foot = NodeLabel.nonterminal("A", site=True), NodeLabel.nonterminal("A", foot=True)
+        assert [tree.labels[nid] for nid in tree.pre_order()] == [
+            nt, t, t, site, foot, NodeLabel.nonterminal("B"), t, t, nt, site,
+        ]
+        assert format_tree(tree) == 'A(A A A↓ A★ B(A A) A(A↓))'
+
+    def test_one_name_in_every_role_with_alphabets(self):
+        tree = parse_tree(self.MIXED, nonterminals={"A", "B"}, terminals={"A"})
+        nt, t = NodeLabel.nonterminal("A"), NodeLabel.terminal("A")
+        site, foot = NodeLabel.nonterminal("A", site=True), NodeLabel.nonterminal("A", foot=True)
+        assert [tree.labels[nid] for nid in tree.pre_order()] == [
+            nt, nt, t, site, foot, NodeLabel.nonterminal("B"), nt, t, nt, site,
+        ]
+
+    def test_a_repeated_bad_label_is_reported_at_its_first_node(self):
+        # the second "zz" is resolved from the same token as the first
+        for text, position in (("A(b zz c zz)", 4), ("A(zz(b) zz)", 2)):
+            with pytest.raises(TextFormatError, match="'zz' is not in the alphabets") as err:
+                parse_tree(text, nonterminals={"A"}, terminals={"b", "c"})
+            assert err.value.position == position
+        with pytest.raises(TextFormatError, match="quoted labels denote terminals") as err:
+            parse_tree('A("q" "q"(b) "q"(c))')
+        assert err.value.position == 6
+
     def test_unknown_label_with_alphabets(self):
         with pytest.raises(TextFormatError):
             parse_tree("A(z)", nonterminals={"A"}, terminals={"a"})
