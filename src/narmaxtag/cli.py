@@ -16,7 +16,7 @@ import random
 import sys
 from typing import Sequence
 
-from .generate import GenBounds, SampleConfig, enumerate_models, sample_model
+from .generate import GenBounds, SampleConfig, enumerate_derivations, enumerate_models, sample_model
 from .models import (
     CLASS_TAG_ORDER,
     Mode,
@@ -169,10 +169,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     grammar = restrict(GrammarPreset(args.preset))
     bounds = GenBounds(max_adjunctions=args.max)
-    for derivation, model in enumerate_models(grammar, bounds):
-        if args.derivations:
+    if args.derivations:
+        for derivation in enumerate_derivations(grammar, bounds):
             print(format_derivation(derivation))
-        else:
+    else:
+        for _, model in enumerate_models(grammar, bounds):
             print(format_model_text(model))
     return 0
 
@@ -319,6 +320,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -46,7 +46,6 @@ from .trees import (
     Operation,
     TagError,
     TreeKind,
-    _gorn_address,
     derived_leaves,
 )
 
@@ -96,21 +95,17 @@ def _slot_table(grammar: Grammar) -> tuple[dict[str, tuple[tuple, ...]], list[st
         fitting.setdefault((table.entry.kind, table.labels[0].name), []).append(name)
     slots = {}
     for name, table in tables.items():
-        steps = {}  # each node's (parent, position), so a slot's address costs its length
         found = []
         for i, label in enumerate(table.labels):  # pre-order is address order
-            kids = table.children[i]
-            for step, kid in enumerate(kids, 1):
-                steps[kid] = (i, step)
             if label.kind is not LabelKind.NONTERMINAL:
                 continue
-            if kids:
+            if table.children[i]:
                 names = fitting.get((TreeKind.AUXILIARY, label.name))
                 if names:
-                    found.append((Operation.ADJUNCTION, _gorn_address(steps, i), tuple(names)))
+                    found.append((Operation.ADJUNCTION, table.address(i), tuple(names)))
             elif label.substitution_marker:
                 names = fitting.get((TreeKind.INITIAL, label.name), [])
-                found.append((Operation.SUBSTITUTION, _gorn_address(steps, i), tuple(names)))
+                found.append((Operation.SUBSTITUTION, table.address(i), tuple(names)))
         slots[name] = tuple(found)
     return slots, fitting.get((TreeKind.INITIAL, grammar.start), [])
 

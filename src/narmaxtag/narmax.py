@@ -52,6 +52,7 @@ from .trees import (
     Operation,
     SyntacticTree,
     TreeKind,
+    _Table,
     derived_leaves,
 )
 from .treeio import parse_tree
@@ -143,17 +144,16 @@ def _elementary(
     return ElementaryTree(name, kind, tree)
 
 
-def _find_slot(tree: SyntacticTree, name: str) -> GornAddress:
+def _find_slot(entry: ElementaryTree, name: str) -> GornAddress:
+    table = _Table(entry)
     hits = [
-        nid
-        for nid in tree.pre_order()
-        if tree.is_internal(nid)
-        and tree.label(nid).kind is LabelKind.NONTERMINAL
-        and tree.label(nid).name == name
+        i
+        for i, label in enumerate(table.labels)
+        if table.children[i] and label.kind is LabelKind.NONTERMINAL and label.name == name
     ]
     if len(hits) != 1:
         raise ValueError(f"expected exactly one internal {name!r} node")
-    return tree.addresses_of(hits)[hits[0]]
+    return table.address(hits[0])
 
 
 _SIGNAL_ORDER = (SignalKind.INPUT, SignalKind.OUTPUT, SignalKind.NOISE)
@@ -205,14 +205,14 @@ def _sum_family(
         if signal in factors
     }
     delay = auxiliary(7, f"{factor_nt}({factor_nt}★ {DELAY_TOKEN})")
-    some_additive = additive[SignalKind.INPUT].tree
+    some_additive = additive[SignalKind.INPUT]
     roles = SumRoles(
         additive={signal: tree.name for signal, tree in additive.items()},
         multiplicative={signal: tree.name for signal, tree in multiplicative.items()},
         delay_tree=delay.name,
         term_slot=_find_slot(some_additive, term_nt),
         additive_factor_slot=_find_slot(some_additive, factor_nt),
-        mult_factor_slot=_find_slot(multiplicative[SignalKind.INPUT].tree, factor_nt),
+        mult_factor_slot=_find_slot(multiplicative[SignalKind.INPUT], factor_nt),
         signal_tokens=dict(tokens),
         end_token=end_token,
         slot=slot,
@@ -269,7 +269,7 @@ def _catalog(start: str, table: tuple[_EquationRow, ...]) -> Catalog:
             for token in others
             if token not in tokens
         }
-        slot = _find_slot(alpha1.tree, f"expr0{side}")
+        slot = _find_slot(alpha1, f"expr0{side}")
         trees, roles = _sum_family(side, tokens, end, slot, foreign, nts, ts)
         auxiliaries += trees
         equations.append(roles)

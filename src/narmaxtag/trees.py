@@ -16,6 +16,10 @@ auxiliary tree's foot.  They are the reference semantics of
 grammar compiled once, in time linear in the size of the derived tree
 and with no limit on its depth; :func:`derived_leaves` makes the same
 checks and returns only the derived tree's leaf labels.
+
+Each elementary tree is compiled once into a pre-order table, which
+derivation, enumeration, validation and the catalogs' slot lookup read,
+and which alone works out a node's Gorn address (:class:`_Table`).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 GornAddress = tuple[int, ...]
 
@@ -152,15 +156,6 @@ class SyntacticTree:
 
     # -- queries ---------------------------------------------------------
 
-    def label(self, nid: int) -> NodeLabel:
-        return self.labels[nid]
-
-    def child_ids(self, nid: int) -> tuple[int, ...]:
-        return self.children[nid]
-
-    def is_internal(self, nid: int) -> bool:
-        return bool(self.children[nid])
-
     def pre_order(self, start: int | None = None) -> Iterator[int]:
         stack = [self.root if start is None else start]
         while stack:
@@ -198,16 +193,6 @@ class SyntacticTree:
                 return nid
         return None
 
-    def addresses_of(self, nids: Iterable[int]) -> dict[int, GornAddress]:
-        """The Gorn address of each of ``nids`` (nodes of this tree), from
-        one walk that records every node's parent and position; each
-        address then costs its own length."""
-        steps = {}
-        for parent, kids in self.children.items():
-            for step, kid in enumerate(kids, 1):
-                steps[kid] = (parent, step)
-        return {nid: _gorn_address(steps, nid) for nid in nids}
-
     # -- structure -------------------------------------------------------
 
     def renumbered(self, start: int) -> "SyntacticTree":
@@ -219,19 +204,6 @@ class SyntacticTree:
             for nid in mapping
         }
         return SyntacticTree._build(mapping[self.root], labels, children)
-
-    def max_id(self) -> int:
-        return max(self.labels)
-
-
-def _gorn_address(steps: Mapping[int, tuple[int, int]], node: int) -> GornAddress:
-    """The address of ``node``, given the (parent, position) of every
-    node but the root; it costs its own length."""
-    path = []
-    while node in steps:
-        node, step = steps[node]
-        path.append(step)
-    return tuple(reversed(path))
 
 
 class TreeKind(Enum):
@@ -283,15 +255,19 @@ class Grammar:
 
 
 class _Table:
-    """An elementary tree compiled for :func:`derive`.
+    """An elementary tree compiled once, the form in which the package
+    reads it: :func:`derive`, :func:`derived_leaves`, enumeration,
+    :func:`validate_grammar` and the catalogs' slot lookup.
 
     Nodes are the indices 0..n-1 in pre-order: ``labels`` and
-    ``children`` are indexed by them, ``rank`` gives each node's place in
+    ``children`` are indexed by them, ``steps`` gives each node but the
+    root its (parent, position) pair, ``rank`` gives each node's place in
     post-order, and ``feet`` counts its foot-marked nodes with no foot
-    above them.
+    above them.  :meth:`address` and :meth:`resolve` map a node to its
+    Gorn address and back.
     """
 
-    __slots__ = ("entry", "labels", "children", "rank", "feet")
+    __slots__ = ("entry", "labels", "children", "steps", "rank", "feet")
 
     def __init__(self, entry: ElementaryTree):
         tree = entry.tree
@@ -300,10 +276,22 @@ class _Table:
         self.entry = entry
         self.labels = [tree.labels[nid] for nid in order]
         self.children = [tuple(index[kid] for kid in tree.children[nid]) for nid in order]
+        self.steps: list[tuple[int, int] | None] = [None] * len(order)
+        for i, kids in enumerate(self.children):
+            for step, kid in enumerate(kids, 1):
+                self.steps[kid] = (i, step)
         self.rank = [0] * len(order)
         for position, nid in enumerate(tree.post_order()):
             self.rank[index[nid]] = position
         self.feet = _top_feet(self, {})
+
+    def address(self, node: int) -> GornAddress:
+        """The Gorn address of ``node``; it costs its own length."""
+        path = []
+        while node:  # the root is node 0
+            node, step = self.steps[node]
+            path.append(step)
+        return tuple(reversed(path))
 
     def resolve(self, address: GornAddress) -> int | None:
         node = 0
@@ -385,7 +373,7 @@ def node_at(tree: SyntacticTree, address: Sequence[int]) -> int:
     """Resolve a Gorn address; the empty address is the root."""
     nid = tree.root
     for depth, index in enumerate(address):
-        kids = tree.child_ids(nid)
+        kids = tree.children[nid]
         if index < 1 or index > len(kids):
             raise InvalidAddressError(
                 f"address {format_address(tuple(address))} leaves the tree at "
@@ -440,17 +428,17 @@ def _adjunction_fault(
 def substitute(gamma: SyntacticTree, site: int, inner: TreeLike) -> SyntacticTree:
     """Replace the marked leaf ``site`` by a copy of the initial tree ``inner``.
 
-    The incoming tree is renumbered pre-order starting at
-    ``gamma.max_id() + 1`` so that the two vertex sets are disjoint; the
+    The incoming tree is renumbered pre-order starting at the largest id
+    of ``gamma`` plus one, so that the two vertex sets are disjoint; the
     result keeps every other id of ``gamma``.
     """
     inner_tree = _as_tree(inner)
     if site not in gamma.labels:
         raise UndefinedSubstitutionError(f"node {site} is not part of the host tree")
     fault = _substitution_fault(
-        gamma.label(site),
-        gamma.is_internal(site),
-        inner_tree.label(inner_tree.root),
+        gamma.labels[site],
+        bool(gamma.children[site]),
+        inner_tree.labels[inner_tree.root],
         inner_tree.foot_node() is not None,
     )
     if fault:
@@ -472,7 +460,7 @@ def adjoin(gamma: SyntacticTree, at: int, aux: TreeLike) -> SyntacticTree:
         raise UndefinedAdjunctionError(f"node {at} is not part of the host tree")
     foot = aux_tree.foot_node()
     fault = _adjunction_fault(
-        gamma.label(at), gamma.is_internal(at), aux_tree.label(aux_tree.root), foot is not None
+        gamma.labels[at], bool(gamma.children[at]), aux_tree.labels[aux_tree.root], foot is not None
     )
     if fault:
         raise UndefinedAdjunctionError(fault)
@@ -490,8 +478,8 @@ def adjoin(gamma: SyntacticTree, at: int, aux: TreeLike) -> SyntacticTree:
 def _splice(gamma: SyntacticTree, target: int, incoming: SyntacticTree) -> tuple:
     """The label and child maps and the root id of ``gamma`` with a copy
     of ``incoming`` in place of node ``target``, and that copy, which is
-    renumbered in pre-order from ``gamma.max_id() + 1``."""
-    copy = incoming.renumbered(gamma.max_id() + 1)
+    renumbered in pre-order from the largest id of ``gamma`` plus one."""
+    copy = incoming.renumbered(max(gamma.labels) + 1)
     labels = {nid: lab for nid, lab in gamma.labels.items() if nid != target}
     labels.update(copy.labels)
     children = {
@@ -783,49 +771,41 @@ def validate_grammar(grammar: Grammar) -> list[Diagnostic]:
 
 
 def _check_tree(entry: ElementaryTree, grammar: Grammar) -> list[Diagnostic]:
-    found: list[tuple[str, str, int | None]] = []  # (code, message, node)
-    tree = entry.tree
+    table = _Table(entry)  # not grammar._tables, which skips a repeated name
+    labels, children = table.labels, table.children
+    out: list[Diagnostic] = []
 
-    def diag(code: str, message: str, nid: int | None = None) -> None:
-        found.append((code, message, nid))
+    def diag(code: str, message: str, node: int | None = None) -> None:
+        address = None if node is None else format_address(table.address(node))
+        out.append(Diagnostic(code, message, tree=entry.name, address=address))
 
-    feet = [nid for nid in tree.pre_order() if tree.label(nid).foot_marker]
+    feet = [i for i, label in enumerate(labels) if label.foot_marker]
     if entry.kind is TreeKind.AUXILIARY and not feet:
         diag("missing-foot", "auxiliary tree has no foot node")
     if entry.kind is TreeKind.INITIAL and feet:
         diag("unexpected-foot", "initial tree carries a foot node", feet[0])
     if len(feet) > 1:
         diag("multiple-foot", f"{len(feet)} foot-marked nodes", feet[1])
-    root_label = tree.label(tree.root)
+    root_label = labels[0]
     for foot in feet:
-        if tree.is_internal(foot):
+        if children[foot]:
             diag("foot-not-leaf", "foot node has children", foot)
-        if tree.label(foot).name != root_label.name:
+        if labels[foot].name != root_label.name:
             diag(
                 "foot-label-mismatch",
-                f"foot label {tree.label(foot).name!r} differs from root label "
+                f"foot label {labels[foot].name!r} differs from root label "
                 f"{root_label.name!r}",
                 foot,
             )
-    for nid in tree.pre_order():
-        label = tree.label(nid)
-        if tree.is_internal(nid) and label.kind is not LabelKind.NONTERMINAL:
+    for i, label in enumerate(labels):
+        if children[i] and label.kind is not LabelKind.NONTERMINAL:
             diag(
                 "internal-not-nonterminal",
                 f"internal node labeled with {label.kind.value} {label.name!r}",
-                nid,
+                i,
             )
         if label.kind is LabelKind.NONTERMINAL and label.name not in grammar.nonterminals:
-            diag("unknown-label", f"nonterminal {label.name!r} is not in the alphabet", nid)
+            diag("unknown-label", f"nonterminal {label.name!r} is not in the alphabet", i)
         if label.kind is LabelKind.TERMINAL and label.name not in grammar.terminals:
-            diag("unknown-label", f"terminal {label.name!r} is not in the alphabet", nid)
-    addresses = tree.addresses_of(nid for _, _, nid in found if nid is not None)
-    return [
-        Diagnostic(
-            code,
-            message,
-            tree=entry.name,
-            address=None if nid is None else format_address(addresses[nid]),
-        )
-        for code, message, nid in found
-    ]
+            diag("unknown-label", f"terminal {label.name!r} is not in the alphabet", i)
+    return out

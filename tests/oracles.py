@@ -182,7 +182,7 @@ def reference_derive(derivation: DerivationTree, grammar: Grammar) -> SyntacticT
     entry = grammar.find(derivation.tree_name)
     if entry is None:
         raise DanglingReferenceError(f"unknown elementary tree {derivation.tree_name!r}")
-    root_label = entry.tree.label(entry.tree.root)
+    root_label = entry.tree.labels[entry.tree.root]
     if entry.kind is not TreeKind.INITIAL or root_label.name != grammar.start:
         raise InapplicableOperationError(
             f"derivation root {derivation.tree_name!r} is not an initial tree "
@@ -251,17 +251,17 @@ def reference_enumerate(grammar: Grammar, budget: int) -> Iterator[DerivationTre
         tree = entry.tree
         slots = []
         for nid in tree.pre_order():
-            label = tree.label(nid)
+            label = tree.labels[nid]
             if label.kind is not LabelKind.NONTERMINAL:
                 continue
-            if tree.is_internal(nid):
+            if tree.children[nid]:
                 operation, catalog = Operation.ADJUNCTION, grammar.auxiliaries
             elif label.substitution_marker:
                 operation, catalog = Operation.SUBSTITUTION, grammar.initials
             else:
                 continue
             fitting = sorted(
-                (e for e in catalog if e.tree.label(e.tree.root).name == label.name),
+                (e for e in catalog if e.tree.labels[e.tree.root].name == label.name),
                 key=lambda e: e.name,
             )
             if fitting or operation is Operation.SUBSTITUTION:
@@ -294,7 +294,7 @@ def reference_enumerate(grammar: Grammar, budget: int) -> Iterator[DerivationTre
         for edges, used in assignments(0, remaining):
             yield DerivationTree(entry.name, edges), used
 
-    roots = [e for e in grammar.initials if e.tree.label(e.tree.root).name == grammar.start]
+    roots = [e for e in grammar.initials if e.tree.labels[e.tree.root].name == grammar.start]
     for entry in sorted(roots, key=lambda e: e.name):
         for derivation, _ in expand(entry, budget):
             yield derivation
@@ -445,7 +445,7 @@ def random_derivation(
 
     def pick(operation: Operation, label: NodeLabel) -> str:
         catalog = grammar.initials if operation is Operation.SUBSTITUTION else grammar.auxiliaries
-        fitting = [e.name for e in catalog if e.tree.label(e.tree.root).name == label.name]
+        fitting = [e.name for e in catalog if e.tree.labels[e.tree.root].name == label.name]
         return rng.choice(fitting if fitting and rng.random() < 0.9 else names)
 
     def build(name: str, depth: int) -> DerivationTree:
@@ -455,11 +455,11 @@ def random_derivation(
         tree = entry.tree
         edges, used = [], set()
         for nid in tree.pre_order():
-            label = tree.label(nid)
+            label = tree.labels[nid]
             if label.substitution_marker:
                 chance, operation = 0.9, Operation.SUBSTITUTION
             else:
-                chance = 0.3 if tree.is_internal(nid) else 0.03
+                chance = 0.3 if tree.children[nid] else 0.03
                 operation = Operation.ADJUNCTION
             if rng.random() >= chance:
                 continue
@@ -477,7 +477,7 @@ def random_derivation(
         return DerivationTree(name, tuple(edges))
 
     starts = [
-        e.name for e in grammar.initials if e.tree.label(e.tree.root).name == grammar.start
+        e.name for e in grammar.initials if e.tree.labels[e.tree.root].name == grammar.start
     ]
     root = rng.choice(starts if starts and rng.random() < 0.9 else names)
     return build(root, depth)

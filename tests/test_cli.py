@@ -357,6 +357,22 @@ class TestDomainErrors:
             f"error: [Errno 2] No such file or directory: {str(missing)!r}"
         ]
 
+    def test_out_of_memory(self):
+        # the child caps its own address space before it imports the
+        # package; the exponent's 10**8 factor occurrences need ~800 MiB
+        script = (
+            "import resource, sys\n"
+            "cap = 400 * 2**20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+            "from narmaxtag.cli import main\n"
+            "sys.exit(main(['parse', 'c1*u[0]^100000000 + xi']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: out of memory\n")
+
 
 class TestClosedStdout:
     """A reader that stops early (`| head -1`) ends the run quietly."""

@@ -236,6 +236,22 @@ def test_model_to_derivation_over_enumeration():
     )
 
 
+# enumerate --derivations --max 3 per preset: (lines, stdout sha256)
+ENUMERATE_DERIVATION_DIGESTS = {
+    "narmax": (172, "4c0fc9e0be60461187eec8dc81da27a3b9455c91595e01c7b02164a140478e41"),
+    "arx": (27, "5fbd80fa5b17d4fa601a5cfd4087b88d7b932bc3594b9e1e4e7d057612272ed0"),
+    "narx": (63, "e45345ce43eae81809c8e9aeb61bdc8a27070eaf494495cf38abcbdf655263cc"),
+    "fir": (8, "b68d0b8af7e38e5fb85d1098a1e8cf8953176a98bb0f6eab2495e9041a7ae437"),
+    "volterra": (14, "511710adfab1b9ed19c3097ca9a4fc052401e069157d116ce11c48dc55ed0a9d"),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(ENUMERATE_DERIVATION_DIGESTS))
+def test_enumerate_derivations_stdout(capsys, preset):
+    out = stdout_of(capsys, "enumerate", "--preset", preset, "--max", "3", "--derivations")
+    assert (len(out.splitlines()), sha256(out)) == ENUMERATE_DERIVATION_DIGESTS[preset]
+
+
 def test_enumerate_classify_pipeline(capsys):
     # enumerate --max 4 | classify --all: 1,201 rows over 246 distinct models
     listing = stdout_of(capsys, "enumerate", "--max", "4")

@@ -55,11 +55,11 @@ class TestCatalog:
         grammar = narmax_catalog.grammar
         for name in ("beta1", "beta2", "beta3"):
             tree = grammar.find(name).tree
-            assert tree.label(tree.root).name == "expr0"
-            assert tree.label(tree.foot_node()).name == "expr0"
+            assert tree.labels[tree.root].name == "expr0"
+            assert tree.labels[tree.foot_node()].name == "expr0"
         for name in ("beta4", "beta5", "beta6"):
             tree = grammar.find(name).tree
-            assert tree.label(tree.root).name == "expr1"
+            assert tree.labels[tree.root].name == "expr1"
         beta7 = grammar.find("beta7").tree
         assert tree_labels(beta7) == ["expr2", "expr2", "q⁻¹"]
 
@@ -77,7 +77,7 @@ class TestCatalog:
 
 
 def tree_labels(tree):
-    return [tree.label(nid).name for nid in tree.pre_order()]
+    return [tree.labels[nid].name for nid in tree.pre_order()]
 
 
 class TestRestrict:

@@ -23,7 +23,7 @@ class TestTreeFormat:
         assert format_tree(tree) == text
         foot = tree.foot_node()
         assert foot is not None
-        assert tree.label(foot).name == "expr0"
+        assert tree.labels[foot].name == "expr0"
 
     def test_markers(self):
         tree = parse_tree("sentence(sub↓ pred↓)")
@@ -38,14 +38,14 @@ class TestTreeFormat:
 
     def test_quoted_terminals(self):
         tree = parse_tree('A("(" "two words" "★")')
-        assert [tree.label(n).name for n in tree.leaves()] == ["(", "two words", "★"]
+        assert [tree.labels[n].name for n in tree.leaves()] == ["(", "two words", "★"]
         text = format_tree(tree)
         assert text == 'A("(" "two words" "★")'
         assert structurally_equal(parse_tree(text), tree)
 
     def test_epsilon_and_quoted_epsilon(self):
         tree = parse_tree('A(ε "ε")')
-        kinds = [tree.label(n).kind for n in tree.leaves()]
+        kinds = [tree.labels[n].kind for n in tree.leaves()]
         assert kinds == [LabelKind.EPSILON, LabelKind.TERMINAL]
         assert format_tree(tree) == 'A(ε "ε")'
 
@@ -66,9 +66,9 @@ class TestTreeFormat:
     def test_kind_resolution_with_alphabets(self):
         tree = parse_tree("A(B)", nonterminals={"A", "B"}, terminals=set())
         leaf = next(iter(tree.leaves()))
-        assert tree.label(leaf).kind is LabelKind.NONTERMINAL
+        assert tree.labels[leaf].kind is LabelKind.NONTERMINAL
         bare = parse_tree("A(B)")
-        assert bare.label(next(iter(bare.leaves()))).kind is LabelKind.TERMINAL
+        assert bare.labels[next(iter(bare.leaves()))].kind is LabelKind.TERMINAL
 
     # one name as internal, leaf, quoted, ``↓`` and ``★``: each occurrence
     # keeps its own label kind, though the reader resolves each distinct
@@ -245,7 +245,7 @@ class TestGrammarFormat:
         sites = substitution_sites(alpha1.tree)
         assert len(sites) == 2
         assert all(
-            alpha1.tree.label(n).kind is LabelKind.NONTERMINAL for n in sites
+            alpha1.tree.labels[n].kind is LabelKind.NONTERMINAL for n in sites
         )
 
 

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -30,10 +31,12 @@ from narmaxtag import (
     yield_of,
 )
 from narmaxtag.generate import GenBounds, enumerate_derivations
-from narmaxtag.narmax import GrammarPreset, build_nbj_grammar, restrict
+from narmaxtag.narmax import GrammarPreset, build_narmax_grammar, build_nbj_grammar, restrict
 from narmaxtag.treeio import parse_tree
+from narmaxtag.trees import _Table
 
 from oracles import (
+    address_of,
     adjunction_case,
     edge_set,
     expected_adjunction,
@@ -140,18 +143,42 @@ class TestNodeAt:
     def test_first_child_of_sentence_tree(self, sentence_grammar, plain_derivation):
         tree = derive(plain_derivation, sentence_grammar)
         nid = node_at(tree, (1,))
-        assert tree.label(nid).name == "sub"
+        assert tree.labels[nid].name == "sub"
 
     def test_chain_walk(self):
         tree = parse_tree("A(B(c))")
         nid = node_at(tree, (1, 1))
-        assert tree.label(nid).name == "c"
+        assert tree.labels[nid].name == "c"
         assert not tree.children[nid]
 
     def test_invalid_address(self):
         tree = parse_tree("A(a)")
         with pytest.raises(InvalidAddressError):
             node_at(tree, (2,))
+
+
+def _assert_addresses(entry):
+    table = _Table(entry)
+    for i, nid in enumerate(entry.tree.pre_order()):
+        address = table.address(i)
+        assert table.resolve(address) == i
+        assert address == address_of(entry.tree, nid)
+
+
+class TestCompiledAddresses:
+    """``_Table.address`` against the search of ``oracles.address_of``,
+    with ``_Table.resolve`` as its inverse."""
+
+    def test_catalog_trees(self, sentence_grammar):
+        catalogs = (build_narmax_grammar(), build_nbj_grammar())
+        for grammar in (*(catalog.grammar for catalog in catalogs), sentence_grammar):
+            for entry in grammar.elementary():
+                _assert_addresses(entry)
+
+    def test_random_grammars(self):
+        for seed in range(2000):
+            for entry in random_grammar(random.Random(seed)).elementary():
+                _assert_addresses(entry)
 
 
 class TestSubstitute:
@@ -243,7 +270,7 @@ class TestAdjoin:
             assert result.root == root
             # the excised node's former children hang below the foot, in order
             feet = [n for n in result.labels
-                    if result.child_ids(n) == gamma.child_ids(at)
+                    if result.children[n] == gamma.children[at]
                     and n not in gamma.labels]
             assert feet
 
@@ -292,7 +319,7 @@ class TestYield:
             spliced = yield_of(substitute(gamma, site, inner))
             tokens = []
             for i, nid in enumerate(gamma.leaves()):
-                label = gamma.label(nid)
+                label = gamma.labels[nid]
                 if i == position:
                     tokens.extend(yield_of(inner))
                 elif label.kind is not LabelKind.EPSILON:
@@ -304,9 +331,9 @@ class TestYield:
         for _ in range(60):
             gamma, at, aux = adjunction_case(rng)
             sub_yield = [
-                gamma.label(n).name
+                gamma.labels[n].name
                 for n in gamma.pre_order(at)
-                if not gamma.children[n] and gamma.label(n).kind is not LabelKind.EPSILON
+                if not gamma.children[n] and gamma.labels[n].kind is not LabelKind.EPSILON
             ]
             result = yield_of(adjoin(gamma, at, aux))
             if sub_yield:
@@ -555,3 +582,32 @@ class TestValidateGrammar:
         elapsed = time.perf_counter() - start
         assert [d.address for d in diagnostics] == [str(i) for i in range(1, count + 1)]
         assert elapsed < 3.0, f"validate took {elapsed:.2f}s of its 3s budget"
+
+    def test_deep_chains_in_linear_time_and_bounded_memory(self):
+        # two auxiliary chains 8,000 deep: one whose foot is misnamed (one
+        # diagnostic, at the bottom of the chain) and one that is clean
+        depth = 8000
+
+        def chain(name: str, foot: str) -> ElementaryTree:
+            labels = {nid: NodeLabel.nonterminal("A") for nid in range(depth)}
+            labels[depth] = NodeLabel.nonterminal(foot, foot=True)
+            tree = SyntacticTree(0, labels, {nid: (nid + 1,) for nid in range(depth)})
+            return ElementaryTree(name, TreeKind.AUXILIARY, tree)
+
+        grammar = Grammar(
+            {"A", "B"}, set(), "A", (), (chain("bad", "B"), chain("clean", "A"))
+        )
+        start = time.perf_counter()
+        diagnostics = validate_grammar(grammar)
+        elapsed = time.perf_counter() - start
+        assert [(d.code, d.tree, d.address) for d in diagnostics] == [
+            ("foot-label-mismatch", "bad", ".".join(["1"] * depth))
+        ]
+        assert elapsed < 3.0, f"validate took {elapsed:.2f}s of its 3s budget"
+        tracemalloc.start()
+        try:
+            assert len(validate_grammar(grammar)) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"validate peaked at {peak / 2**20:.1f} MiB"
