@@ -154,6 +154,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             return 2
         if length < 0:
             raise ValueError("--n must be >= 0")
+        if not 0 <= args.noise_std <= sys.float_info.max:
+            raise ValueError("--noise-std must be finite and >= 0")
         rng = random.Random(args.noise_seed)
         noise = [rng.gauss(0.0, args.noise_std) for _ in range(length)]
         print(

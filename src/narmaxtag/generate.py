@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .models import FactorKey, Mode, NarmaxModel, SignalKind
+from .models import CausalityError, FactorKey, Mode, NarmaxModel, SignalKind
 from .narmax import (
     PRESET_AUXILIARIES,
     GrammarPreset,
@@ -193,9 +193,14 @@ def enumerate_models(
     grammar: Grammar, bounds: GenBounds
 ) -> Iterator[tuple[DerivationTree, NarmaxModel]]:
     """Enumerated derivations over a polynomial-model grammar, parsed
-    from their derived trees' leaves."""
+    from their derived trees' leaves; strict mode skips a derivation
+    whose model has the current noise sample in a product."""
     for derivation in enumerate_derivations(grammar, bounds):
-        yield derivation, _leaves_to_model(derived_leaves(derivation, grammar), bounds.mode)
+        try:
+            model = _leaves_to_model(derived_leaves(derivation, grammar), bounds.mode)
+        except CausalityError:
+            continue
+        yield derivation, model
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from sys import float_info
+from typing import Iterable, Mapping, Sequence
 
 from .treeio import _Scanner
 
@@ -53,7 +54,8 @@ class SignalKind(Enum):
     NOISE = "xi"
 
 
-_SIGNAL_RANK = {SignalKind.INPUT: 0, SignalKind.OUTPUT: 1, SignalKind.NOISE: 2}
+_SIGNALS = tuple(SignalKind)  # canonical rank order: input, output, noise
+_SIGNAL_RANK = {signal: rank for rank, signal in enumerate(_SIGNALS)}
 
 
 class Mode(Enum):
@@ -70,6 +72,7 @@ class Monomial:
 
     ``factors`` maps ``(signal, delay)`` to a positive exponent; absent
     keys mean exponent zero.  An empty map is the constant term.
+    ``coeff_value``, when present, is finite.
     """
 
     coeff_id: int
@@ -79,6 +82,9 @@ class Monomial:
     def __post_init__(self) -> None:
         if self.coeff_id < 1:
             raise ModelError("coefficient ids are positive integers")
+        value = self.coeff_value
+        if value is not None and not -float_info.max <= value <= float_info.max:
+            raise ModelError(f"coefficient values must be finite, got {value!r}")
         factors = dict(self.factors)
         object.__setattr__(self, "factors", factors)
         for (signal, delay), exponent in factors.items():
@@ -97,13 +103,15 @@ class Monomial:
 
 
 def _factor_key(factors: Mapping[FactorKey, int]) -> tuple:
+    """A factor map in canonical order, as sorted (rank, delay, exponent)."""
     return tuple(
         sorted((_SIGNAL_RANK[signal], delay, exp) for (signal, delay), exp in factors.items())
     )
 
 
-def _sorted_factors(factors: Mapping[FactorKey, int]) -> list[tuple[FactorKey, int]]:
-    return sorted(factors.items(), key=lambda item: (_SIGNAL_RANK[item[0][0]], item[0][1]))
+def _check_mode(terms: Sequence[Monomial], mode: Mode) -> None:
+    if mode is Mode.STRICT and any((SignalKind.NOISE, 0) in term.factors for term in terms):
+        raise CausalityError("strict mode forbids the current noise sample in products")
 
 
 @dataclass(frozen=True)
@@ -120,12 +128,7 @@ class NarmaxModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
-        if self.mode is Mode.STRICT:
-            for term in self.terms:
-                if (SignalKind.NOISE, 0) in term.factors:
-                    raise CausalityError(
-                        "strict mode forbids the current noise sample in products"
-                    )
+        _check_mode(self.terms, self.mode)
 
     def __str__(self) -> str:
         return format_model_text(self)
@@ -150,32 +153,30 @@ def max_lags(model: NarmaxModel) -> tuple[int, int, int]:
 def canonicalize(model: NarmaxModel) -> NarmaxModel:
     """Sorted, merged, renumbered form; idempotent.
 
-    Terms with identical factor maps are merged: numeric coefficient
-    values are summed when every merged term has one, otherwise the
-    merged slot stays symbolic.  Coefficient ids are renumbered 1..p in
-    sorted order and factor maps are stored key-sorted.
+    Terms with identical factor maps are merged: values are summed while
+    every merged term has one, else the slot is symbolic (None), and a
+    sum that overflows is a :class:`ModelError`.  Terms are sorted by
+    total degree, then :func:`_factor_key`; ids are renumbered 1..p in
+    that order and factor maps are stored in key order.
     """
-    merged: dict[tuple, tuple[dict, float | None, bool]] = {}
-    for term in model.terms:
-        key = _factor_key(term.factors)
+    return _canonical([(term.factors, term.coeff_value) for term in model.terms], model.mode)
+
+
+def _canonical(
+    terms: Iterable[tuple[Mapping[FactorKey, int], float | None]], mode: Mode
+) -> NarmaxModel:
+    # what canonicalize returns for terms given as (factor map, value)
+    merged: dict[tuple, float | None] = {}
+    for factors, value in terms:
+        key = (sum(factors.values()), _factor_key(factors))
         if key in merged:
-            factors, value, numeric = merged[key]
-            if numeric and term.coeff_value is not None:
-                merged[key] = (factors, value + term.coeff_value, True)
-            else:
-                merged[key] = (factors, None, False)
-        else:
-            merged[key] = (
-                dict(term.factors),
-                term.coeff_value,
-                term.coeff_value is not None,
-            )
-    ordered = sorted(merged.items(), key=lambda item: (sum(item[1][0].values()), item[0]))
-    terms = tuple(
-        Monomial(i + 1, dict(_sorted_factors(factors)), value if numeric else None)
-        for i, (_, (factors, value, numeric)) in enumerate(ordered)
-    )
-    return NarmaxModel(terms, model.mode)
+            value = None if merged[key] is None or value is None else merged[key] + value
+        merged[key] = value
+    terms = [
+        Monomial(i, {(_SIGNALS[rank], delay): exp for rank, delay, exp in key}, value)
+        for i, ((_, key), value) in enumerate(sorted(merged.items()), 1)
+    ]
+    return NarmaxModel(terms, mode)
 
 
 def simulate(
@@ -369,8 +370,8 @@ def format_model_text(model: NarmaxModel) -> str:
         text = f"c{term.coeff_id}"
         if term.coeff_value is not None:
             text += f":{term.coeff_value!r}"
-        for (signal, delay), exponent in _sorted_factors(term.factors):
-            text += f"*{signal.value}[{-delay if delay else 0}]"
+        for rank, delay, exponent in _factor_key(term.factors):
+            text += f"*{_SIGNALS[rank].value}[{-delay if delay else 0}]"
             if exponent > 1:
                 text += f"^{exponent}"
         parts.append(text)
@@ -406,9 +407,4 @@ class NbjModel:
         for term in self.process_terms:
             if SignalKind.NOISE in term.signals():
                 raise ModelError("the process equation cannot contain noise factors")
-        if self.mode is Mode.STRICT:
-            for term in self.noise_terms:
-                if (SignalKind.NOISE, 0) in term.factors:
-                    raise CausalityError(
-                        "strict mode forbids the current noise sample in products"
-                    )
+        _check_mode(self.noise_terms, self.mode)

@@ -38,6 +38,7 @@ from .models import (
     NarmaxModel,
     NbjModel,
     SignalKind,
+    _canonical,
     canonicalize,
 )
 from .trees import (
@@ -156,9 +157,6 @@ def _find_slot(entry: ElementaryTree, name: str) -> GornAddress:
     return table.address(hits[0])
 
 
-_SIGNAL_ORDER = (SignalKind.INPUT, SignalKind.OUTPUT, SignalKind.NOISE)
-
-
 def _sum_family(
     side: str,
     tokens: Mapping[str, SignalKind],
@@ -194,14 +192,14 @@ def _sum_family(
             f"{sum_nt}({term_nt}(par(c) op(×) {factor_nt}({factors[signal]})) "
             f"op(+) {sum_nt}★)",
         )
-        for k, signal in enumerate(_SIGNAL_ORDER, start=1)
+        for k, signal in enumerate(SignalKind, start=1)
         if signal in factors
     }
     multiplicative = {
         signal: auxiliary(
             k, f"{term_nt}({term_nt}★ op(×) {factor_nt}({factors[signal]}))"
         )
-        for k, signal in enumerate(_SIGNAL_ORDER, start=4)
+        for k, signal in enumerate(SignalKind, start=4)
         if signal in factors
     }
     delay = auxiliary(7, f"{factor_nt}({factor_nt}★ {DELAY_TOKEN})")
@@ -244,7 +242,7 @@ def _catalog(start: str, table: tuple[_EquationRow, ...]) -> Catalog:
     start symbol over both parts' sums, comma-separated.
     """
     signals = [
-        {token: signal for token, signal in zip(tokens, _SIGNAL_ORDER) if token}
+        {token: signal for token, signal in zip(tokens, SignalKind) if token}
         for _, _, tokens, _ in table
     ]
     nts = frozenset(
@@ -446,15 +444,14 @@ def _derivation(
 
 
 def _to_derivation(catalog: Catalog, parts: Iterable[NarmaxModel]) -> DerivationTree:
-    """Derivation tree whose derived tree parses back to the same models,
-    one per part.
+    """Derivation tree whose derived tree parses back to the same
+    canonical models, one per part.
 
-    Each model is canonicalized first; each term becomes one additive
-    tree with delay and multiplicative chains below it.  Constant terms
-    are not representable: every term of the tree language carries at
-    least one signal factor.
+    Each term becomes one additive tree with delay and multiplicative
+    chains below it.  Constant terms are not representable: every term
+    of the tree language carries at least one signal factor.
     """
-    return _derivation(catalog, [map(_factor_order, canonicalize(part).terms) for part in parts])
+    return _derivation(catalog, [map(_factor_order, part.terms) for part in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +461,9 @@ def _to_derivation(catalog: Catalog, parts: Iterable[NarmaxModel]) -> Derivation
 
 def _parse_token_sum(
     tokens: tuple[str, ...], roles: SumRoles, offset: int
-) -> list[Monomial]:
-    """Parse ``(term '+')* end`` over the part's signal tokens, numbering
-    the terms' coefficient slots left to right.
+) -> list[dict[FactorKey, int]]:
+    """Parse ``(term '+')* end`` over the part's signal tokens into the
+    terms' factor maps, left to right.
 
     A signal token of another part (``roles.foreign``) raises the
     dedicated error rather than a generic syntax failure.  ``offset`` is
@@ -478,7 +475,7 @@ def _parse_token_sum(
     def fail(message: str, index: int) -> YieldNotInLanguageError:
         return YieldNotInLanguageError(message, offset + index)
 
-    terms: list[Monomial] = []
+    terms: list[dict[FactorKey, int]] = []
     i = 0
     n = len(tokens)
     while True:
@@ -496,7 +493,7 @@ def _parse_token_sum(
         if token != COEFF_TOKEN:
             raise fail(f"expected {COEFF_TOKEN!r}, found {token!r}", i)
         i += 1
-        factors: dict[tuple[SignalKind, int], int] = {}
+        factors: dict[FactorKey, int] = {}
         while i < n and tokens[i] == TIMES_TOKEN:
             i += 1
             if i >= n:
@@ -521,7 +518,7 @@ def _parse_token_sum(
             factors[key] = factors.get(key, 0) + 1
         if not factors:
             raise fail("term without factors", i)
-        terms.append(Monomial(len(terms) + 1, factors))
+        terms.append(factors)
         if i >= n or tokens[i] != PLUS_TOKEN:
             raise fail("expected '+'", i)
         i += 1
@@ -547,8 +544,8 @@ def _to_parts(catalog: Catalog, leaves: Iterable[NodeLabel], mode: Mode) -> list
     left to right, into one canonical model per part; a two-part yield is
     split at its one comma.
 
-    Coefficient slots are numbered left to right before
-    canonicalization renumbers the sorted result.
+    Each part's factor maps go to :func:`~narmaxtag.models.canonicalize`'s
+    builder, which checks ``mode`` before the next part is read.
     """
     tokens = _saturated_yield(leaves)
     bounds = [-1, len(tokens)]  # each part lies strictly between two bounds
@@ -559,21 +556,22 @@ def _to_parts(catalog: Catalog, leaves: Iterable[NodeLabel], mode: Mode) -> list
                 f"expected exactly one {COMMA_TOKEN!r}, found {len(commas)}", 0
             )
         bounds[1:1] = commas
-    return [
-        canonicalize(NarmaxModel(_parse_token_sum(tokens[start + 1 : end], roles, start + 1), mode))
-        for roles, start, end in zip(catalog.equations, bounds, bounds[1:])
-    ]
+    parts = []
+    for roles, start, end in zip(catalog.equations, bounds, bounds[1:]):
+        terms = _parse_token_sum(tokens[start + 1 : end], roles, start + 1)
+        parts.append(_canonical([(factors, None) for factors in terms], mode))
+    return parts
 
 
 def _roundtrip(catalog: Catalog, parts: Sequence[NarmaxModel], mode: Mode) -> bool:
-    """True iff every part survives derivation and re-parsing structurally.
+    """True iff every canonical part survives derivation and re-parsing.
 
     Coefficient values are attachments, not grammar content, so the
     comparison is on canonical factor structure.
     """
     leaves = derived_leaves(_to_derivation(catalog, parts), catalog.grammar)
     back = [part.structure() for part in _to_parts(catalog, leaves, mode)]
-    return [canonicalize(part).structure() for part in parts] == back
+    return [part.structure() for part in parts] == back
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +581,7 @@ def _roundtrip(catalog: Catalog, parts: Sequence[NarmaxModel], mode: Mode) -> bo
 
 def model_to_derivation(model: NarmaxModel) -> DerivationTree:
     """Derivation tree whose derived tree parses back to the same model."""
-    return _to_derivation(build_narmax_grammar(), (model,))
+    return _to_derivation(build_narmax_grammar(), (canonicalize(model),))
 
 
 def derived_to_model(tree: SyntacticTree, mode: Mode = Mode.EXTENDED) -> NarmaxModel:
@@ -599,15 +597,13 @@ def _leaves_to_model(leaves: Iterable[NodeLabel], mode: Mode) -> NarmaxModel:
 
 def roundtrip_check(model: NarmaxModel) -> bool:
     """True iff the model survives derivation and re-parsing structurally."""
-    return _roundtrip(build_narmax_grammar(), (model,), model.mode)
+    return _roundtrip(build_narmax_grammar(), (canonicalize(model),), model.mode)
 
 
-def _nbj_parts(model: NbjModel) -> tuple[NarmaxModel, NarmaxModel]:
-    # the process side has no noise factors, so the mode does not change it
-    return (
-        NarmaxModel(model.process_terms, model.mode),
-        NarmaxModel(model.noise_terms, model.mode),
-    )
+def _nbj_parts(model: NbjModel) -> list[NarmaxModel]:
+    # canonical; the process side has no noise factors, so mode is moot
+    sides = (model.process_terms, model.noise_terms)
+    return [canonicalize(NarmaxModel(terms, model.mode)) for terms in sides]
 
 
 def nbj_model_to_derivation(model: NbjModel) -> DerivationTree:

@@ -511,6 +511,50 @@ def random_model(
 
 
 # ---------------------------------------------------------------------------
+# Canonical form, as two separate sorts and a flagged merge
+# ---------------------------------------------------------------------------
+
+_REFERENCE_RANK = {SignalKind.INPUT: 0, SignalKind.OUTPUT: 1, SignalKind.NOISE: 2}
+
+
+def _reference_factor_key(factors) -> tuple:
+    return tuple(
+        sorted((_REFERENCE_RANK[signal], delay, exp) for (signal, delay), exp in factors.items())
+    )
+
+
+def _reference_sorted_factors(factors) -> list:
+    return sorted(factors.items(), key=lambda item: (_REFERENCE_RANK[item[0][0]], item[0][1]))
+
+
+def reference_canonicalize(model: NarmaxModel) -> NarmaxModel:
+    """The earlier ``canonicalize``: merge by factor key with a flag that
+    records whether every merged term had a value, sort by total degree
+    then key, and store each factor map sorted by (signal, delay)."""
+    merged: dict[tuple, tuple[dict, float | None, bool]] = {}
+    for term in model.terms:
+        key = _reference_factor_key(term.factors)
+        if key in merged:
+            factors, value, numeric = merged[key]
+            if numeric and term.coeff_value is not None:
+                merged[key] = (factors, value + term.coeff_value, True)
+            else:
+                merged[key] = (factors, None, False)
+        else:
+            merged[key] = (
+                dict(term.factors),
+                term.coeff_value,
+                term.coeff_value is not None,
+            )
+    ordered = sorted(merged.items(), key=lambda item: (sum(item[1][0].values()), item[0]))
+    terms = tuple(
+        Monomial(i + 1, dict(_reference_sorted_factors(factors)), value if numeric else None)
+        for i, (_, (factors, value, numeric)) in enumerate(ordered)
+    )
+    return NarmaxModel(terms, model.mode)
+
+
+# ---------------------------------------------------------------------------
 # Simulation by walking the factor maps at every step
 # ---------------------------------------------------------------------------
 

@@ -242,6 +242,12 @@ class TestSimulateCommand:
         code, _, err = run(capsys, "simulate", "xi")
         assert code == 2
 
+    def test_zero_noise_std_is_silent_noise(self, capsys):
+        code, out, err = run(capsys, "simulate", "xi", "--n", "2", "--noise-std", "0")
+        assert code == 0
+        assert out.splitlines() == ["0.0", "0.0"]
+        assert err.splitlines() == ["noise-seed=0 noise-std=0.0"]
+
     def test_zero_length_is_an_empty_record(self, capsys):
         code, out, err = run(capsys, "simulate", "xi", "--n", "0")
         assert code == 0
@@ -338,6 +344,28 @@ class TestDomainErrors:
             (
                 ["parse", "c1*y[-9223372036854775808] + xi"],
                 "a y delay needs more than sys.maxsize adjunctions",
+            ),
+            # checked before the noise-seed line goes to stderr
+            (
+                ["simulate", "xi", "--n", "3", "--noise-std", "-1"],
+                "--noise-std must be finite and >= 0",
+            ),
+            (
+                ["simulate", "xi", "--n", "3", "--noise-std", "nan"],
+                "--noise-std must be finite and >= 0",
+            ),
+            (
+                ["simulate", "xi", "--n", "3", "--noise-std", "inf"],
+                "--noise-std must be finite and >= 0",
+            ),
+            # a merge that leaves the finite floats
+            (
+                ["classify", "c1:1e308*u[0] + c2:1e308*u[0] + xi"],
+                "coefficient values must be finite, got inf",
+            ),
+            (
+                ["roundtrip", "c1:-1e308*u[0] + c2:-1e308*u[0] + xi"],
+                "coefficient values must be finite, got -inf",
             ),
         ],
     )

@@ -14,6 +14,7 @@ from narmaxtag import (
     Mode,
     NodeLabel,
     SampleConfig,
+    SignalKind,
     SyntacticTree,
     TagError,
     TreeKind,
@@ -119,6 +120,25 @@ class TestEnumerate:
         direct = all_models_within_cost(budget)
         assert parsed == direct
 
+
+    def test_strict_stream_is_the_filtered_extended_stream(self):
+        # strict mode skips the derivations whose model has the current
+        # noise sample in a product, and keeps the rest in stream order
+        grammar = restrict(GrammarPreset.NARMAX)
+        for budget in range(4):
+            strict = [
+                (derivation, model.structure())
+                for derivation, model in enumerate_models(
+                    grammar, GenBounds(max_adjunctions=budget, mode=Mode.STRICT)
+                )
+            ]
+            extended = [
+                (derivation, model.structure())
+                for derivation, model in enumerate_models(grammar, GenBounds(max_adjunctions=budget))
+                if all((SignalKind.NOISE, 0) not in term.factors for term in model.terms)
+            ]
+            assert strict == extended
+        assert len(strict) < count_upto(grammar, 3)
 
     def test_any_depth(self):
         # the delay chains of FIR models grow one level per few items

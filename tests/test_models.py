@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from narmaxtag import (
     CausalityError,
+    GenBounds,
+    GrammarPreset,
     Mode,
     ModelError,
     ModelSyntaxError,
@@ -17,13 +19,15 @@ from narmaxtag import (
     SimulationDivergedError,
     canonicalize,
     classify,
+    enumerate_models,
     format_model_text,
     max_lags,
     parse_model_text,
+    restrict,
     simulate,
 )
 
-from oracles import random_model, reference_simulate
+from oracles import random_model, reference_canonicalize, reference_simulate
 
 FIG_A = "c1*y[-1] + c2*u[0] + xi"
 FIG_B = "c1*y[-1]^2 + c2*u[0] + xi"
@@ -66,6 +70,11 @@ class TestMonomial:
     def test_rejects_acausal_output(self):
         with pytest.raises(CausalityError):
             Monomial(1, {(SignalKind.OUTPUT, 0): 1})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -(10**400)])
+    def test_rejects_non_finite_value(self, value):
+        with pytest.raises(ModelError, match="coefficient values must be finite"):
+            Monomial(1, {(SignalKind.INPUT, 0): 1}, value)
 
     def test_strict_mode_rejects_current_noise(self):
         term = Monomial(1, {(SignalKind.NOISE, 0): 1})
@@ -118,6 +127,78 @@ class TestCanonicalize:
         assert canonicalize(NarmaxModel(tuple(terms), model.mode)) == canonicalize(
             model
         )
+
+
+class TestCanonicalizeParity:
+    """canonicalize against the earlier two-sort, flagged-merge version
+    in ``oracles.reference_canonicalize``."""
+
+    # None mixes a symbolic slot into a merge; -0.0 + -0.0 stays -0.0
+    VALUES = (None, -0.0, 0.0, 0.1, -2.5, 3.0, 1e300)
+
+    @staticmethod
+    def assert_same(model):
+        got, want = canonicalize(model), reference_canonicalize(model)
+        assert got.structure() == want.structure()
+        assert [list(t.factors.items()) for t in got.terms] == [
+            list(t.factors.items()) for t in want.terms
+        ]
+        assert [t.coeff_id for t in got.terms] == [t.coeff_id for t in want.terms]
+        assert [repr(t.coeff_value) for t in got.terms] == [
+            repr(t.coeff_value) for t in want.terms
+        ]
+        assert got.mode is want.mode
+
+    @staticmethod
+    def scrambled(model, rng, values):
+        """The model's terms reversed, each factor map in reverse order,
+        with drawn values and some factor maps repeated."""
+        terms = [
+            Monomial(t.coeff_id, dict(reversed(t.factors.items())), rng.choice(values))
+            for t in reversed(model.terms)
+        ]
+        terms += [Monomial(9, t.factors, rng.choice(values)) for t in terms if rng.random() < 0.4]
+        noise_now = any((SignalKind.NOISE, 0) in t.factors for t in terms)
+        mode = Mode.STRICT if not noise_now and rng.random() < 0.5 else model.mode
+        return NarmaxModel(tuple(terms), mode)
+
+    @given(models(), st.randoms(use_true_random=False))
+    @settings(max_examples=300)
+    def test_hypothesis_models(self, model, rng):
+        self.assert_same(model)
+        self.assert_same(self.scrambled(model, rng, self.VALUES))
+
+    def test_enumerated_models(self):
+        rng = random.Random(4)
+        grammar = restrict(GrammarPreset.NARMAX)
+        count = 0
+        for _, model in enumerate_models(grammar, GenBounds(max_adjunctions=4)):
+            self.assert_same(self.scrambled(model, rng, self.VALUES))
+            count += 1
+        assert count == 1201
+
+    def test_signed_zero_and_symbolic_merges(self):
+        u = {(SignalKind.INPUT, 0): 1}
+        for values in [(-0.0, -0.0), (-0.0, 0.0), (None, 1.0), (1.0, None), (None, None)]:
+            self.assert_same(NarmaxModel(tuple(Monomial(1, u, v) for v in values)))
+
+
+class TestOverflowingMerge:
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("c1:1e308*u[0] + c2:1e308*u[0] + xi", "inf"),
+            ("c1:-1e308*u[0] + c2:-1e308*u[0] + xi", "-inf"),
+        ],
+    )
+    def test_is_a_model_error(self, text, value):
+        with pytest.raises(ModelError, match=f"must be finite, got {value}$"):
+            parse_model_text(text)
+
+    def test_a_finite_merge_still_reads_back(self):
+        model = parse_model_text("c1:1e308*u[0] + c2:-1e308*u[0] + c3:1e308*u[0] + xi")
+        assert format_model_text(model) == "c1:1e+308*u[0] + xi"
+        assert parse_model_text(format_model_text(model)) == model
 
 
 class TestMaxLags:
