@@ -20,6 +20,7 @@ from .generate import GenBounds, SampleConfig, enumerate_derivations, enumerate_
 from .models import (
     CLASS_TAG_ORDER,
     Mode,
+    _finite,
     classify,
     format_model_text,
     parse_model_text,
@@ -135,7 +136,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     model = parse_model_text(args.model, mode=Mode(args.mode))
     coeffs = None
     if args.coeffs is not None:
-        coeffs = [float(tok) for tok in args.coeffs.split(",") if tok.strip()]
+        # checked here too, so a bad value fails before the noise echo
+        coeffs = [_finite(float(tok)) for tok in args.coeffs.split(",") if tok.strip()]
     inputs = _read_numbers(args.u) if args.u else None
     if args.xi:
         noise = _read_numbers(args.xi)

@@ -119,7 +119,9 @@ def enumerate_derivations(
     Substitution sites are always filled (otherwise the derived tree
     would not be saturated) and do not count against the budget, so a
     run of substitutions that would repeat an initial tree has no end
-    and raises :class:`TagError`.
+    and raises :class:`TagError`.  A node's edges are one per filled
+    slot, in the slot table's address order, so nodes and edges are
+    built through the trusted ``_build`` constructors.
     """
     slots, roots = _slot_table(grammar)
     # A frame is (tree name, its slots, next slot, edges so far, parent
@@ -144,13 +146,13 @@ def enumerate_derivations(
                     _check_cycle(frame, choice)
             name, own, index, edges, parent = choice, slots[choice], 0, None, frame
         while index == len(own):  # the frame is complete: hand it to its parent
-            derivation = DerivationTree(name, _unchain(edges))
+            derivation = DerivationTree._build(name, _unchain(edges))
             if parent is None:
                 yield derivation
                 break
             name, own, index, edges, parent = parent
             operation, address, _ = own[index]
-            edges = (DerivationEdge(operation, address, derivation), edges)
+            edges = (DerivationEdge._build(operation, address, derivation), edges)
             index += 1
         else:
             operation, _, names = own[index]

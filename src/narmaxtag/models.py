@@ -53,6 +53,10 @@ class SignalKind(Enum):
     OUTPUT = "y"
     NOISE = "xi"
 
+    # members are singletons: identity hashing keeps equality and skips
+    # Enum's Python-level hash of the member name
+    __hash__ = object.__hash__
+
 
 _SIGNALS = tuple(SignalKind)  # canonical rank order: input, output, noise
 _SIGNAL_RANK = {signal: rank for rank, signal in enumerate(_SIGNALS)}
@@ -61,6 +65,8 @@ _SIGNAL_RANK = {signal: rank for rank, signal in enumerate(_SIGNALS)}
 class Mode(Enum):
     STRICT = "strict"
     EXTENDED = "extended"
+
+    __hash__ = object.__hash__  # see SignalKind
 
 
 FactorKey = tuple[SignalKind, int]
@@ -82,9 +88,8 @@ class Monomial:
     def __post_init__(self) -> None:
         if self.coeff_id < 1:
             raise ModelError("coefficient ids are positive integers")
-        value = self.coeff_value
-        if value is not None and not -float_info.max <= value <= float_info.max:
-            raise ModelError(f"coefficient values must be finite, got {value!r}")
+        if self.coeff_value is not None:
+            _finite(self.coeff_value)
         factors = dict(self.factors)
         object.__setattr__(self, "factors", factors)
         for (signal, delay), exponent in factors.items():
@@ -95,11 +100,37 @@ class Monomial:
             if signal is SignalKind.OUTPUT and delay < 1:
                 raise CausalityError("output factors need delay >= 1")
 
+    @staticmethod
+    def _build(
+        coeff_id: int, factors: dict[FactorKey, int], coeff_value: float | None
+    ) -> "Monomial":
+        """Trusted fast path that skips ``__post_init__``.
+
+        Its one caller, :func:`_canonical`, numbers ids from 1, checks each
+        value with :func:`_finite` (a merged sum may overflow), and builds
+        factor maps from keys and exponents that a :class:`Monomial` or
+        the yield parser :func:`narmaxtag.narmax._parse_token_sum` has
+        checked.
+        """
+        term = object.__new__(Monomial)
+        object.__setattr__(term, "coeff_id", coeff_id)
+        object.__setattr__(term, "factors", factors)
+        object.__setattr__(term, "coeff_value", coeff_value)
+        return term
+
     def total_degree(self) -> int:
         return sum(self.factors.values())
 
     def signals(self) -> frozenset[SignalKind]:
         return frozenset(signal for signal, _ in self.factors)
+
+
+def _finite(value: float) -> float:
+    """Return ``value``, or raise :class:`ModelError` when it is not a
+    finite float (NaN fails both comparisons)."""
+    if not -float_info.max <= value <= float_info.max:
+        raise ModelError(f"coefficient values must be finite, got {value!r}")
+    return value
 
 
 def _factor_key(factors: Mapping[FactorKey, int]) -> tuple:
@@ -173,7 +204,11 @@ def _canonical(
             value = None if merged[key] is None or value is None else merged[key] + value
         merged[key] = value
     terms = [
-        Monomial(i, {(_SIGNALS[rank], delay): exp for rank, delay, exp in key}, value)
+        Monomial._build(
+            i,
+            {(_SIGNALS[rank], delay): exp for rank, delay, exp in key},
+            None if value is None else _finite(value),
+        )
         for i, ((_, key), value) in enumerate(sorted(merged.items()), 1)
     ]
     return NarmaxModel(terms, mode)
@@ -188,9 +223,11 @@ def simulate(
     """Run the model recursion over equal-length input and noise records.
 
     Out-of-range (pre-record) samples read as zero.  When
-    ``coefficients`` is None each term's attached value is used.  The
-    first step whose output is not a finite float (or overflows while
-    being computed) raises :class:`SimulationDivergedError`.
+    ``coefficients`` is None each term's attached value is used; given
+    coefficients must be finite, as attached values are, or a
+    :class:`ModelError` is raised.  The first step whose output is not a
+    finite float (or overflows while being computed) raises
+    :class:`SimulationDivergedError`.
 
     The model is lowered once into a plan: per term, its coefficient and
     one ``(record, offset, exponent)`` per factor in ``factors`` order.
@@ -214,7 +251,7 @@ def simulate(
             raise ModelError("model has coefficient slots without numeric values")
         coeffs = [float(v) for v in values]  # type: ignore[arg-type]
     else:
-        coeffs = [float(c) for c in coefficients]
+        coeffs = [_finite(float(c)) for c in coefficients]
         if len(coeffs) != len(model.terms):
             raise ModelError(
                 f"expected {len(model.terms)} coefficients, got {len(coeffs)}"

@@ -28,7 +28,6 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .models import (
@@ -110,7 +109,9 @@ class SumRoles:
     slots are the addresses of the factor node inside additive and
     multiplicative trees (where delay trees adjoin).  Output factors
     carry one built-in backshift.  ``foreign`` maps each signal token of
-    the other parts that this part lacks to its part's name.
+    the other parts that this part lacks to its part's name.  An
+    additive tree's root comes before its term slot, and that before its
+    factor slot, in address order (see :func:`_term_fragment`).
     """
 
     additive: Mapping[SignalKind, str]
@@ -300,6 +301,10 @@ class GrammarPreset(Enum):
     FIR = "fir"
     VOLTERRA = "volterra"
 
+    # members are singletons: identity hashing keeps equality and skips
+    # Enum's Python-level hash of the member name
+    __hash__ = object.__hash__
+
 
 PRESET_AUXILIARIES: Mapping[GrammarPreset, frozenset[str]] = {
     GrammarPreset.NARMAX: frozenset(
@@ -312,8 +317,14 @@ PRESET_AUXILIARIES: Mapping[GrammarPreset, frozenset[str]] = {
 }
 
 
+@lru_cache(maxsize=None)
 def restrict(preset: GrammarPreset) -> Grammar:
-    """Grammar with the preset's auxiliary subset; initials are unchanged."""
+    """Grammar with the preset's auxiliary subset; initials are unchanged.
+
+    One grammar per preset and process, like the catalogs, so its trees
+    are compiled once (see :class:`~narmaxtag.trees._Table`), not once
+    per command.
+    """
     catalog = build_narmax_grammar()
     keep = PRESET_AUXILIARIES[preset]
     full = catalog.grammar
@@ -334,13 +345,20 @@ def restrict(preset: GrammarPreset) -> Grammar:
 def _node(
     name: str, *children: tuple[GornAddress, DerivationTree | None]
 ) -> DerivationTree:
-    """Derivation node with one adjunction per present child, by address."""
-    edges = [
-        DerivationEdge(Operation.ADJUNCTION, address, child)
-        for address, child in children
-        if child is not None
-    ]
-    return DerivationTree(name, tuple(sorted(edges, key=attrgetter("address"))))
+    """Derivation node with one adjunction per present child.
+
+    Callers pass the children in increasing order of their addresses,
+    which are distinct slots of the catalog's tree ``name``, so the node
+    is built through the trusted :meth:`DerivationTree._build`.
+    """
+    return DerivationTree._build(
+        name,
+        tuple(
+            DerivationEdge._build(Operation.ADJUNCTION, address, child)
+            for address, child in children
+            if child is not None
+        ),
+    )
 
 
 def _delay_chain(
@@ -406,14 +424,14 @@ def _term_fragment(
             )
         mult_chain = _node(
             roles.multiplicative[signal],
-            (roles.mult_factor_slot, _delay_chain(roles, signal, delay)),
             (ROOT_ADDRESS, mult_chain),
+            (roles.mult_factor_slot, _delay_chain(roles, signal, delay)),
         )
     return _node(
         roles.additive[lead],
         (ROOT_ADDRESS, rest),
-        (roles.additive_factor_slot, _delay_chain(roles, lead, lead_delay)),
         (roles.term_slot, mult_chain),
+        (roles.additive_factor_slot, _delay_chain(roles, lead, lead_delay)),
     )
 
 
@@ -436,7 +454,8 @@ def _derivation(
     catalog: Catalog, parts: Iterable[Iterable[Sequence[FactorKey]]]
 ) -> DerivationTree:
     """The initial tree with each part's sum chain, built from its terms'
-    factor lists, adjoined at the part's slot."""
+    factor lists, adjoined at the part's slot; the parts' slots are in
+    yield order, which is address order."""
     return _node(
         "alpha1",
         *[(roles.slot, _sum_chain(terms, roles)) for roles, terms in zip(catalog.equations, parts)],

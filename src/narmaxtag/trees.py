@@ -71,6 +71,10 @@ class LabelKind(Enum):
     TERMINAL = "terminal"
     EPSILON = "epsilon"
 
+    # members are singletons: identity hashing keeps equality and skips
+    # Enum's Python-level hash of the member name
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class NodeLabel:
@@ -210,6 +214,8 @@ class TreeKind(Enum):
     INITIAL = "initial"
     AUXILIARY = "auxiliary"
 
+    __hash__ = object.__hash__  # see LabelKind
+
 
 @dataclass(frozen=True, eq=False)
 class ElementaryTree:
@@ -265,9 +271,21 @@ class _Table:
     post-order, and ``feet`` counts its foot-marked nodes with no foot
     above them.  :meth:`address` and :meth:`resolve` map a node to its
     Gorn address and back.
+
+    ``leaves`` holds the labels of the leaves in pre-order (left to
+    right).  A node's span is the slice ``first[i]:end[i]`` of that list
+    that its subtree's leaves fill; ``end[i]`` is None when a
+    foot-marked node is at or under it.  Spans are two lists of indices
+    into the one ``leaves`` list, so the table stays linear in the
+    tree's size.  ``unmarked`` maps each foot-marked node to its label
+    with the foot marker cleared, the label the node takes in a derived
+    tree when an adjunction uses it.
     """
 
-    __slots__ = ("entry", "labels", "children", "steps", "rank", "feet")
+    __slots__ = (
+        "entry", "labels", "children", "steps", "rank", "feet",
+        "leaves", "first", "end", "unmarked",
+    )
 
     def __init__(self, entry: ElementaryTree):
         tree = entry.tree
@@ -284,6 +302,23 @@ class _Table:
         for position, nid in enumerate(tree.post_order()):
             self.rank[index[nid]] = position
         self.feet = _top_feet(self, {})
+        self.leaves: list[NodeLabel] = []
+        self.first: list[int] = []
+        for label, kids in zip(self.labels, self.children):
+            self.first.append(len(self.leaves))
+            if not kids:
+                self.leaves.append(label)
+        self.end: list[int | None] = [None] * len(order)
+        for i in reversed(range(len(order))):  # children before their parent
+            kids = self.children[i]
+            if self.labels[i].foot_marker or any(self.end[kid] is None for kid in kids):
+                continue
+            self.end[i] = self.end[kids[-1]] if kids else self.first[i] + 1
+        self.unmarked = {
+            i: NodeLabel(label.kind, label.name, label.substitution_marker, False)
+            for i, label in enumerate(self.labels)
+            if label.foot_marker
+        }
 
     def address(self, node: int) -> GornAddress:
         """The Gorn address of ``node``; it costs its own length."""
@@ -307,6 +342,8 @@ class Operation(Enum):
     SUBSTITUTION = "sub"
     ADJUNCTION = "adj"
 
+    __hash__ = object.__hash__  # see LabelKind
+
 
 @dataclass(frozen=True)
 class DerivationEdge:
@@ -318,6 +355,23 @@ class DerivationEdge:
         object.__setattr__(self, "address", tuple(self.address))
         if any(i < 1 for i in self.address):
             raise ValueError("Gorn address indices must be >= 1")
+
+    @staticmethod
+    def _build(
+        operation: Operation, address: GornAddress, child: "DerivationTree"
+    ) -> "DerivationEdge":
+        """Trusted fast path that skips ``__post_init__``.
+
+        Its callers pass an address that is already a tuple of indices
+        >= 1: :func:`~narmaxtag.generate.enumerate_derivations` takes it
+        from :meth:`_Table.address`, and :func:`narmaxtag.narmax._node`
+        from the slots the catalog found in its own trees.
+        """
+        edge = object.__new__(DerivationEdge)
+        object.__setattr__(edge, "operation", operation)
+        object.__setattr__(edge, "address", address)
+        object.__setattr__(edge, "child", child)
+        return edge
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,6 +397,22 @@ class DerivationTree:
                     f"{format_address(edge.address)}"
                 )
             seen.add(edge.address)
+
+    @staticmethod
+    def _build(tree_name: str, edges: tuple[DerivationEdge, ...]) -> "DerivationTree":
+        """Trusted fast path that skips ``__post_init__``.
+
+        Its callers pass a tuple of edges in increasing address order, so
+        no two share an address:
+        :func:`~narmaxtag.generate.enumerate_derivations` makes one edge
+        per slot of its slot table, and :func:`narmaxtag.narmax._node` one
+        per distinct slot of a catalog tree, in the order its callers
+        give.
+        """
+        node = object.__new__(DerivationTree)
+        object.__setattr__(node, "tree_name", tree_name)
+        object.__setattr__(node, "edges", edges)
+        return node
 
     def _shape(self) -> list[tuple]:
         # (tree name, incoming operation, incoming address, arity) in
@@ -527,7 +597,11 @@ def derived_leaves(derivation: DerivationTree, grammar: Grammar) -> list[NodeLab
     """The leaf labels of ``derive(derivation, grammar)``, left to right.
 
     The checks and errors are those of :func:`derive`; the labels come
-    from one walk over the checked parts that builds no tree.  As in
+    from one walk over the checked parts that builds no tree.  A node
+    that is not busy in its part (no operation at or under it, see
+    :class:`_Part`) and has a span (no foot at or under it, see
+    :class:`_Table`) adds its elementary subtree's leaves as one slice
+    of ``table.leaves``.  Every other node is walked one by one: as in
     :func:`_emit`, a foot met inside an adjoined part hands over to the
     excised node, whose children (it has some) are walked instead.
     """
@@ -536,13 +610,19 @@ def derived_leaves(derivation: DerivationTree, grammar: Grammar) -> list[NodeLab
     stack: list[tuple[_Part, int]] = [(_checked(derivation, grammar), 0)]
     while stack:
         part, i = stack.pop()
+        table = part.table
+        if i not in part.busy:
+            end = table.end[i]
+            if end is not None:
+                out += table.leaves[table.first[i] : end]
+                continue
         op = part.ops.get(i)
         if op is not None:
             if op[0] is Operation.ADJUNCTION:
                 excised.append((part, i))
             stack.append((op[1], 0))
             continue
-        label = part.table.labels[i]
+        label = table.labels[i]
         if label.foot_marker and excised:
             part, i = excised.pop()
         kids = part.table.children[i]
@@ -568,17 +648,40 @@ def _checked(derivation: DerivationTree, grammar: Grammar) -> _Part:
     return _check(derivation, tables)
 
 
+_IDLE: frozenset[int] = frozenset()
+
+
 class _Part:
     """A checked derivation node: its compiled tree, the operations on
     that tree by node index, each with the part it brings, and the number
-    of top feet of the tree it derives (see :func:`_top_feet`)."""
+    of top feet of the tree it derives (see :func:`_top_feet`).
 
-    __slots__ = ("table", "ops", "feet")
+    ``busy`` holds the nodes at or above one of the operations, found by
+    walking ``table.steps`` up from each operation until a node already
+    in the set, so it costs at most the tree's size.  Below any other
+    node the derived tree is the elementary tree's own subtree, whose
+    leaves :func:`derived_leaves` copies through the table's spans.
+    """
+
+    __slots__ = ("table", "ops", "feet", "busy")
 
     def __init__(self, table: _Table, ops: dict[int, tuple[Operation, _Part]]):
         self.table = table
         self.ops = ops
-        self.feet = _top_feet(table, ops) if ops else table.feet
+        if not ops:
+            self.feet = table.feet
+            self.busy = _IDLE
+            return
+        self.feet = _top_feet(table, ops)
+        busy = set()
+        steps = table.steps
+        for node in ops:
+            while node not in busy:
+                busy.add(node)
+                if not node:  # the root is node 0
+                    break
+                node = steps[node][0]
+        self.busy = busy
 
 
 def _top_feet(table: _Table, ops: dict[int, tuple[Operation, _Part]]) -> int:
@@ -698,8 +801,8 @@ def _emit(top: _Part) -> SyntacticTree:
             continue
         label = part.table.labels[i]
         if label.foot_marker and excised:
+            label = part.table.unmarked[i]
             part, i = excised.pop()
-            label = NodeLabel(label.kind, label.name, label.substitution_marker, False)
         labels.append(label)
         nid = len(labels)
         children[parent].append(nid)

@@ -358,6 +358,14 @@ class TestDomainErrors:
                 ["simulate", "xi", "--n", "3", "--noise-std", "inf"],
                 "--noise-std must be finite and >= 0",
             ),
+            (
+                ["simulate", "c1*u[0] + xi", "--coeffs", "1e400", "--n", "2"],
+                "coefficient values must be finite, got inf",
+            ),
+            (
+                ["simulate", "c1*u[0] + xi", "--coeffs", "nan", "--n", "2"],
+                "coefficient values must be finite, got nan",
+            ),
             # a merge that leaves the finite floats
             (
                 ["classify", "c1:1e308*u[0] + c2:1e308*u[0] + xi"],
@@ -431,6 +439,43 @@ class TestClosedStdout:
             child.stderr.close()
         assert err == b""
         assert code == 0
+
+
+class TestHashSeedStability:
+    """Stdout does not depend on the interpreter's string hash seed, so no
+    output follows the iteration order of a set of strings or of enum
+    members (whose hashes are their identities)."""
+
+    MODEL = " + ".join(
+        ["c1*u[0]", "c2*u[-1]", "c3*y[-1]", "c4*y[-2]^2", "c5*xi[-1]", "c6*u[0]*y[-1]",
+         "c7*u[-2]*xi[-1]", "c8*y[-1]*xi[-2]", "c9*u[-1]^2*y[-3]", "c10*xi[0]*u[-3]", "xi"]
+    )
+
+    def run(self, seed, argv, stdin=b""):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=seed,
+            PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "narmaxtag.cli", *argv],
+            input=stdin, capture_output=True, env=env, timeout=120, check=True,
+        )
+        return done.stdout
+
+    def outputs(self, seed):
+        listing = self.run(seed, ["enumerate", "--max", "3"])
+        return [
+            listing,
+            self.run(seed, ["classify", "--all"], listing),
+            self.run(seed, ["sample", "--count", "20", "--seed", "3"]),
+            self.run(seed, ["parse", self.MODEL]),
+        ]
+
+    def test_same_bytes_under_two_seeds(self):
+        first = self.outputs("0")
+        assert all(first)
+        assert first == self.outputs("12345")
 
 
 class TestUsageErrors:

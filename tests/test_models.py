@@ -235,6 +235,14 @@ class TestSimulate:
         with pytest.raises(ModelError):
             simulate(parse_model_text(FIG_A), (1.0,), (0.0,), (0.0,))
 
+    @pytest.mark.parametrize(
+        "value, shown", [(1e400, "inf"), (float("-inf"), "-inf"), (float("nan"), "nan")]
+    )
+    def test_coefficients_must_be_finite(self, value, shown):
+        # the rule a Monomial applies to its attached value
+        with pytest.raises(ModelError, match=f"^coefficient values must be finite, got {shown}$"):
+            simulate(parse_model_text(FIG_A), (0.5, value), (0.0,), (0.0,))
+
     def test_power_overflow_is_divergence(self):
         # y: 1, 2, 8, 128, ..., ~9e307 at step 10; squaring it overflows
         model = parse_model_text("c1*y[-1]^2 + xi")

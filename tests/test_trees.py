@@ -32,7 +32,7 @@ from narmaxtag import (
 )
 from narmaxtag.generate import GenBounds, enumerate_derivations
 from narmaxtag.narmax import GrammarPreset, build_narmax_grammar, build_nbj_grammar, restrict
-from narmaxtag.treeio import parse_tree
+from narmaxtag.treeio import parse_derivation, parse_grammar, parse_tree
 from narmaxtag.trees import _Table
 
 from oracles import (
@@ -525,6 +525,44 @@ class TestDerivedLeavesParity:
             assert (fast, fast_error) == (slow, slow_error), seed
             outcomes.add(fast_error[0] if fast_error else None)
         assert outcomes == {None, DanglingReferenceError, InapplicableOperationError}
+
+
+# auxiliary trees with two feet and with a foot on an inner node
+FEET_GRAMMAR = """\
+nonterminals: S A C
+terminals: x y z
+start: S
+initial a = S(A(x C(y)) A(z))
+auxiliary two = A(C(A★ z) A★)
+auxiliary inner = A(A★(x) C(z))
+auxiliary c = C(z C★)
+"""
+
+
+class TestDerivedLeavesFeet:
+    """``derived_leaves`` copies a node's leaves in one slice only where
+    no operation and no foot is at or under the node; these derivations
+    meet feet, one of two or on an inner node, below nodes with and
+    without an operation under them."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a[adj@1 -> two]",
+            "a[adj@1 -> two[adj@1 -> c]]",
+            "a[adj@1 -> inner]",
+            "a[adj@1 -> inner[adj@ε -> two]]",
+            "a[adj@1 -> two[adj@ε -> inner]]",
+            "a[adj@1 -> inner[adj@1 -> two, adj@2 -> c]]",
+            "a[adj@1 -> two[adj@1 -> c[adj@ε -> c]], adj@2 -> inner[adj@1 -> two]]",
+            "a[adj@1.2 -> c, adj@2 -> two[adj@1 -> c, adj@ε -> inner]]",
+        ],
+    )
+    def test_same_leaves_as_the_reference(self, text):
+        grammar = parse_grammar(FEET_GRAMMAR)
+        derivation = parse_derivation(text)
+        tree = reference_derive(derivation, grammar)
+        assert derived_leaves(derivation, grammar) == [tree.labels[n] for n in tree.leaves()]
 
 
 class TestValidateGrammar:
