@@ -61,7 +61,8 @@ def _read(path: str) -> str:
 
 
 def _read_numbers(path: str) -> list[float]:
-    return [float(tok) for tok in _read(path).split()]
+    what = "values in " + ("standard input" if path == "-" else path)
+    return [_finite(float(tok), what) for tok in _read(path).split()]
 
 
 def _cmd_grammar_show(args: argparse.Namespace) -> int:
@@ -144,6 +145,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         length = len(noise)
         if args.n is not None and args.n != length:
             raise ValueError(f"--n {args.n} differs from the {length} samples in --xi")
+        if inputs is not None and len(inputs) != length:
+            raise ValueError(
+                f"the {len(inputs)} samples in --u differ from the {length} samples in --xi"
+            )
     else:
         length = args.n
         if length is None and inputs is not None:
@@ -156,6 +161,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             return 2
         if length < 0:
             raise ValueError("--n must be >= 0")
+        if inputs is not None and len(inputs) != length:
+            raise ValueError(f"--n {length} differs from the {len(inputs)} samples in --u")
         if not 0 <= args.noise_std <= sys.float_info.max:
             raise ValueError("--noise-std must be finite and >= 0")
         rng = random.Random(args.noise_seed)

@@ -12,6 +12,15 @@ slot, skipping an adjunction comes first, then the candidates by name.
 Tree names mean what they mean to ``derive``: the first entry of a
 name wins.
 
+There is one traversal, and it hands each completed derivation node to
+a completion step.  :func:`enumerate_derivations` only builds the node.
+:func:`enumerate_models` also builds the node's checked part, the form
+``derive`` checks a derivation into, from what the slot table already
+knows: each slot's target node and which candidates pass the
+preconditions that depend on the two elementary trees alone.  The
+parts of shared subtrees are shared, and the leaves are read off the
+parts with no second check.
+
 Sampling grows a random model over the polynomial-model grammar (or one
 of its presets) extension by extension: it draws a number of
 adjunctions to spend, then at each step one extension (a new term, a
@@ -46,6 +55,10 @@ from .trees import (
     Operation,
     TagError,
     TreeKind,
+    _adjunction_fault,
+    _leaves,
+    _Part,
+    _substitution_fault,
     derived_leaves,
 )
 
@@ -81,12 +94,16 @@ class SampleConfig:
 
 def _slot_table(grammar: Grammar) -> tuple[dict[str, tuple[tuple, ...]], list[str]]:
     """The slots of every tree ``derive`` knows, each an (operation,
-    address, candidate names) triple, in pre-order; and the names of the
-    initial trees rooted at the start symbol.
+    address, candidate names, target node, fitting names) tuple, in
+    pre-order; and the names of the initial trees rooted at the start
+    symbol.
 
     Candidates are the distinct tree names of the right kind whose root
     label matches the slot's, sorted.  An internal node without any is
-    no slot; a substitution site without any is a dead end.
+    no slot; a substitution site without any is a dead end.  The fitting
+    names are the candidates that pass every precondition ``derive``
+    decides on the two elementary trees alone; the one left, whether the
+    incoming part has a foot, is known when that part is built.
     """
     tables = grammar._tables
     fitting: dict[tuple[TreeKind, str], list[str]] = {}
@@ -99,13 +116,21 @@ def _slot_table(grammar: Grammar) -> tuple[dict[str, tuple[tuple, ...]], list[st
         for i, label in enumerate(table.labels):  # pre-order is address order
             if label.kind is not LabelKind.NONTERMINAL:
                 continue
-            if table.children[i]:
-                names = fitting.get((TreeKind.AUXILIARY, label.name))
-                if names:
-                    found.append((Operation.ADJUNCTION, table.address(i), tuple(names)))
+            internal = bool(table.children[i])
+            if internal:
+                operation, kind, fault = Operation.ADJUNCTION, TreeKind.AUXILIARY, _adjunction_fault
             elif label.substitution_marker:
-                names = fitting.get((TreeKind.INITIAL, label.name), [])
-                found.append((Operation.SUBSTITUTION, table.address(i), tuple(names)))
+                operation, kind, fault = Operation.SUBSTITUTION, TreeKind.INITIAL, _substitution_fault
+            else:
+                continue
+            names = fitting.get((kind, label.name), [])
+            if names or operation is Operation.SUBSTITUTION:
+                # the foot the fault functions are told of is the one that passes
+                fits = frozenset(
+                    n for n in names
+                    if not fault(label, internal, tables[n].labels[0], kind is TreeKind.AUXILIARY)
+                )
+                found.append((operation, table.address(i), tuple(names), i, fits))
         slots[name] = tuple(found)
     return slots, fitting.get((TreeKind.INITIAL, grammar.start), [])
 
@@ -123,20 +148,30 @@ def enumerate_derivations(
     slot, in the slot table's address order, so nodes and edges are
     built through the trusted ``_build`` constructors.
     """
+    return _enumerate(grammar, bounds, _derivation_step)
+
+
+def _enumerate(grammar: Grammar, bounds: GenBounds, complete) -> Iterator:
+    """The traversal behind :func:`enumerate_derivations`, which hands
+    each completed frame to ``complete(name, chain, slot)``: the frame's
+    tree name, its chain of what ``complete`` returned for its filled
+    slots, and the parent's slot it fills (None at the root).  What
+    ``complete`` returns goes on the parent's chain, or is yielded at the
+    root."""
     slots, roots = _slot_table(grammar)
-    # A frame is (tree name, its slots, next slot, edges so far, parent
+    # A frame is (tree name, its slots, next slot, chain so far, parent
     # frame); the parent's next slot is the one the frame fills.  The
-    # edges so far are a chain (last edge, earlier chain) ending in None,
-    # shared by the frames that extend it, and become a tuple once, when
-    # the frame is complete.  A stack entry is a decision still to try:
-    # at ``frame``'s next slot, with ``budget`` adjunctions left, open
-    # ``choice`` there (None: skip it).
+    # chain is (last item, earlier chain) ending in None, shared by the
+    # frames that extend it, and is read once, when the frame is
+    # complete.  A stack entry is a decision still to try: at ``frame``'s
+    # next slot, with ``budget`` adjunctions left, open ``choice`` there
+    # (None: skip it).
     budget = bounds.max_adjunctions
     stack: list[tuple] = [(None, budget, root) for root in reversed(roots)]
     while stack:
         frame, budget, choice = stack.pop()
         if choice is None:
-            name, own, index, edges, parent = frame
+            name, own, index, chain, parent = frame
             index += 1
         else:
             if frame is not None:
@@ -144,19 +179,19 @@ def enumerate_derivations(
                     budget -= 1
                 else:
                     _check_cycle(frame, choice)
-            name, own, index, edges, parent = choice, slots[choice], 0, None, frame
+            name, own, index, chain, parent = choice, slots[choice], 0, None, frame
         while index == len(own):  # the frame is complete: hand it to its parent
-            derivation = DerivationTree._build(name, _unchain(edges))
             if parent is None:
-                yield derivation
+                yield complete(name, chain, None)
                 break
-            name, own, index, edges, parent = parent
-            operation, address, _ = own[index]
-            edges = (DerivationEdge._build(operation, address, derivation), edges)
+            slot = parent[1][parent[2]]
+            item = complete(name, chain, slot)
+            name, own, index, chain, parent = parent
+            chain = (item, chain)
             index += 1
         else:
-            operation, _, names = own[index]
-            frame = (name, own, index, edges, parent)
+            operation, _, names, _, _ = own[index]
+            frame = (name, own, index, chain, parent)
             # pushed in reverse, so tried skip first, then by name
             if operation is Operation.SUBSTITUTION or budget > 0:
                 stack += [(frame, budget, n) for n in reversed(names)]
@@ -164,14 +199,18 @@ def enumerate_derivations(
                 stack.append((frame, budget, None))
 
 
-def _unchain(chain: tuple | None) -> tuple[DerivationEdge, ...]:
-    """The edges of a chain (last edge, earlier chain), first edge first."""
+def _derivation_step(name: str, chain: tuple | None, slot: tuple | None):
+    """A completed frame's derivation, or at a slot the edge to it; the
+    chain holds the edges, last edge first."""
     edges = []
     while chain is not None:
         edge, chain = chain
         edges.append(edge)
     edges.reverse()
-    return tuple(edges)
+    derivation = DerivationTree._build(name, tuple(edges))
+    if slot is None:
+        return derivation
+    return DerivationEdge._build(slot[0], slot[1], derivation)
 
 
 def _check_cycle(frame: tuple, name: str) -> None:
@@ -196,13 +235,57 @@ def enumerate_models(
 ) -> Iterator[tuple[DerivationTree, NarmaxModel]]:
     """Enumerated derivations over a polynomial-model grammar, parsed
     from their derived trees' leaves; strict mode skips a derivation
-    whose model has the current noise sample in a product."""
-    for derivation in enumerate_derivations(grammar, bounds):
+    whose model has the current noise sample in a product.
+
+    The leaves are read off the parts the traversal builds (see
+    :func:`_checked_parts`), with no second check; a derivation without
+    a part goes through :func:`~narmaxtag.trees.derived_leaves`, which
+    raises its error.
+    """
+    for derivation, part in _checked_parts(grammar, bounds):
+        leaves = derived_leaves(derivation, grammar) if part is None else _leaves(part)
         try:
-            model = _leaves_to_model(derived_leaves(derivation, grammar), bounds.mode)
+            model = _leaves_to_model(leaves, bounds.mode)
         except CausalityError:
             continue
         yield derivation, model
+
+
+def _checked_parts(
+    grammar: Grammar, bounds: GenBounds
+) -> Iterator[tuple[DerivationTree, _Part | None]]:
+    """The stream of :func:`enumerate_derivations`, each derivation with
+    the checked part ``derive`` would make of it.
+
+    A completed frame builds its part from the parts on its chain, so
+    the parts of shared subtrees are shared.  A placement that fails a
+    precondition (only a malformed grammar allows one) leaves that frame
+    and every frame above it without a part (None).
+    """
+    tables = grammar._tables
+
+    def step(name: str, chain: tuple | None, slot: tuple | None):
+        # the chain holds (edge, target node, (operation, part) or None),
+        # last edge first
+        edges, ops = [], {}
+        while chain is not None:
+            (edge, target, op), chain = chain
+            edges.append(edge)
+            ops[target] = op
+        edges.reverse()
+        derivation = DerivationTree._build(name, tuple(edges))
+        part = None if None in ops.values() else _Part(tables[name], ops)
+        if slot is None:
+            return derivation, part
+        operation, address, _, target, fits = slot
+        edge = DerivationEdge._build(operation, address, derivation)
+        if part is None or name not in fits or bool(part.feet) is not (
+            operation is Operation.ADJUNCTION
+        ):
+            return edge, target, None
+        return edge, target, (operation, part)
+
+    return _enumerate(grammar, bounds, step)
 
 
 # ---------------------------------------------------------------------------

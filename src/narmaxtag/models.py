@@ -125,11 +125,12 @@ class Monomial:
         return frozenset(signal for signal, _ in self.factors)
 
 
-def _finite(value: float) -> float:
+def _finite(value: float, what: str = "coefficient values") -> float:
     """Return ``value``, or raise :class:`ModelError` when it is not a
-    finite float (NaN fails both comparisons)."""
+    finite float (NaN fails both comparisons); ``what`` names the values
+    in the message."""
     if not -float_info.max <= value <= float_info.max:
-        raise ModelError(f"coefficient values must be finite, got {value!r}")
+        raise ModelError(f"{what} must be finite, got {value!r}")
     return value
 
 

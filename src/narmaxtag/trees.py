@@ -15,7 +15,10 @@ auxiliary tree's foot.  They are the reference semantics of
 :func:`derive`, which evaluates a whole derivation in one pass over a
 grammar compiled once, in time linear in the size of the derived tree
 and with no limit on its depth; :func:`derived_leaves` makes the same
-checks and returns only the derived tree's leaf labels.
+checks and returns only the derived tree's leaf labels.  Both work on
+checked parts (:class:`_Part`); enumeration builds the parts of the
+derivations it makes as it makes them, and reads their leaves with
+:func:`_leaves` and no check pass.
 
 Each elementary tree is compiled once into a pre-order table, which
 derivation, enumeration, validation and the catalogs' slot lookup read,
@@ -270,7 +273,11 @@ class _Table:
     root its (parent, position) pair, ``rank`` gives each node's place in
     post-order, and ``feet`` counts its foot-marked nodes with no foot
     above them.  :meth:`address` and :meth:`resolve` map a node to its
-    Gorn address and back.
+    Gorn address and back.  ``cover`` maps each node with a foot-marked
+    node above it to the nearest such node, and ``nested`` maps each
+    foot-marked node to the number of foot-marked nodes it covers
+    nearest; both are empty below the feet of a well-formed grammar,
+    which are leaves, and :class:`_Part` counts its feet from them.
 
     ``leaves`` holds the labels of the leaves in pre-order (left to
     right).  A node's span is the slice ``first[i]:end[i]`` of that list
@@ -283,8 +290,8 @@ class _Table:
     """
 
     __slots__ = (
-        "entry", "labels", "children", "steps", "rank", "feet",
-        "leaves", "first", "end", "unmarked",
+        "entry", "labels", "children", "steps", "rank", "feet", "cover",
+        "nested", "leaves", "first", "end", "unmarked",
     )
 
     def __init__(self, entry: ElementaryTree):
@@ -301,7 +308,21 @@ class _Table:
         self.rank = [0] * len(order)
         for position, nid in enumerate(tree.post_order()):
             self.rank[index[nid]] = position
-        self.feet = _top_feet(self, {})
+        self.cover: dict[int, int] = {}
+        self.nested: dict[int, int] = {}
+        self.feet = 0
+        for i, label in enumerate(self.labels):  # parents before their children
+            above = self.cover.get(i)
+            if label.foot_marker:
+                self.nested[i] = 0
+                if above is None:
+                    self.feet += 1
+                else:
+                    self.nested[above] += 1
+                above = i
+            if above is not None:
+                for kid in self.children[i]:
+                    self.cover[kid] = above
         self.leaves: list[NodeLabel] = []
         self.first: list[int] = []
         for label, kids in zip(self.labels, self.children):
@@ -363,9 +384,9 @@ class DerivationEdge:
         """Trusted fast path that skips ``__post_init__``.
 
         Its callers pass an address that is already a tuple of indices
-        >= 1: :func:`~narmaxtag.generate.enumerate_derivations` takes it
-        from :meth:`_Table.address`, and :func:`narmaxtag.narmax._node`
-        from the slots the catalog found in its own trees.
+        >= 1: enumeration (:mod:`narmaxtag.generate`) takes it from
+        :meth:`_Table.address`, and :func:`narmaxtag.narmax._node` from
+        the slots the catalog found in its own trees.
         """
         edge = object.__new__(DerivationEdge)
         object.__setattr__(edge, "operation", operation)
@@ -403,11 +424,10 @@ class DerivationTree:
         """Trusted fast path that skips ``__post_init__``.
 
         Its callers pass a tuple of edges in increasing address order, so
-        no two share an address:
-        :func:`~narmaxtag.generate.enumerate_derivations` makes one edge
-        per slot of its slot table, and :func:`narmaxtag.narmax._node` one
-        per distinct slot of a catalog tree, in the order its callers
-        give.
+        no two share an address: enumeration (:mod:`narmaxtag.generate`)
+        makes one edge per slot of its slot table, and
+        :func:`narmaxtag.narmax._node` one per distinct slot of a catalog
+        tree, in the order its callers give.
         """
         node = object.__new__(DerivationTree)
         object.__setattr__(node, "tree_name", tree_name)
@@ -597,17 +617,27 @@ def derived_leaves(derivation: DerivationTree, grammar: Grammar) -> list[NodeLab
     """The leaf labels of ``derive(derivation, grammar)``, left to right.
 
     The checks and errors are those of :func:`derive`; the labels come
-    from one walk over the checked parts that builds no tree.  A node
-    that is not busy in its part (no operation at or under it, see
-    :class:`_Part`) and has a span (no foot at or under it, see
-    :class:`_Table`) adds its elementary subtree's leaves as one slice
-    of ``table.leaves``.  Every other node is walked one by one: as in
+    from :func:`_leaves` on the checked part, which builds no tree.
+    Enumeration builds the parts of the derivations it makes itself and
+    hands them to :func:`_leaves` with no check pass.
+    """
+    return _leaves(_checked(derivation, grammar))
+
+
+def _leaves(top: _Part) -> list[NodeLabel]:
+    """The leaf labels of the tree a checked part derives, left to right,
+    from one walk over the parts.
+
+    A node that is not busy in its part (no operation at or under it,
+    see :class:`_Part`) and has a span (no foot at or under it, see
+    :class:`_Table`) adds its elementary subtree's leaves as one slice of
+    ``table.leaves``.  Every other node is walked one by one: as in
     :func:`_emit`, a foot met inside an adjoined part hands over to the
     excised node, whose children (it has some) are walked instead.
     """
     out: list[NodeLabel] = []
     excised: list[tuple[_Part, int]] = []  # adjunctions still to meet their foot
-    stack: list[tuple[_Part, int]] = [(_checked(derivation, grammar), 0)]
+    stack: list[tuple[_Part, int]] = [(top, 0)]
     while stack:
         part, i = stack.pop()
         table = part.table
@@ -654,13 +684,22 @@ _IDLE: frozenset[int] = frozenset()
 class _Part:
     """A checked derivation node: its compiled tree, the operations on
     that tree by node index, each with the part it brings, and the number
-    of top feet of the tree it derives (see :func:`_top_feet`).
+    of top feet of the tree it derives: its foot-marked nodes with no
+    foot above them.
+
+    Adjunction clears the first of these feet and hangs the excised
+    node's children there, so the count tells whether a part still has a
+    foot after any number of adjunctions into it.  It is the table's own
+    count, changed only by the operations that no foot covers (see
+    ``_Table.cover``): an adjunction adds its part's feet but the one it
+    clears, and an operation at a foot-marked node takes that foot's
+    place with the feet it covers nearest.
 
     ``busy`` holds the nodes at or above one of the operations, found by
     walking ``table.steps`` up from each operation until a node already
     in the set, so it costs at most the tree's size.  Below any other
     node the derived tree is the elementary tree's own subtree, whose
-    leaves :func:`derived_leaves` copies through the table's spans.
+    leaves :func:`_leaves` copies through the table's spans.
     """
 
     __slots__ = ("table", "ops", "feet", "busy")
@@ -668,45 +707,28 @@ class _Part:
     def __init__(self, table: _Table, ops: dict[int, tuple[Operation, _Part]]):
         self.table = table
         self.ops = ops
+        self.feet = table.feet
         if not ops:
-            self.feet = table.feet
             self.busy = _IDLE
             return
-        self.feet = _top_feet(table, ops)
+        cover, nested = table.cover, table.nested
         busy = set()
         steps = table.steps
-        for node in ops:
+        for node, (operation, part) in ops.items():
+            above = cover.get(node)
+            while above in ops:  # a foot with an operation covers nothing
+                above = cover.get(above)
+            if above is None:
+                if operation is Operation.ADJUNCTION:
+                    self.feet += part.feet - 1
+                if node in nested:
+                    self.feet += nested[node] - 1
             while node not in busy:
                 busy.add(node)
                 if not node:  # the root is node 0
                     break
                 node = steps[node][0]
         self.busy = busy
-
-
-def _top_feet(table: _Table, ops: dict[int, tuple[Operation, _Part]]) -> int:
-    """The number of foot-marked nodes with no foot above them in the
-    tree that ``table`` derives with ``ops`` applied.
-
-    Adjunction clears the first of these and replaces what hangs below
-    it, so the count tells whether a part still has a foot after any
-    number of adjunctions into it.
-    """
-    count = 0
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        if i in ops:
-            # the node's children hang under the adjoined part's cleared
-            # foot; a substituted part has no feet
-            operation, part = ops[i]
-            if operation is Operation.ADJUNCTION:
-                count += part.feet - 1
-        elif table.labels[i].foot_marker:
-            count += 1
-            continue
-        stack += table.children[i]
-    return count
 
 
 def _open(node: DerivationTree, table: _Table) -> tuple:

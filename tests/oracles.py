@@ -234,6 +234,38 @@ def _reference_node(derivation: DerivationTree, grammar: Grammar) -> SyntacticTr
     return host
 
 
+def reference_top_feet(part) -> int:
+    """The number of foot-marked nodes with no foot above them in the
+    tree a checked ``trees._Part`` derives, by walking its whole table:
+    an operation's node is walked through (an adjunction adds the
+    adjoined part's count but the foot it clears), any other foot-marked
+    node counts once and hides what is under it."""
+    table, ops = part.table, part.ops
+    count = 0
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if i in ops:
+            operation, child = ops[i]
+            if operation is Operation.ADJUNCTION:
+                count += child.feet - 1
+        elif table.labels[i].foot_marker:
+            count += 1
+            continue
+        stack += table.children[i]
+    return count
+
+
+def part_tree(top) -> list:
+    """Every part under a checked ``trees._Part``, ``top`` included."""
+    out, stack = [], [top]
+    while stack:
+        part = stack.pop()
+        out.append(part)
+        stack += [child for _, child in part.ops.values()]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Recursive derivation enumeration
 # ---------------------------------------------------------------------------

@@ -238,6 +238,34 @@ class TestSimulateCommand:
         assert code == 0
         assert out.splitlines() == ["0.0", "0.0"]
 
+    @pytest.mark.parametrize(
+        "records, extra, message",
+        [
+            ({"u": "1\n2\n"}, ["--n", "5"], "--n 5 differs from the 2 samples in --u"),
+            (
+                {"u": "1\n2\n", "xi": "0\n0\n0\n"},
+                [],
+                "the 2 samples in --u differ from the 3 samples in --xi",
+            ),
+            ({"u": "1\nnan\n"}, [], "values in {u} must be finite, got nan"),
+            ({"u": "1\n-inf\n"}, ["--n", "2"], "values in {u} must be finite, got -inf"),
+            ({"xi": "1e400\n0\n"}, [], "values in {xi} must be finite, got inf"),
+            ({"u": "0\n0\n", "xi": "0\nnan\n"}, [], "values in {xi} must be finite, got nan"),
+        ],
+    )
+    def test_bad_records_fail_before_the_noise_echo(self, capsys, tmp_path, records, extra, message):
+        # a domain error with one line, before any output or noise echo
+        argv = ["simulate", "c1:0.5*u[0] + xi", *extra]
+        paths = {}
+        for flag, text in records.items():
+            paths[flag] = tmp_path / f"{flag}.txt"
+            paths[flag].write_text(text, encoding="utf-8")
+            argv += [f"--{flag}", str(paths[flag])]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: " + message.format(**paths)]
+
     def test_missing_length_is_usage_error(self, capsys):
         code, _, err = run(capsys, "simulate", "xi")
         assert code == 2

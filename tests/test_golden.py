@@ -252,6 +252,24 @@ def test_enumerate_derivations_stdout(capsys, preset):
     assert (len(out.splitlines()), sha256(out)) == ENUMERATE_DERIVATION_DIGESTS[preset]
 
 
+# enumerate --max 4 (model text) per preset: (lines, stdout sha256),
+# captured from the implementation that read every enumerated model
+# through derived_leaves
+ENUMERATE_MODEL_DIGESTS = {
+    "narmax": (1201, "4f69ec64bf302ecbe820aa54d53bc57e6c7dabfabdd55d7acdd5c7d91b95e9a8"),
+    "arx": (81, "8070971e38164f0565d38d30eb241abdfad339c176fa8f8207b8b88bcdb25177"),
+    "narx": (313, "b20b78880b57529c0fd59227c367fa522652d10612c7113bd2527386401df20d"),
+    "fir": (16, "06fceaa8c08999aa1e13ee658837cb14f96149e612b00c234978912ee80d2cdb"),
+    "volterra": (41, "b07841ce12457b61beb196308cd219a5fe94d0ef38dbd274797710067c081dfb"),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(ENUMERATE_MODEL_DIGESTS))
+def test_enumerate_models_stdout(capsys, preset):
+    out = stdout_of(capsys, "enumerate", "--preset", preset, "--max", "4")
+    assert (len(out.splitlines()), sha256(out)) == ENUMERATE_MODEL_DIGESTS[preset]
+
+
 def test_enumerate_classify_pipeline(capsys):
     # enumerate --max 4 | classify --all: 1,201 rows over 246 distinct models
     listing = stdout_of(capsys, "enumerate", "--max", "4")
