@@ -41,6 +41,7 @@ from .narmax import (
     UnrepresentableModelError,
     YieldError,
     YieldNotInLanguageError,
+    adjunctions_needed,
     build_narmax_grammar,
     build_nbj_grammar,
     derived_to_model,

@@ -14,7 +14,7 @@ import functools
 import os
 import random
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .generate import GenBounds, SampleConfig, enumerate_derivations, enumerate_models, sample_model
 from .models import (
@@ -60,9 +60,22 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _numbers(tokens: Iterable[str], what: str) -> list[float]:
+    """The tokens as finite floats; ``what`` names them in the message
+    for a token that is not one."""
+    values = []
+    for token in tokens:
+        try:
+            value = float(token)
+        except ValueError:
+            raise ValueError(f"{what} must be numbers, got {token!r}") from None
+        values.append(_finite(value, what))
+    return values
+
+
 def _read_numbers(path: str) -> list[float]:
     what = "values in " + ("standard input" if path == "-" else path)
-    return [_finite(float(tok), what) for tok in _read(path).split()]
+    return _numbers(_read(path).split(), what)
 
 
 def _cmd_grammar_show(args: argparse.Namespace) -> int:
@@ -138,7 +151,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     coeffs = None
     if args.coeffs is not None:
         # checked here too, so a bad value fails before the noise echo
-        coeffs = [_finite(float(tok)) for tok in args.coeffs.split(",") if tok.strip()]
+        tokens = [tok.strip() for tok in args.coeffs.split(",")]
+        coeffs = _numbers(filter(None, tokens), "coefficient values")
     inputs = _read_numbers(args.u) if args.u else None
     if args.xi:
         noise = _read_numbers(args.xi)

@@ -44,7 +44,9 @@ from .narmax import (
     PRESET_AUXILIARIES,
     GrammarPreset,
     _derivation,
+    _factor_cost,
     _leaves_to_model,
+    adjunctions_needed,
     build_narmax_grammar,
 )
 from .trees import (
@@ -299,24 +301,23 @@ def _grow(bounds: GenBounds, preset: GrammarPreset, rng: random.Random) -> list[
 
     Extensions: start a new term (one additive tree), multiply a factor
     onto an existing term (one multiplicative tree), or deepen a
-    factor's delay (one delay tree).  Each step draws one of the
-    extensions that fit the adjunctions left, in a fixed order.
+    factor's delay (one delay tree).  A new factor costs what
+    :func:`~narmaxtag.narmax.adjunctions_needed` counts for it.  Each
+    step draws one of the extensions that fit the adjunctions left, in a
+    fixed order.
     """
     (roles,) = build_narmax_grammar().equations
     available = PRESET_AUXILIARIES[preset]
     has_delay = roles.delay_tree in available
-    # a new factor's first occurrence and its cost in adjunctions: output
-    # factors carry a built-in backshift, and in strict mode a noise factor
-    # comes with one delay tree, so the current noise sample never appears
-    # in a product
-    noise = (1, 2) if bounds.mode is Mode.STRICT else (0, 1)
-    start = {
-        signal: ((signal, delay), cost)
-        for signal, (delay, cost) in (
-            (SignalKind.INPUT, (0, 1)), (SignalKind.OUTPUT, (1, 1)), (SignalKind.NOISE, noise)
-        )
-        if delay <= bounds.max_delay and (cost == 1 or has_delay)
-    }
+    # a new factor's first occurrence and its cost: output factors carry
+    # a built-in backshift, and in strict mode a noise factor starts at
+    # delay 1, so the current noise sample never appears in a product
+    noise = 1 if bounds.mode is Mode.STRICT else 0
+    start = {}
+    for signal, delay in ((SignalKind.INPUT, 0), (SignalKind.OUTPUT, 1), (SignalKind.NOISE, noise)):
+        cost = _factor_cost(signal, delay)
+        if delay <= bounds.max_delay and (cost == 1 or has_delay):
+            start[signal] = ((signal, delay), cost)
     additive = [signal for signal in start if roles.additive[signal] in available]
     multiplicative = [signal for signal in start if roles.multiplicative[signal] in available]
 
@@ -348,7 +349,7 @@ def _grow(bounds: GenBounds, preset: GrammarPreset, rng: random.Random) -> list[
         if isinstance(choice, int):
             signal, delay = term[choice]
             term[choice] = (signal, delay + 1)
-            budget -= 1
+            budget -= 1  # one delay tree
             continue
         if term is None:
             term = []
@@ -379,6 +380,8 @@ def sample_model(
 
 
 def _check_bounds(model: NarmaxModel, bounds: GenBounds) -> None:
+    if adjunctions_needed(model) > bounds.max_adjunctions:
+        raise RuntimeError("sampler exceeded the adjunction bound")
     if model.term_count() > bounds.max_terms:
         raise RuntimeError("sampler exceeded the term bound")
     for term in model.terms:

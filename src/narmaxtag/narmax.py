@@ -24,7 +24,6 @@ functions are entry points over the two catalogs.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -341,6 +340,46 @@ def restrict(preset: GrammarPreset) -> Grammar:
 # Model -> derivation
 # ---------------------------------------------------------------------------
 
+# The most adjunctions a model's derivation may have.  Each adjunction is
+# one derivation node and a few derived-tree nodes, so this bounds the
+# memory of every command that builds a derivation: at the limit,
+# ``narmaxtag roundtrip`` peaks at 489 MiB resident on CPython 3.11
+# (x86-64 Linux), its heaviest case (see README).
+MAX_ADJUNCTIONS = 500_000
+
+
+def _factor_cost(signal: SignalKind, delay: int) -> int:
+    """Adjunctions one factor occurrence costs: its additive or
+    multiplicative tree, and one delay tree per backshift beyond the one
+    that output factors carry built in."""
+    return delay if signal is SignalKind.OUTPUT else delay + 1
+
+
+def adjunctions_needed(model: NarmaxModel) -> int:
+    """The number of adjunctions in the derivation of ``model``, worked
+    out from its terms without building anything.
+
+    Each term's factor occurrences cost one additive tree for the
+    leading one, one multiplicative tree for each other, and their delay
+    trees.  Terms are counted as given: for a canonical model this is the
+    count :func:`model_to_derivation` builds, and a model whose terms
+    share a factor map counts each of them, which is more.
+    """
+    return sum(
+        exponent * _factor_cost(signal, delay)
+        for term in model.terms
+        for (signal, delay), exponent in term.factors.items()
+    )
+
+
+def _count_text(count: int) -> str:
+    """``count`` in decimal, or its size in bits where the decimal text
+    would pass the interpreter's limit on integer string conversion."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"a {count.bit_length()}-bit number of"
+
 
 def _node(
     name: str, *children: tuple[GornAddress, DerivationTree | None]
@@ -365,13 +404,8 @@ def _delay_chain(
     roles: SumRoles, signal: SignalKind, delay: int
 ) -> DerivationTree | None:
     """Delay trees beyond the built-in backshift, each adjoined at its parent's root."""
-    length = delay - 1 if signal is SignalKind.OUTPUT else delay
-    if length >= sys.maxsize:  # the chain and the factor's own tree
-        raise UnrepresentableModelError(
-            f"a {signal.value} delay needs more than sys.maxsize adjunctions"
-        )
     node: DerivationTree | None = None
-    for _ in range(length):
+    for _ in range(_factor_cost(signal, delay) - 1):
         node = _node(roles.delay_tree, (ROOT_ADDRESS, node))
     return node
 
@@ -392,10 +426,6 @@ def _factor_order(term: Monomial) -> list[FactorKey]:
         )
     order: list[FactorKey] = []
     for key in sorted(term.factors, key=lambda k: (_LEAD_RANK[k[0]], k[1])):
-        if term.factors[key] > sys.maxsize:  # one adjunction per occurrence
-            raise UnrepresentableModelError(
-                f"a {key[0].value} exponent needs more than sys.maxsize adjunctions"
-            )
         order += [key] * term.factors[key]
     return order
 
@@ -462,14 +492,22 @@ def _derivation(
     )
 
 
-def _to_derivation(catalog: Catalog, parts: Iterable[NarmaxModel]) -> DerivationTree:
+def _to_derivation(catalog: Catalog, parts: Sequence[NarmaxModel]) -> DerivationTree:
     """Derivation tree whose derived tree parses back to the same
     canonical models, one per part.
 
     Each term becomes one additive tree with delay and multiplicative
     chains below it.  Constant terms are not representable: every term
-    of the tree language carries at least one signal factor.
+    of the tree language carries at least one signal factor.  A model
+    that needs more than :data:`MAX_ADJUNCTIONS` adjunctions is refused
+    before anything is built.
     """
+    needed = sum(map(adjunctions_needed, parts))
+    if needed > MAX_ADJUNCTIONS:
+        raise UnrepresentableModelError(
+            f"the model needs {_count_text(needed)} adjunctions, "
+            f"more than the limit of {MAX_ADJUNCTIONS}"
+        )
     return _derivation(catalog, [map(_factor_order, part.terms) for part in parts])
 
 

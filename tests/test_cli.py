@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from narmaxtag.cli import main
+from narmaxtag.narmax import MAX_ADJUNCTIONS
 
 from conftest import SENTENCE_GRAMMAR_TEXT
 
@@ -350,28 +352,28 @@ class TestDomainErrors:
             (["simulate", "xi", "--n", "-2"], "--n must be >= 0"),
             (
                 ["simulate", "c1*u[0] + xi", "--coeffs", "abc", "--n", "3"],
-                "could not convert string to float: 'abc'",
+                "coefficient values must be numbers, got 'abc'",
             ),
-            # past sys.maxsize adjunctions; these fail before anything is built
+            # past narmax.MAX_ADJUNCTIONS; these fail before anything is built
             (
                 ["parse", "c1*u[0]^9223372036854775808 + xi"],
-                "a u exponent needs more than sys.maxsize adjunctions",
+                "the model needs 9223372036854775808 adjunctions, more than the limit of 500000",
             ),
             (
                 ["roundtrip", "c1*u[0]^9223372036854775808 + xi"],
-                "a u exponent needs more than sys.maxsize adjunctions",
+                "the model needs 9223372036854775808 adjunctions, more than the limit of 500000",
             ),
             (
                 ["parse", "c1*u[-99999999999999999999] + xi"],
-                "a u delay needs more than sys.maxsize adjunctions",
+                "the model needs 100000000000000000000 adjunctions, more than the limit of 500000",
             ),
             (
                 ["roundtrip", "c1*xi[-9223372036854775807] + xi"],
-                "a xi delay needs more than sys.maxsize adjunctions",
+                "the model needs 9223372036854775808 adjunctions, more than the limit of 500000",
             ),
             (
                 ["parse", "c1*y[-9223372036854775808] + xi"],
-                "a y delay needs more than sys.maxsize adjunctions",
+                "the model needs 9223372036854775808 adjunctions, more than the limit of 500000",
             ),
             # checked before the noise-seed line goes to stderr
             (
@@ -421,21 +423,105 @@ class TestDomainErrors:
             f"error: [Errno 2] No such file or directory: {str(missing)!r}"
         ]
 
+    @pytest.mark.parametrize("option", ["--u", "--xi"])
+    def test_non_numeric_record_value(self, capsys, tmp_path, option):
+        record = tmp_path / "record.txt"
+        record.write_text("1\nabc\n", encoding="utf-8")
+        code, out, err = run(capsys, "simulate", "c1:0.5*u[0] + xi", option, str(record))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: values in {record} must be numbers, got 'abc'"]
+
     def test_out_of_memory(self):
         # the child caps its own address space before it imports the
-        # package; the exponent's 10**8 factor occurrences need ~800 MiB
+        # package; a derivation at the adjunction limit needs ~200 MiB
         script = (
             "import resource, sys\n"
-            "cap = 400 * 2**20\n"
+            "cap = 100 * 2**20\n"
             "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
             "from narmaxtag.cli import main\n"
-            "sys.exit(main(['parse', 'c1*u[0]^100000000 + xi']))\n"
+            f"sys.exit(main(['parse', 'c1*u[0]^{MAX_ADJUNCTIONS} + xi']))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         done = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
         )
         assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: out of memory\n")
+
+
+# A child that caps its own address space before it imports the package,
+# as test_out_of_memory does, runs each argv of its first argument through
+# `main` and prints, per argv, the exit code, stdout, stderr and the
+# seconds `main` took, as JSON.
+_CAPPED_RUNS = """\
+import contextlib, io, json, resource, sys, time
+cap = 400 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from narmaxtag.cli import main
+from narmaxtag.narmax import MAX_ADJUNCTIONS
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    seconds = time.perf_counter() - start
+    results.append([code, out.getvalue(), err.getvalue(), seconds])
+print(json.dumps(results))
+"""
+
+_PAST_LIMIT = [
+    ("c1*u[-100000000] + xi", 100000001),
+    ("c1*u[0]^100000000 + xi", 100000000),
+    ("c1*xi[-4611686018427387904] + xi", 4611686018427387905),
+]
+_WITHIN_LIMIT = [
+    ["parse", "c1*u[-100000] + xi"],
+    ["classify", "c1*u[-100000000] + xi"],
+    ["simulate", "c1:0.5*u[-100000000] + xi", "--n", "3"],
+]
+
+
+@pytest.fixture(scope="module")
+def capped_runs():
+    argvs = [[command, model] for model, _ in _PAST_LIMIT for command in ("parse", "roundtrip")]
+    argvs += _WITHIN_LIMIT
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_RUNS, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return {tuple(argv): result for argv, result in zip(argvs, json.loads(done.stdout))}
+
+
+class TestAdjunctionLimit:
+    """Commands that build a derivation refuse a model past
+    ``narmax.MAX_ADJUNCTIONS`` before they build anything; the others
+    take it as any model."""
+
+    @pytest.mark.parametrize("command", ["parse", "roundtrip"])
+    @pytest.mark.parametrize("model, needed", _PAST_LIMIT)
+    def test_past_limit_fails_at_once(self, capped_runs, command, model, needed):
+        code, out, err, seconds = capped_runs[(command, model)]
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: the model needs {needed} adjunctions, "
+            f"more than the limit of {MAX_ADJUNCTIONS}"
+        ]
+        assert seconds < 1
+
+    def test_deep_delay_still_accepted(self, capped_runs):
+        code, out, err, _ = capped_runs[tuple(_WITHIN_LIMIT[0])]
+        assert (code, err) == (0, "")
+        assert out.startswith("alpha1[adj@ε -> beta1[adj@1.3 -> beta7")
+        assert out.count("beta7") == 100000
+
+    def test_classify_and_simulate_take_any_model(self, capped_runs):
+        code, out, err, _ = capped_runs[tuple(_WITHIN_LIMIT[1])]
+        assert (code, out, err) == (0, "FIR Volterra ARX ARMAX NARX NARMAX\n", "")
+        code, out, err, _ = capped_runs[tuple(_WITHIN_LIMIT[2])]
+        assert (code, len(out.splitlines()), err) == (0, 3, "noise-seed=0 noise-std=1.0\n")
 
 
 class TestClosedStdout:

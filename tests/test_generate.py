@@ -28,6 +28,7 @@ from narmaxtag import (
     sample_derivation,
     sample_model,
 )
+from narmaxtag import generate
 from narmaxtag.treeio import parse_grammar, parse_tree
 
 from conftest import SENTENCE_GRAMMAR_TEXT
@@ -302,6 +303,17 @@ class TestSample:
                         saw_noise = True
                         assert delay >= 1
         assert saw_noise
+
+    def test_self_check_covers_the_adjunction_budget(self, monkeypatch):
+        # a grower that overspends: 1 + 2 adjunctions against a budget of 2,
+        # within every other bound
+        def overspend(bounds, preset, rng):
+            return [[(SignalKind.INPUT, 0)], [(SignalKind.INPUT, 1)]]
+
+        monkeypatch.setattr(generate, "_grow", overspend)
+        config = SampleConfig(GenBounds(max_adjunctions=2), seed=0)
+        with pytest.raises(RuntimeError, match="adjunction bound"):
+            sample_model(config)
 
     def test_zero_terms_bound(self):
         config = SampleConfig(GenBounds(max_adjunctions=6, max_terms=0), seed=3)

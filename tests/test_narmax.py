@@ -6,6 +6,7 @@ import pytest
 from narmaxtag import (
     DerivationEdge,
     DerivationTree,
+    GenBounds,
     GrammarPreset,
     Mode,
     Monomial,
@@ -17,8 +18,10 @@ from narmaxtag import (
     SignalKind,
     UnrepresentableModelError,
     YieldNotInLanguageError,
+    adjunctions_needed,
     derive,
     derived_to_model,
+    enumerate_models,
     format_model_text,
     model_to_derivation,
     nbj_derived_to_model,
@@ -30,9 +33,11 @@ from narmaxtag import (
     validate_grammar,
     yield_of,
 )
+from narmaxtag import narmax
+from narmaxtag.narmax import MAX_ADJUNCTIONS
 from narmaxtag.treeio import parse_tree
 
-from oracles import node_names, random_model
+from oracles import adjunctions_required, node_names, random_model
 
 FIG_A = "c1*y[-1] + c2*u[0] + xi"
 FIG_B = "c1*y[-1]^2 + c2*u[0] + xi"
@@ -138,7 +143,9 @@ class TestModelToDerivation:
     def test_past_maxsize_adjunctions_unrepresentable(self, factors):
         # these fail before any derivation node is built
         model = NarmaxModel((Monomial(1, factors),))
-        with pytest.raises(UnrepresentableModelError, match="sys.maxsize"):
+        with pytest.raises(
+            UnrepresentableModelError, match=f"more than the limit of {MAX_ADJUNCTIONS}$"
+        ):
             model_to_derivation(model)
 
     def test_exponents_become_chains(self, narmax_catalog):
@@ -149,6 +156,88 @@ class TestModelToDerivation:
         assert names == Counter({"alpha1": 1, "beta1": 1, "beta4": 1, "beta7": 4})
         derived = derive(derivation, narmax_catalog.grammar)
         assert derived_to_model(derived).structure() == model.structure()
+
+
+def derivation_adjunctions(derivation):
+    """Adjunctions in a derivation over a one-initial-tree catalog: every
+    node but the root."""
+    return len(node_names(derivation)) - 1
+
+
+class TestAdjunctionsNeeded:
+    """``adjunctions_needed`` counts what ``model_to_derivation`` builds,
+    and agrees with the oracle's own count."""
+
+    def test_enumerated_models(self):
+        for preset in GrammarPreset:
+            for mode in Mode:
+                bounds = GenBounds(max_adjunctions=5, mode=mode)
+                models = {
+                    model.structure(): model
+                    for _, model in enumerate_models(restrict(preset), bounds)
+                }
+                for model in models.values():
+                    needed = adjunctions_needed(model)
+                    assert needed == derivation_adjunctions(model_to_derivation(model))
+                    assert needed == adjunctions_required(model) <= 5
+
+    def test_random_models(self):
+        rng = random.Random(18)
+        for _ in range(2000):
+            model = random_model(
+                rng, max_terms=4, max_delay=6, max_exponent=3, mode=rng.choice(list(Mode))
+            )
+            needed = adjunctions_needed(model)
+            assert needed == derivation_adjunctions(model_to_derivation(model))
+            assert needed == adjunctions_required(model)
+
+    def test_nbj_models(self):
+        rng = random.Random(81)
+        for _ in range(200):
+            process = random_model(rng, max_terms=3, max_delay=5)
+            process = NarmaxModel(
+                tuple(t for t in process.terms if SignalKind.NOISE not in t.signals())
+            )
+            noise = random_model(rng, max_terms=3, max_delay=5)
+            model = NbjModel(process.terms, noise.terms)
+            assert derivation_adjunctions(nbj_model_to_derivation(model)) == (
+                adjunctions_needed(process) + adjunctions_needed(noise)
+            )
+
+    def test_terms_counted_as_given(self):
+        # canonicalize merges the two terms; the count does not
+        term = Monomial(1, {(SignalKind.OUTPUT, 2): 1})
+        model = NarmaxModel((term, Monomial(2, term.factors)))
+        assert adjunctions_needed(model) == 4
+        assert derivation_adjunctions(model_to_derivation(model)) == 2
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        # checked before building, by every entry point that builds
+        monkeypatch.setattr(narmax, "MAX_ADJUNCTIONS", 3)
+        at_limit = parse_model_text("c1*u[-1] + c2*y[-1] + xi")
+        past_limit = parse_model_text("c1*u[-2] + c2*y[-1] + xi")
+        assert derivation_adjunctions(model_to_derivation(at_limit)) == 3
+        assert roundtrip_check(at_limit)
+        message = "the model needs 4 adjunctions, more than the limit of 3$"
+        with pytest.raises(UnrepresentableModelError, match=message):
+            model_to_derivation(past_limit)
+        with pytest.raises(UnrepresentableModelError, match=message):
+            roundtrip_check(past_limit)
+        # the two sides of an NBJ model count together
+        nbj = NbjModel(at_limit.terms[:1], past_limit.terms[1:])
+        assert nbj_roundtrip_check(nbj)
+        nbj = NbjModel(past_limit.terms[:1], past_limit.terms[1:])
+        with pytest.raises(UnrepresentableModelError, match=message):
+            nbj_model_to_derivation(nbj)
+        with pytest.raises(UnrepresentableModelError, match=message):
+            nbj_roundtrip_check(nbj)
+
+    def test_count_past_the_decimal_text_limit(self):
+        # the count has more digits than int-to-str conversion allows
+        nines = "9" * 4000
+        model = parse_model_text(f"c1*u[-{nines}]^{nines} + xi")
+        with pytest.raises(UnrepresentableModelError, match="needs a 26576-bit number of"):
+            model_to_derivation(model)
 
 
 class TestDerivedToModel:
