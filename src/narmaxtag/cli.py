@@ -28,11 +28,12 @@ from .models import (
 )
 from .narmax import (
     GrammarPreset,
+    _roundtrip,
+    build_narmax_grammar,
     build_nbj_grammar,
     derived_to_model,
     model_to_derivation,
     restrict,
-    roundtrip_check,
 )
 from .treeio import (
     format_derivation,
@@ -116,11 +117,12 @@ def _cmd_to_model(args: argparse.Namespace) -> int:
 
 def _cmd_roundtrip(args: argparse.Namespace) -> int:
     model = parse_model_text(args.model, mode=Mode(args.mode))
-    if not roundtrip_check(model):
+    derivation = _roundtrip(build_narmax_grammar(), (model,), model.mode)
+    if derivation is None:
         print("MISMATCH", file=sys.stderr)
         return 1
     print("OK")
-    print(format_derivation(model_to_derivation(model)))
+    print(format_derivation(derivation))
     return 0
 
 
@@ -150,7 +152,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     model = parse_model_text(args.model, mode=Mode(args.mode))
     coeffs = None
     if args.coeffs is not None:
-        # checked here too, so a bad value fails before the noise echo
         tokens = [tok.strip() for tok in args.coeffs.split(",")]
         coeffs = _numbers(filter(None, tokens), "coefficient values")
     inputs = _read_numbers(args.u) if args.u else None
@@ -181,13 +182,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError("--noise-std must be finite and >= 0")
         rng = random.Random(args.noise_seed)
         noise = [rng.gauss(0.0, args.noise_std) for _ in range(length)]
-        print(
-            f"noise-seed={args.noise_seed} noise-std={args.noise_std!r}",
-            file=sys.stderr,
-        )
     if inputs is None:
         inputs = [0.0] * length
-    sys.stdout.write("".join(f"{v!r}\n" for v in simulate(model, coeffs, inputs, noise)))
+    outputs = simulate(model, coeffs, inputs, noise)
+    if not args.xi:  # echoed once the run has succeeded, so a failure is one line
+        print(f"noise-seed={args.noise_seed} noise-std={args.noise_std!r}", file=sys.stderr)
+    sys.stdout.write("".join(f"{v!r}\n" for v in outputs))
     return 0
 
 
@@ -258,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derive", help="derivation file -> derived tree")
     p.add_argument("derivation_file")
-    p.add_argument("--grammar", help="grammar file (default: the full model grammar)")
-    p.add_argument("--preset", choices=presets, default="narmax")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--grammar", help="grammar file (default: the full model grammar)")
+    source.add_argument("--preset", choices=presets, default="narmax")
     p.set_defaults(func=_cmd_derive)
 
     p = sub.add_parser("yield", help="tree file -> leaf tokens")

@@ -28,18 +28,19 @@ factor multiplied onto a term, or a factor's delay deepened) out of
 those that fit the adjunctions left and the structural bounds.  It
 tracks only each term's factor occurrences, in the order they were
 grown, so the drawn model respects the bounds by construction and is
-reproducible from the seed.  The derivation is then built from those
-lists by the builder that :func:`~narmaxtag.narmax.model_to_derivation`
-uses.
+reproducible from the seed.  The model is read off those lists, with
+no derivation built; the derivation is built from them by the builder
+that :func:`~narmaxtag.narmax.model_to_derivation` uses.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .models import CausalityError, FactorKey, Mode, NarmaxModel, SignalKind
+from .models import CausalityError, FactorKey, Mode, NarmaxModel, SignalKind, _canonical
 from .narmax import (
     PRESET_AUXILIARIES,
     GrammarPreset,
@@ -371,10 +372,10 @@ def sample_derivation(
 def sample_model(
     config: SampleConfig, preset: GrammarPreset = GrammarPreset.NARMAX
 ) -> NarmaxModel:
-    """Parse a sampled derivation's derived tree into a canonical model."""
-    derivation = sample_derivation(config, preset)
-    leaves = derived_leaves(derivation, build_narmax_grammar().grammar)
-    model = _leaves_to_model(leaves, config.bounds.mode)
+    """The canonical model of :func:`sample_derivation`'s derivation, read
+    off the grown factor lists and checked against the bounds."""
+    terms = _grow(config.bounds, preset, random.Random(config.seed))
+    model = _canonical([(Counter(term), None) for term in terms], config.bounds.mode)
     _check_bounds(model, config.bounds)
     return model
 

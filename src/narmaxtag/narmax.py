@@ -51,7 +51,6 @@ from .trees import (
     Operation,
     SyntacticTree,
     TreeKind,
-    _Table,
     derived_leaves,
 )
 from .treeio import parse_tree
@@ -146,7 +145,7 @@ def _elementary(
 
 
 def _find_slot(entry: ElementaryTree, name: str) -> GornAddress:
-    table = _Table(entry)
+    table = entry._table
     hits = [
         i
         for i, label in enumerate(table.labels)
@@ -316,14 +315,8 @@ PRESET_AUXILIARIES: Mapping[GrammarPreset, frozenset[str]] = {
 }
 
 
-@lru_cache(maxsize=None)
 def restrict(preset: GrammarPreset) -> Grammar:
-    """Grammar with the preset's auxiliary subset; initials are unchanged.
-
-    One grammar per preset and process, like the catalogs, so its trees
-    are compiled once (see :class:`~narmaxtag.trees._Table`), not once
-    per command.
-    """
+    """The model grammar with its auxiliaries cut to the preset's subset, sharing its trees."""
     catalog = build_narmax_grammar()
     keep = PRESET_AUXILIARIES[preset]
     full = catalog.grammar
@@ -620,15 +613,16 @@ def _to_parts(catalog: Catalog, leaves: Iterable[NodeLabel], mode: Mode) -> list
     return parts
 
 
-def _roundtrip(catalog: Catalog, parts: Sequence[NarmaxModel], mode: Mode) -> bool:
-    """True iff every canonical part survives derivation and re-parsing.
+def _roundtrip(catalog: Catalog, parts: Sequence[NarmaxModel], mode: Mode) -> DerivationTree | None:
+    """The derivation of the canonical parts if each survives re-parsing, else None.
 
     Coefficient values are attachments, not grammar content, so the
     comparison is on canonical factor structure.
     """
-    leaves = derived_leaves(_to_derivation(catalog, parts), catalog.grammar)
+    derivation = _to_derivation(catalog, parts)
+    leaves = derived_leaves(derivation, catalog.grammar)
     back = [part.structure() for part in _to_parts(catalog, leaves, mode)]
-    return [part.structure() for part in parts] == back
+    return derivation if [part.structure() for part in parts] == back else None
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +648,7 @@ def _leaves_to_model(leaves: Iterable[NodeLabel], mode: Mode) -> NarmaxModel:
 
 def roundtrip_check(model: NarmaxModel) -> bool:
     """True iff the model survives derivation and re-parsing structurally."""
-    return _roundtrip(build_narmax_grammar(), (canonicalize(model),), model.mode)
+    return _roundtrip(build_narmax_grammar(), (canonicalize(model),), model.mode) is not None
 
 
 def _nbj_parts(model: NbjModel) -> list[NarmaxModel]:
@@ -677,4 +671,4 @@ def nbj_derived_to_model(tree: SyntacticTree, mode: Mode = Mode.EXTENDED) -> Nbj
 
 def nbj_roundtrip_check(model: NbjModel) -> bool:
     """True iff both equations survive derivation and re-parsing structurally."""
-    return _roundtrip(build_nbj_grammar(), _nbj_parts(model), model.mode)
+    return _roundtrip(build_nbj_grammar(), _nbj_parts(model), model.mode) is not None

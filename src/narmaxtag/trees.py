@@ -228,6 +228,11 @@ class ElementaryTree:
     kind: TreeKind
     tree: SyntacticTree
 
+    @cached_property
+    def _table(self) -> _Table:
+        # compiled on first use, once for all the grammars that hold the tree
+        return _Table(self)
+
 
 @dataclass(frozen=True, eq=False)
 class Grammar:
@@ -251,11 +256,10 @@ class Grammar:
 
     @cached_property
     def _tables(self) -> dict[str, _Table]:
-        # compiled on first use: many grammars are only listed or shown
         tables: dict[str, _Table] = {}
         for entry in self.elementary():
             if entry.name not in tables:  # the first entry of a name wins
-                tables[entry.name] = _Table(entry)
+                tables[entry.name] = entry._table
         return tables
 
     def find(self, name: str) -> ElementaryTree | None:
@@ -896,7 +900,7 @@ def validate_grammar(grammar: Grammar) -> list[Diagnostic]:
 
 
 def _check_tree(entry: ElementaryTree, grammar: Grammar) -> list[Diagnostic]:
-    table = _Table(entry)  # not grammar._tables, which skips a repeated name
+    table = entry._table
     labels, children = table.labels, table.children
     out: list[Diagnostic] = []
 

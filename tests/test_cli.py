@@ -7,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from narmaxtag import narmax
 from narmaxtag.cli import main
+from narmaxtag.models import NarmaxModel
 from narmaxtag.narmax import MAX_ADJUNCTIONS
+from narmaxtag.treeio import format_derivation
 
 from conftest import SENTENCE_GRAMMAR_TEXT
 
@@ -36,6 +39,29 @@ class TestRoundtripCommand:
         code, out, err = run(capsys, "roundtrip", "c1*y[0] + xi")
         assert code == 1
         assert "error:" in err
+
+    def test_builds_one_derivation(self, capsys, monkeypatch):
+        calls = []
+        build = narmax._derivation
+
+        def counted(*args):
+            calls.append(build(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(narmax, "_derivation", counted)
+        code, out, _ = run(capsys, "roundtrip", "c1*y[-1]^2 + c2*u[0] + xi")
+        assert (code, len(calls)) == (0, 1)
+        assert out.splitlines()[1] == format_derivation(calls[0])
+
+    def test_mismatch(self, capsys, monkeypatch):
+        # a yield reader that loses a term makes the round trip fail
+        read = narmax._to_parts
+
+        def lossy(*args):
+            return [NarmaxModel(part.terms[1:], part.mode) for part in read(*args)]
+
+        monkeypatch.setattr(narmax, "_to_parts", lossy)
+        assert run(capsys, "roundtrip", "c1*u[0] + c2*y[-1] + xi") == (1, "", "MISMATCH\n")
 
 
 class TestPipeline:
@@ -93,6 +119,15 @@ class TestPipeline:
         tree_file.write_text(tree_text, encoding="utf-8")
         code, tokens, _ = run(capsys, "yield", str(tree_file))
         assert tokens.strip() == "yesterday a man saw mary"
+
+    def test_derive_takes_a_grammar_file_or_a_preset(self, capsys, tmp_path):
+        derivation_file = tmp_path / "derivation.txt"
+        derivation_file.write_text("alpha1", encoding="utf-8")
+        code, out, err = run(
+            capsys, "derive", str(derivation_file), "--grammar", "g.txt", "--preset", "arx"
+        )
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument --preset: not allowed with argument --grammar\n")
 
 
 class TestClassifyCommand:
@@ -296,8 +331,7 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert out == ""
-        assert err.splitlines()[-1] == "error: simulation diverged at step 21"
-        assert "Traceback" not in err
+        assert err.splitlines() == ["error: simulation diverged at step 21"]
 
 
 class TestSampleCommand:
@@ -404,6 +438,15 @@ class TestDomainErrors:
             (
                 ["roundtrip", "c1:-1e308*u[0] + c2:-1e308*u[0] + xi"],
                 "coefficient values must be finite, got -inf",
+            ),
+            # failures inside the simulation, before the noise-seed line too
+            (
+                ["simulate", "c1*u[0] + xi", "--n", "2"],
+                "model has coefficient slots without numeric values",
+            ),
+            (
+                ["simulate", "c1*u[0] + xi", "--n", "2", "--coeffs", "1,2"],
+                "expected 1 coefficients, got 2",
             ),
         ],
     )

@@ -1,7 +1,7 @@
 import random
 import time
 import tracemalloc
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -12,15 +12,18 @@ from narmaxtag import (
     GenBounds,
     GrammarPreset,
     Mode,
+    NarmaxModel,
     NodeLabel,
     SampleConfig,
     SignalKind,
     SyntacticTree,
     TagError,
     TreeKind,
+    build_narmax_grammar,
     build_nbj_grammar,
     classify,
     derive,
+    derived_to_model,
     enumerate_derivations,
     enumerate_models,
     format_model_text,
@@ -331,6 +334,40 @@ class TestSample:
                 SampleConfig(bounds, seed=seed), GrammarPreset.VOLTERRA
             )
             assert "Volterra" in classify(model)
+
+    def test_model_is_the_sampled_derivations_model(self):
+        # the edge-bounds grid of the derivation goldens, and the bounds
+        # of the benchmark's evolutionary-search workload
+        configs = [
+            (SampleConfig(GenBounds(adjunctions, terms, delay, exponent, mode), seed), preset)
+            for preset, mode, adjunctions, terms, delay, exponent, seed in product(
+                GrammarPreset, Mode, (0, 1, 2, 5, 9), (0, 1, 3), (0, 1, 3), (0, 1, 2), range(6)
+            )
+        ]
+        configs += [
+            (SampleConfig(GenBounds(12, 4, 5, 2, mode), seed), preset)
+            for preset, mode, seed in product(GrammarPreset, Mode, range(20))
+        ]
+        grammar = build_narmax_grammar().grammar
+        for config, preset in configs:
+            derived = derive(sample_derivation(config, preset), grammar)
+            expected = derived_to_model(derived, config.bounds.mode)
+            assert sample_model(config, preset) == expected, (config, preset)
+
+    def test_model_needs_no_check_pass_or_yield_reader(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sample_model built or read a derivation")
+
+        monkeypatch.setattr("narmaxtag.trees._check", refuse)
+        monkeypatch.setattr("narmaxtag.narmax._to_parts", refuse)
+        grammar = build_narmax_grammar().grammar
+        with pytest.raises(AssertionError):  # the patches are in force
+            derive(DerivationTree("alpha1"), grammar)
+        with pytest.raises(AssertionError):
+            derived_to_model(parse_tree("expr0(ξ)"))
+        for preset, mode in product(GrammarPreset, Mode):
+            config = SampleConfig(GenBounds(max_adjunctions=12, mode=mode), seed=5)
+            assert isinstance(sample_model(config, preset), NarmaxModel)
 
     def test_sampled_derivations_use_preset_trees(self):
         allowed = {"alpha1", "beta1", "beta2", "beta7"}

@@ -1,7 +1,12 @@
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +184,73 @@ class TestCompiledAddresses:
         for seed in range(2000):
             for entry in random_grammar(random.Random(seed)).elementary():
                 _assert_addresses(entry)
+
+
+# Runs in a fresh interpreter, so no catalog tree is compiled yet: counts
+# the tables compiled while the catalogs are built, every preset is
+# enumerated, one model is sampled, both catalogs are validated and one
+# two-equation derivation is derived, and prints the number of catalog
+# entries, of compiles and of distinct trees compiled, and whether every
+# entry was compiled.
+_COMPILE_RUN = """\
+import json
+from narmaxtag import trees
+from narmaxtag.generate import GenBounds, SampleConfig, enumerate_models, sample_model
+from narmaxtag.models import NbjModel, parse_model_text
+from narmaxtag.narmax import (
+    GrammarPreset, build_narmax_grammar, build_nbj_grammar, nbj_model_to_derivation, restrict
+)
+compiled = []
+init = trees._Table.__init__
+def counted(table, entry):
+    compiled.append(entry)
+    init(table, entry)
+trees._Table.__init__ = counted
+catalogs = build_narmax_grammar(), build_nbj_grammar()
+for preset in GrammarPreset:
+    for _ in enumerate_models(restrict(preset), GenBounds(max_adjunctions=2)):
+        pass
+sample_model(SampleConfig(GenBounds(), seed=1))
+for catalog in catalogs:
+    assert trees.validate_grammar(catalog.grammar) == []
+model = parse_model_text("c1*u[0] + xi")
+derivation = nbj_model_to_derivation(NbjModel(model.terms, model.terms))
+trees.derive(derivation, catalogs[1].grammar)
+entries = [entry for catalog in catalogs for entry in catalog.grammar.elementary()]
+seen = {id(entry) for entry in compiled}
+print(json.dumps([len(entries), len(compiled), len(seen), all(id(e) in seen for e in entries)]))
+"""
+
+
+class TestCompiledOnce:
+    """Each elementary tree is compiled once, on the tree, whichever
+    grammars hold it and whatever reads it."""
+
+    def test_catalog_trees_compile_once(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", _COMPILE_RUN], capture_output=True, text=True, env=env,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [21, 21, 21, True]
+
+    def test_presets_share_the_catalog_tables(self):
+        full = build_narmax_grammar().grammar
+        for preset in GrammarPreset:
+            tables = restrict(preset)._tables
+            assert all(table is full._tables[name] for name, table in tables.items())
+
+    def test_repeated_name_compiles_and_diagnoses_both_entries(self):
+        first = ElementaryTree("t", TreeKind.INITIAL, parse_tree("S(a)"))
+        second = ElementaryTree("t", TreeKind.AUXILIARY, parse_tree("S(a)"))  # no foot
+        grammar = Grammar(frozenset({"S"}), frozenset({"a"}), "S", (first,), (second,))
+        diagnostics = validate_grammar(grammar)
+        assert [(d.code, d.tree) for d in diagnostics] == [
+            ("duplicate-tree-name", "t"), ("missing-foot", "t")
+        ]
+        assert grammar._tables == {"t": first._table}  # the first entry of a name wins
+        assert second._table.entry is second and second._table is not first._table
 
 
 class TestSubstitute:
