@@ -40,9 +40,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .models import CausalityError, FactorKey, Mode, NarmaxModel, SignalKind, _canonical
+from .models import _CLASSES, CausalityError, FactorKey, Mode, NarmaxModel, SignalKind, _canonical
 from .narmax import (
-    PRESET_AUXILIARIES,
+    _PRESET_CLASS,
     GrammarPreset,
     _derivation,
     _factor_cost,
@@ -298,67 +298,68 @@ def _checked_parts(
 
 def _grow(bounds: GenBounds, preset: GrammarPreset, rng: random.Random) -> list[list[FactorKey]]:
     """Random factor occurrences (signal, delay) per term, leading factor
-    first, grown within ``bounds``.
+    first, grown within ``bounds`` over the signals of the preset's class.
 
     Extensions: start a new term (one additive tree), multiply a factor
-    onto an existing term (one multiplicative tree), or deepen a
-    factor's delay (one delay tree).  A new factor costs what
-    :func:`~narmaxtag.narmax.adjunctions_needed` counts for it.  Each
-    step draws one of the extensions that fit the adjunctions left, in a
-    fixed order.
+    onto an existing term (one multiplicative tree, when the class
+    allows products), or deepen a factor's delay (one delay tree).  A new
+    factor costs what :func:`~narmaxtag.narmax.adjunctions_needed` counts
+    for it.  Each step draws one of the extensions that fit the
+    adjunctions left, in a fixed order.
     """
-    (roles,) = build_narmax_grammar().equations
-    available = PRESET_AUXILIARIES[preset]
-    has_delay = roles.delay_tree in available
+    signals, products = _CLASSES[_PRESET_CLASS[preset]]
     # a new factor's first occurrence and its cost: output factors carry
     # a built-in backshift, and in strict mode a noise factor starts at
     # delay 1, so the current noise sample never appears in a product
     noise = 1 if bounds.mode is Mode.STRICT else 0
-    start = {}
-    for signal, delay in ((SignalKind.INPUT, 0), (SignalKind.OUTPUT, 1), (SignalKind.NOISE, noise)):
-        cost = _factor_cost(signal, delay)
-        if delay <= bounds.max_delay and (cost == 1 or has_delay):
-            start[signal] = ((signal, delay), cost)
-    additive = [signal for signal in start if roles.additive[signal] in available]
-    multiplicative = [signal for signal in start if roles.multiplicative[signal] in available]
+    start = {
+        signal: ((signal, delay), _factor_cost(signal, delay))
+        for signal, delay in zip(SignalKind, (0, 1, noise))
+        if signal in signals and delay <= bounds.max_delay
+    }
+    multiplicative = list(start) if products else []
 
-    def fits(term: list[FactorKey], signal: SignalKind) -> bool:
+    def fits(counts: dict[FactorKey, int], signal: SignalKind) -> bool:
         factor, cost = start[signal]
-        return cost <= budget and term.count(factor) < bounds.max_exponent
+        return cost <= budget and counts.get(factor, 0) < bounds.max_exponent
 
-    terms: list[list[FactorKey]] = []
+    # each term's factor list, and beside it the count of each factor
+    terms: list[tuple[list[FactorKey], dict[FactorKey, int]]] = []
     budget = rng.randint(0, bounds.max_adjunctions)
     while budget > 0:
         # an option is (term, or None for a new one; signal of the new
         # factor) or (term, index of the factor to deepen)
         options: list[tuple] = []
         if len(terms) < bounds.max_terms:
-            options += [(None, signal) for signal in additive if fits([], signal)]
+            options += [(None, signal) for signal in start if fits({}, signal)]
         for term in terms:
-            options += [(term, signal) for signal in multiplicative if fits(term, signal)]
-        if has_delay:
-            for term in terms:
-                options += [
-                    (term, index)
-                    for index, (signal, delay) in enumerate(term)
-                    if delay < bounds.max_delay
-                    and term.count((signal, delay + 1)) < bounds.max_exponent
-                ]
+            options += [(term, signal) for signal in multiplicative if fits(term[1], signal)]
+        for term in terms:
+            factors, counts = term
+            options += [
+                (term, index)
+                for index, (signal, delay) in enumerate(factors)
+                if delay < bounds.max_delay
+                and counts.get((signal, delay + 1), 0) < bounds.max_exponent
+            ]
         if not options:
             break
         term, choice = rng.choice(options)
-        if isinstance(choice, int):
-            signal, delay = term[choice]
-            term[choice] = (signal, delay + 1)
-            budget -= 1  # one delay tree
-            continue
         if term is None:
-            term = []
+            term = ([], {})
             terms.append(term)
-        factor, cost = start[choice]
-        term.append(factor)
-        budget -= cost
-    return terms
+        factors, counts = term
+        if isinstance(choice, int):
+            old = factors[choice]
+            factor = factors[choice] = (old[0], old[1] + 1)
+            counts[old] -= 1
+            budget -= 1  # one delay tree
+        else:
+            factor, cost = start[choice]
+            factors.append(factor)
+            budget -= cost
+        counts[factor] = counts.get(factor, 0) + 1
+    return [factors for factors, _ in terms]
 
 
 def sample_derivation(

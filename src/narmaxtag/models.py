@@ -296,32 +296,30 @@ def simulate(
     return out
 
 
+# The model classes in tag order: the signals a class's terms range over,
+# and whether they may multiply factors.  The presets are cut from it too.
+_CLASSES: dict[str, tuple[frozenset[SignalKind], bool]] = {
+    "FIR": (frozenset({SignalKind.INPUT}), False),
+    "Volterra": (frozenset({SignalKind.INPUT}), True),
+    "ARX": (frozenset({SignalKind.INPUT, SignalKind.OUTPUT}), False),
+    "ARMAX": (frozenset(SignalKind), False),
+    "NARX": (frozenset({SignalKind.INPUT, SignalKind.OUTPUT}), True),
+    "NARMAX": (frozenset(SignalKind), True),
+}
+CLASS_TAG_ORDER = tuple(_CLASSES)
+
+
 def classify(model: NarmaxModel) -> frozenset[str]:
-    """Structural class tags; every model carries ``NARMAX``.
-
-    Constant (degree-0) terms count as degree-1 for the linear classes.
-    """
-    signals: frozenset[SignalKind] = frozenset()
-    for term in model.terms:
-        signals |= term.signals()
+    """Structural class tags: the classes whose signals include the
+    model's and, unless the class allows products, whose terms all have
+    total degree <= 1 (constants included); every model is NARMAX."""
+    signals = {signal for term in model.terms for signal, _ in term.factors}
     linear = all(term.total_degree() <= 1 for term in model.terms)
-    input_only = signals <= {SignalKind.INPUT}
-    noise_free = SignalKind.NOISE not in signals
-    tags = {"NARMAX"}
-    if noise_free:
-        tags.add("NARX")
-    if linear:
-        tags.add("ARMAX")
-    if linear and noise_free:
-        tags.add("ARX")
-    if input_only:
-        tags.add("Volterra")
-    if input_only and linear:
-        tags.add("FIR")
-    return frozenset(tags)
-
-
-CLASS_TAG_ORDER = ("FIR", "Volterra", "ARX", "ARMAX", "NARX", "NARMAX")
+    return frozenset(
+        tag
+        for tag, (allowed, products) in _CLASSES.items()
+        if signals <= allowed and (products or linear)
+    )
 
 
 # ---------------------------------------------------------------------------

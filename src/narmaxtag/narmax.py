@@ -30,6 +30,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .models import (
+    _CLASSES,
     FactorKey,
     Mode,
     Monomial,
@@ -291,7 +292,7 @@ def build_nbj_grammar() -> Catalog:
 
 
 class GrammarPreset(Enum):
-    """Named auxiliary-tree subsets that carve out model subclasses."""
+    """Named auxiliary-tree subsets, each carving out the class ``_PRESET_CLASS`` names."""
 
     NARMAX = "narmax"
     ARX = "arx"
@@ -304,21 +305,25 @@ class GrammarPreset(Enum):
     __hash__ = object.__hash__
 
 
-PRESET_AUXILIARIES: Mapping[GrammarPreset, frozenset[str]] = {
-    GrammarPreset.NARMAX: frozenset(
-        {"beta1", "beta2", "beta3", "beta4", "beta5", "beta6", "beta7"}
-    ),
-    GrammarPreset.ARX: frozenset({"beta1", "beta2", "beta7"}),
-    GrammarPreset.NARX: frozenset({"beta1", "beta2", "beta4", "beta5", "beta7"}),
-    GrammarPreset.FIR: frozenset({"beta1", "beta7"}),
-    GrammarPreset.VOLTERRA: frozenset({"beta1", "beta4", "beta7"}),
+_PRESET_CLASS: Mapping[GrammarPreset, str] = {
+    GrammarPreset.NARMAX: "NARMAX",
+    GrammarPreset.ARX: "ARX",
+    GrammarPreset.NARX: "NARX",
+    GrammarPreset.FIR: "FIR",
+    GrammarPreset.VOLTERRA: "Volterra",
 }
 
 
 def restrict(preset: GrammarPreset) -> Grammar:
-    """The model grammar with its auxiliaries cut to the preset's subset, sharing its trees."""
+    """The model grammar cut to the preset's class, sharing its trees: the
+    delay tree, the additive trees of the class's signals, and their
+    multiplicative trees when the class allows products."""
     catalog = build_narmax_grammar()
-    keep = PRESET_AUXILIARIES[preset]
+    (roles,) = catalog.equations
+    signals, products = _CLASSES[_PRESET_CLASS[preset]]
+    keep = {roles.delay_tree, *(roles.additive[signal] for signal in signals)}
+    if products:
+        keep.update(roles.multiplicative[signal] for signal in signals)
     full = catalog.grammar
     return Grammar(
         full.nonterminals,
@@ -480,7 +485,7 @@ def _derivation(
     factor lists, adjoined at the part's slot; the parts' slots are in
     yield order, which is address order."""
     return _node(
-        "alpha1",
+        catalog.grammar.initials[0].name,
         *[(roles.slot, _sum_chain(terms, roles)) for roles, terms in zip(catalog.equations, parts)],
     )
 

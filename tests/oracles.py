@@ -21,6 +21,7 @@ from narmaxtag.models import (
     SimulationDivergedError,
     canonicalize,
 )
+from narmaxtag.narmax import GrammarPreset
 from narmaxtag.trees import (
     DanglingReferenceError,
     DerivationEdge,
@@ -733,3 +734,40 @@ def all_models_within_cost(budget: int) -> set[tuple]:
 
     models(0, budget, [])
     return result
+
+
+# ---------------------------------------------------------------------------
+# Model classes, as one rule per tag
+# ---------------------------------------------------------------------------
+
+# The class each grammar preset is meant to carve out of model space.
+PRESET_TAGS = {
+    GrammarPreset.NARMAX: "NARMAX",
+    GrammarPreset.ARX: "ARX",
+    GrammarPreset.NARX: "NARX",
+    GrammarPreset.FIR: "FIR",
+    GrammarPreset.VOLTERRA: "Volterra",
+}
+
+
+def class_tags(model: NarmaxModel) -> set[str]:
+    """The structural class tags of ``model``, one hand-written rule per
+    tag: NARX is noise-free, ARMAX linear (every term of total degree at
+    most 1, constants included), Volterra input-only, ARX linear and
+    noise-free, FIR linear and input-only; every model is NARMAX."""
+    signals = {signal for term in model.terms for signal, _ in term.factors}
+    linear = all(sum(term.factors.values()) <= 1 for term in model.terms)
+    input_only = signals <= {SignalKind.INPUT}
+    noise_free = SignalKind.NOISE not in signals
+    tags = {"NARMAX"}
+    if noise_free:
+        tags.add("NARX")
+    if linear:
+        tags.add("ARMAX")
+    if linear and noise_free:
+        tags.add("ARX")
+    if input_only:
+        tags.add("Volterra")
+    if input_only and linear:
+        tags.add("FIR")
+    return tags

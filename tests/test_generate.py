@@ -36,6 +36,7 @@ from narmaxtag.treeio import parse_grammar, parse_tree
 
 from conftest import SENTENCE_GRAMMAR_TEXT
 from oracles import (
+    PRESET_TAGS,
     adjunctions_required,
     all_models_within_cost,
     first_entries,
@@ -107,6 +108,17 @@ class TestEnumerate:
         for derivation in derivations:
             names = set(node_names(derivation))
             assert {"alpha1", "alpha2", "alpha3"} <= names
+
+    def test_each_preset_carves_out_exactly_its_class(self):
+        # checked by hand at 5 adjunctions as well
+        full = restrict(GrammarPreset.NARMAX)
+        for mode in Mode:
+            bounds = GenBounds(max_adjunctions=4, mode=mode)
+            models = {model.structure(): model for _, model in enumerate_models(full, bounds)}
+            for preset, tag in PRESET_TAGS.items():
+                carved = {m.structure() for _, m in enumerate_models(restrict(preset), bounds)}
+                tagged = {key for key, model in models.items() if tag in classify(model)}
+                assert carved == tagged, (preset, mode)
 
     def test_arx_enumeration_classifies_arx(self):
         grammar = restrict(GrammarPreset.ARX)
@@ -324,16 +336,22 @@ class TestSample:
         assert model.term_count() == 0
         assert format_model_text(model) == "xi"
 
-    def test_presets_constrain_samples(self, narmax_catalog):
-        bounds = GenBounds(max_adjunctions=8)
-        for seed in range(100):
-            model = sample_model(SampleConfig(bounds, seed=seed), GrammarPreset.FIR)
-            assert "FIR" in classify(model)
-        for seed in range(100):
-            model = sample_model(
-                SampleConfig(bounds, seed=seed), GrammarPreset.VOLTERRA
-            )
-            assert "Volterra" in classify(model)
+    def test_presets_constrain_samples(self):
+        for preset, mode in product(GrammarPreset, Mode):
+            bounds = GenBounds(max_adjunctions=8, mode=mode)
+            for seed in range(100):
+                model = sample_model(SampleConfig(bounds, seed=seed), preset)
+                assert PRESET_TAGS[preset] in classify(model), (preset, mode, seed)
+
+    def test_large_bounds_within_budget(self):
+        # one term of hundreds of factors: counting a factor's occurrences
+        # must not rescan the term for every option of every step
+        n = 20_000
+        start = time.perf_counter()
+        model = sample_model(SampleConfig(GenBounds(n, 1, n, n), seed=1))
+        elapsed = time.perf_counter() - start
+        assert model.term_count() == 1
+        assert elapsed < 1.0, f"sampling took {elapsed:.2f}s of its 1s budget"
 
     def test_model_is_the_sampled_derivations_model(self):
         # the edge-bounds grid of the derivation goldens, and the bounds

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +28,7 @@ from narmaxtag import (
     simulate,
 )
 
-from oracles import random_model, reference_canonicalize, reference_simulate
+from oracles import class_tags, random_model, reference_canonicalize, reference_simulate
 
 FIG_A = "c1*y[-1] + c2*u[0] + xi"
 FIG_B = "c1*y[-1]^2 + c2*u[0] + xi"
@@ -421,6 +422,18 @@ class TestClassify:
         model = NarmaxModel((Monomial(1, {}),))
         tags = classify(model)
         assert {"FIR", "Volterra", "ARX", "ARMAX", "NARX", "NARMAX"} == tags
+
+    def test_matches_the_oracle_on_enumerated_models(self):
+        for preset, mode in product(GrammarPreset, Mode):
+            bounds = GenBounds(max_adjunctions=5, mode=mode)
+            for _, model in enumerate_models(restrict(preset), bounds):
+                assert classify(model) == class_tags(model), format_model_text(model)
+
+    def test_matches_the_oracle_on_random_models(self):
+        rng = random.Random(2020)
+        for index in range(2000):
+            model = random_model(rng, mode=Mode.STRICT if index % 2 else Mode.EXTENDED)
+            assert classify(model) == class_tags(model), format_model_text(model)
 
     @given(models())
     @settings(max_examples=150)

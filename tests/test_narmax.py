@@ -86,6 +86,10 @@ def tree_labels(tree):
 
 
 class TestRestrict:
+    def test_narmax(self):
+        names = {aux.name for aux in restrict(GrammarPreset.NARMAX).auxiliaries}
+        assert names == {"beta1", "beta2", "beta3", "beta4", "beta5", "beta6", "beta7"}
+
     def test_arx(self):
         names = {aux.name for aux in restrict(GrammarPreset.ARX).auxiliaries}
         assert names == {"beta1", "beta2", "beta7"}
