@@ -14,12 +14,14 @@ name wins.
 
 There is one traversal, and it hands each completed derivation node to
 a completion step.  :func:`enumerate_derivations` only builds the node.
-:func:`enumerate_models` also builds the node's checked part, the form
-``derive`` checks a derivation into, from what the slot table already
-knows: each slot's target node and which candidates pass the
-preconditions that depend on the two elementary trees alone.  The
-parts of shared subtrees are shared, and the leaves are read off the
-parts with no second check.
+Over a grammar of the model catalog's own trees (the full model grammar
+and every preset), :func:`enumerate_models` also reads, next to each
+node, what its subtree adds to the model: a delay tree a backshift, a
+multiplicative tree a factor, an additive tree a term.  So the model is
+read off the derivation, the inverse of how the catalog builds one, with
+no derived tree checked, walked or parsed; what shared subtrees add is
+shared.  Any other grammar's derivations go through the reference
+route, :func:`~narmaxtag.trees.derived_leaves` and the yield reader.
 
 Sampling grows a random model over the polynomial-model grammar (or one
 of its presets) extension by extension: it draws a number of
@@ -46,6 +48,7 @@ from .narmax import (
     GrammarPreset,
     _derivation,
     _factor_cost,
+    _factor_delay,
     _leaves_to_model,
     adjunctions_needed,
     build_narmax_grammar,
@@ -58,10 +61,6 @@ from .trees import (
     Operation,
     TagError,
     TreeKind,
-    _adjunction_fault,
-    _leaves,
-    _Part,
-    _substitution_fault,
     derived_leaves,
 )
 
@@ -97,45 +96,38 @@ class SampleConfig:
 
 def _slot_table(grammar: Grammar) -> tuple[dict[str, tuple[tuple, ...]], list[str]]:
     """The slots of every tree ``derive`` knows, each an (operation,
-    address, candidate names, target node, fitting names) tuple, in
-    pre-order; and the names of the initial trees rooted at the start
-    symbol.
+    address, candidate names) tuple, in pre-order; and the names of the
+    initial trees rooted at the start symbol.
 
     Candidates are the distinct tree names of the right kind whose root
     label matches the slot's, sorted.  An internal node without any is
-    no slot; a substitution site without any is a dead end.  The fitting
-    names are the candidates that pass every precondition ``derive``
-    decides on the two elementary trees alone; the one left, whether the
-    incoming part has a foot, is known when that part is built.
+    no slot; a substitution site without any is a dead end.  Whether a
+    candidate passes ``derive``'s other checks is no concern of the
+    table: the catalog's trees pass them wherever they are candidates,
+    and any other grammar's derivations are checked whole.
     """
     tables = grammar._tables
-    fitting: dict[tuple[TreeKind, str], list[str]] = {}
+    candidates: dict[tuple[TreeKind, str], list[str]] = {}
     for name in sorted(tables):
         table = tables[name]
-        fitting.setdefault((table.entry.kind, table.labels[0].name), []).append(name)
+        candidates.setdefault((table.entry.kind, table.labels[0].name), []).append(name)
     slots = {}
     for name, table in tables.items():
         found = []
         for i, label in enumerate(table.labels):  # pre-order is address order
             if label.kind is not LabelKind.NONTERMINAL:
                 continue
-            internal = bool(table.children[i])
-            if internal:
-                operation, kind, fault = Operation.ADJUNCTION, TreeKind.AUXILIARY, _adjunction_fault
+            if table.children[i]:
+                operation, kind = Operation.ADJUNCTION, TreeKind.AUXILIARY
             elif label.substitution_marker:
-                operation, kind, fault = Operation.SUBSTITUTION, TreeKind.INITIAL, _substitution_fault
+                operation, kind = Operation.SUBSTITUTION, TreeKind.INITIAL
             else:
                 continue
-            names = fitting.get((kind, label.name), [])
+            names = candidates.get((kind, label.name), [])
             if names or operation is Operation.SUBSTITUTION:
-                # the foot the fault functions are told of is the one that passes
-                fits = frozenset(
-                    n for n in names
-                    if not fault(label, internal, tables[n].labels[0], kind is TreeKind.AUXILIARY)
-                )
-                found.append((operation, table.address(i), tuple(names), i, fits))
+                found.append((operation, table.address(i), tuple(names)))
         slots[name] = tuple(found)
-    return slots, fitting.get((TreeKind.INITIAL, grammar.start), [])
+    return slots, candidates.get((TreeKind.INITIAL, grammar.start), [])
 
 
 def enumerate_derivations(
@@ -193,7 +185,7 @@ def _enumerate(grammar: Grammar, bounds: GenBounds, complete) -> Iterator:
             chain = (item, chain)
             index += 1
         else:
-            operation, _, names, _, _ = own[index]
+            operation, _, names = own[index]
             frame = (name, own, index, chain, parent)
             # pushed in reverse, so tried skip first, then by name
             if operation is Operation.SUBSTITUTION or budget > 0:
@@ -236,59 +228,88 @@ def _check_cycle(frame: tuple, name: str) -> None:
 def enumerate_models(
     grammar: Grammar, bounds: GenBounds
 ) -> Iterator[tuple[DerivationTree, NarmaxModel]]:
-    """Enumerated derivations over a polynomial-model grammar, parsed
-    from their derived trees' leaves; strict mode skips a derivation
-    whose model has the current noise sample in a product.
+    """Enumerated derivations over a polynomial-model grammar, each with
+    its model; strict mode skips a derivation whose model has the current
+    noise sample in a product.
 
-    The leaves are read off the parts the traversal builds (see
-    :func:`_checked_parts`), with no second check; a derivation without
-    a part goes through :func:`~narmaxtag.trees.derived_leaves`, which
-    raises its error.
+    A grammar whose every elementary tree is one of the model catalog's
+    own (checked by identity: the full grammar and every preset
+    :func:`~narmaxtag.narmax.restrict` cuts from it) has each model read
+    off its derivation as the traversal builds it (see
+    :func:`_model_step`), with no check pass, leaf walk or yield parse.
+    Any other grammar takes the reference route: each derivation of
+    :func:`enumerate_derivations` goes through
+    :func:`~narmaxtag.trees.derived_leaves`, which raises the error
+    ``derive`` would, and its leaves are read as a model.
     """
-    for derivation, part in _checked_parts(grammar, bounds):
-        leaves = derived_leaves(derivation, grammar) if part is None else _leaves(part)
+    catalog = {entry.name: entry for entry in build_narmax_grammar().grammar.elementary()}
+    if all(catalog.get(entry.name) is entry for entry in grammar.elementary()):
+        yield from filter(None, _enumerate(grammar, bounds, _model_step(bounds.mode)))
+        return
+    for derivation in enumerate_derivations(grammar, bounds):
         try:
-            model = _leaves_to_model(leaves, bounds.mode)
+            model = _leaves_to_model(derived_leaves(derivation, grammar), bounds.mode)
         except CausalityError:
             continue
         yield derivation, model
 
 
-def _checked_parts(
-    grammar: Grammar, bounds: GenBounds
-) -> Iterator[tuple[DerivationTree, _Part | None]]:
-    """The stream of :func:`enumerate_derivations`, each derivation with
-    the checked part ``derive`` would make of it.
+# what a completed subtree of the catalog adds to its parent: backshifts
+# (a delay tree), factors (a multiplicative tree) or terms (an additive
+# tree); each indexes the step's accumulator
+_BACKSHIFTS, _FACTORS, _TERMS = range(3)
 
-    A completed frame builds its part from the parts on its chain, so
-    the parts of shared subtrees are shared.  A placement that fails a
-    precondition (only a malformed grammar allows one) leaves that frame
-    and every frame above it without a part (None).
+
+def _model_step(mode: Mode):
+    """The completion step that reads each derivation over the model
+    catalog's trees into its model, by the catalog's roles: the inverse of
+    :func:`~narmaxtag.narmax._term_fragment`.
+
+    A completed node hands its edge to its parent together with what its
+    subtree adds there: a delay tree one backshift to its factor, a
+    multiplicative tree one factor to its term, an additive tree one
+    term, a factor-count map, to the sum.  A factor's delay is read from
+    its backshifts by :func:`~narmaxtag.narmax._factor_delay`.  At the
+    root the terms go to the canonical form, and a model that ``mode``
+    refuses leaves None in the derivation's place.
     """
-    tables = grammar._tables
+    (roles,) = build_narmax_grammar().equations
+    # each tree's family, and the signal of the factor it brings
+    family = {roles.delay_tree: (_BACKSHIFTS, None)}
+    for kind, trees in ((_FACTORS, roles.multiplicative), (_TERMS, roles.additive)):
+        family.update((name, (kind, signal)) for signal, name in trees.items())
 
     def step(name: str, chain: tuple | None, slot: tuple | None):
-        # the chain holds (edge, target node, (operation, part) or None),
-        # last edge first
-        edges, ops = [], {}
+        # the chain holds (edge, family, what the subtree adds), last edge
+        # first; backshifts add up and factors and terms join their lists
+        edges, found = [], [0, [], []]
         while chain is not None:
-            (edge, target, op), chain = chain
+            (edge, kind, adds), chain = chain
             edges.append(edge)
-            ops[target] = op
+            found[kind] += adds
         edges.reverse()
         derivation = DerivationTree._build(name, tuple(edges))
-        part = None if None in ops.values() else _Part(tables[name], ops)
-        if slot is None:
-            return derivation, part
-        operation, address, _, target, fits = slot
-        edge = DerivationEdge._build(operation, address, derivation)
-        if part is None or name not in fits or bool(part.feet) is not (
-            operation is Operation.ADJUNCTION
-        ):
-            return edge, target, None
-        return edge, target, (operation, part)
+        backshifts, factors, terms = found
+        if slot is None:  # the initial tree
+            try:
+                return derivation, _canonical([(term, None) for term in terms], mode)
+            except CausalityError:
+                return None
+        kind, signal = family[name]
+        if kind is _BACKSHIFTS:
+            adds = backshifts + 1
+        else:
+            factors.append((signal, _factor_delay(signal, backshifts)))
+            adds = factors
+            if kind is _TERMS:
+                term: dict[FactorKey, int] = {}
+                for factor in factors:
+                    term[factor] = term.get(factor, 0) + 1
+                terms.append(term)
+                adds = terms
+        return DerivationEdge._build(slot[0], slot[1], derivation), kind, adds
 
-    return _enumerate(grammar, bounds, step)
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +329,15 @@ def _grow(bounds: GenBounds, preset: GrammarPreset, rng: random.Random) -> list[
     adjunctions left, in a fixed order.
     """
     signals, products = _CLASSES[_PRESET_CLASS[preset]]
-    # a new factor's first occurrence and its cost: output factors carry
-    # a built-in backshift, and in strict mode a noise factor starts at
-    # delay 1, so the current noise sample never appears in a product
+    # a new factor's first occurrence and its cost: in strict mode a
+    # noise factor starts with one delay tree, so the current noise sample
+    # never appears in a product
     noise = 1 if bounds.mode is Mode.STRICT else 0
-    start = {
-        signal: ((signal, delay), _factor_cost(signal, delay))
-        for signal, delay in zip(SignalKind, (0, 1, noise))
-        if signal in signals and delay <= bounds.max_delay
-    }
+    start = {}
+    for signal in SignalKind:
+        delay = _factor_delay(signal, noise if signal is SignalKind.NOISE else 0)
+        if signal in signals and delay <= bounds.max_delay:
+            start[signal] = ((signal, delay), _factor_cost(signal, delay))
     multiplicative = list(start) if products else []
 
     def fits(counts: dict[FactorKey, int], signal: SignalKind) -> bool:

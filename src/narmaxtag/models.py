@@ -110,7 +110,8 @@ class Monomial:
         value with :func:`_finite` (a merged sum may overflow), and builds
         factor maps from keys and exponents that a :class:`Monomial` or
         the yield parser :func:`narmaxtag.narmax._parse_token_sum` has
-        checked.
+        checked, or that :mod:`narmaxtag.generate` reads off the model
+        catalog's trees, whose delays are causal by construction.
         """
         term = object.__new__(Monomial)
         object.__setattr__(term, "coeff_id", coeff_id)
@@ -226,7 +227,8 @@ def simulate(
     Out-of-range (pre-record) samples read as zero.  When
     ``coefficients`` is None each term's attached value is used; given
     coefficients must be finite, as attached values are, or a
-    :class:`ModelError` is raised.  The first step whose output is not a
+    :class:`ModelError` is raised, as it is for a record value past the
+    float range.  The first step whose output is not a
     finite float (or overflows while being computed) raises
     :class:`SimulationDivergedError`.
 
@@ -252,7 +254,12 @@ def simulate(
             raise ModelError("model has coefficient slots without numeric values")
         coeffs = [float(v) for v in values]  # type: ignore[arg-type]
     else:
-        coeffs = [_finite(float(c)) for c in coefficients]
+        try:
+            coeffs = [_finite(float(c)) for c in coefficients]
+        except OverflowError:  # float() of an int past the float range
+            raise ModelError(
+                "coefficient values must be finite, got one past the float range"
+            ) from None
         if len(coeffs) != len(model.terms):
             raise ModelError(
                 f"expected {len(model.terms)} coefficients, got {len(coeffs)}"
@@ -260,9 +267,9 @@ def simulate(
     pad = min(max(max_lags(model)), n)
     out = [0.0] * pad
     records = {
-        SignalKind.INPUT: out + [float(x) for x in inputs],
+        SignalKind.INPUT: out + _floats(inputs, "input"),
         SignalKind.OUTPUT: out,
-        SignalKind.NOISE: out + [float(x) for x in noise],
+        SignalKind.NOISE: out + _floats(noise, "noise"),
     }
     plan = [
         (
@@ -294,6 +301,15 @@ def simulate(
         raise SimulationDivergedError(k) from None
     del out[:pad]
     return out
+
+
+def _floats(record: Sequence[float], name: str) -> list[float]:
+    """The values of the record called ``name`` as floats; a value past
+    the float range is a :class:`ModelError` that names the record."""
+    try:
+        return [float(x) for x in record]
+    except OverflowError:
+        raise ModelError(f"the {name} record has a value past the float range") from None
 
 
 # The model classes in tag order: the signals a class's terms range over,

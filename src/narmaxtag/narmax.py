@@ -172,12 +172,13 @@ def _sum_family(
     k = 4-6 append a factor (input, output, noise order), k = 7
     postfixes one backshift to a factor.  Nonterminals are
     ``expr0<side>`` (sum), ``expr1<side>`` (term) and ``expr2<side>``
-    (factor).  Signals without a token get no trees; output factors
-    carry one built-in backshift.
+    (factor).  Signals without a token get no trees; a factor carries
+    the backshifts it has with no delay tree (one for output factors,
+    see :func:`_factor_delay`).
     """
     sum_nt, term_nt, factor_nt = (f"expr{level}{side}" for level in range(3))
     factors = {
-        signal: f"{token} {DELAY_TOKEN}" if signal is SignalKind.OUTPUT else token
+        signal: " ".join([token] + [DELAY_TOKEN] * _factor_delay(signal, 0))
         for token, signal in tokens.items()
     }
 
@@ -351,6 +352,13 @@ def _factor_cost(signal: SignalKind, delay: int) -> int:
     multiplicative tree, and one delay tree per backshift beyond the one
     that output factors carry built in."""
     return delay if signal is SignalKind.OUTPUT else delay + 1
+
+
+def _factor_delay(signal: SignalKind, backshifts: int) -> int:
+    """The delay of a factor occurrence with ``backshifts`` delay trees
+    adjoined to it; the inverse of :func:`_factor_cost`, which counts
+    ``backshifts + 1`` adjunctions for that delay."""
+    return backshifts + 1 - _factor_cost(signal, 0)
 
 
 def adjunctions_needed(model: NarmaxModel) -> int:

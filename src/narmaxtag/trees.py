@@ -16,9 +16,7 @@ auxiliary tree's foot.  They are the reference semantics of
 grammar compiled once, in time linear in the size of the derived tree
 and with no limit on its depth; :func:`derived_leaves` makes the same
 checks and returns only the derived tree's leaf labels.  Both work on
-checked parts (:class:`_Part`); enumeration builds the parts of the
-derivations it makes as it makes them, and reads their leaves with
-:func:`_leaves` and no check pass.
+checked parts (:class:`_Part`).
 
 Each elementary tree is compiled once into a pre-order table, which
 derivation, enumeration, validation and the catalogs' slot lookup read,
@@ -622,8 +620,6 @@ def derived_leaves(derivation: DerivationTree, grammar: Grammar) -> list[NodeLab
 
     The checks and errors are those of :func:`derive`; the labels come
     from :func:`_leaves` on the checked part, which builds no tree.
-    Enumeration builds the parts of the derivations it makes itself and
-    hands them to :func:`_leaves` with no check pass.
     """
     return _leaves(_checked(derivation, grammar))
 

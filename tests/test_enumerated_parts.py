@@ -1,9 +1,12 @@
-"""Enumeration reads each model off the checked parts it builds itself.
+"""Enumeration reads each model off its derivation over the model
+catalog's trees, and any other grammar's through ``derived_leaves``.
 
-``enumerate_models`` must give what the checked route gives, reading
-every derivation through ``derived_leaves``; a derivation whose part the
-traversal could not build must raise that route's error; and each part's
-foot count must be the one the whole-table walk finds.
+``enumerate_models`` must give what the reference route gives, reading
+every derivation of ``enumerate_derivations`` through ``derived_leaves``
+and the yield reader, and raise that route's error on the same
+derivation; each enumerated derivation's checked part must give the
+leaves of the set-level reference, and its foot count must be the one
+the whole-table walk finds.
 """
 
 import random
@@ -11,13 +14,15 @@ from itertools import islice
 
 import pytest
 
-from narmaxtag import generate, trees
-from narmaxtag.generate import GenBounds, _checked_parts, enumerate_derivations, enumerate_models
-from narmaxtag.models import CausalityError, Mode
+from narmaxtag import generate, narmax, trees
+from narmaxtag.cli import main
+from narmaxtag.generate import GenBounds, enumerate_derivations, enumerate_models
+from narmaxtag.models import CausalityError, Mode, format_model_text
 from narmaxtag.narmax import (
     GrammarPreset,
     _leaves_to_model,
     _to_parts,
+    build_narmax_grammar,
     build_nbj_grammar,
     restrict,
 )
@@ -31,10 +36,17 @@ from narmaxtag.trees import (
     TreeKind,
     _checked,
     _leaves,
+    derive,
     derived_leaves,
 )
 
-from oracles import part_tree, random_derivation, random_grammar, reference_top_feet
+from oracles import (
+    part_tree,
+    random_derivation,
+    random_grammar,
+    reference_derive,
+    reference_top_feet,
+)
 
 GRAMMARS = [preset.value for preset in GrammarPreset] + ["nbj"]
 
@@ -79,32 +91,72 @@ class TestModelStreamParity:
         assert fast == slow
         assert len(fast) > 1
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("preset", list(GrammarPreset))
+    def test_same_text_stream_as_the_reference_route(self, preset, mode):
+        # the differential test of the catalog reader: every derivation
+        # with at most 5 adjunctions, model text and all
+        grammar = restrict(preset)
+        bounds = GenBounds(max_adjunctions=5, mode=mode)
+        fast = [(d, format_model_text(m)) for d, m in enumerate_models(grammar, bounds)]
+        slow = [
+            (d, format_model_text(m))
+            for d, m in _reference_models(grammar, bounds, _leaves_to_model)
+        ]
+        assert fast == slow
+        assert len(fast) > 30
+
     @pytest.mark.parametrize("name", GRAMMARS)
     def test_every_derivation_has_a_part(self, name):
+        # each enumerated derivation passes the check pass, and the leaf
+        # walk over its part gives the leaves of the set-level reference
         grammar, _ = _grammar_and_reader(name)
-        pairs = list(_checked_parts(grammar, GenBounds(max_adjunctions=BUDGET)))
-        assert [d for d, _ in pairs] == list(
-            enumerate_derivations(grammar, GenBounds(max_adjunctions=BUDGET))
-        )
-        for derivation, part in pairs:
-            assert part is not None
-            assert _leaves(part) == derived_leaves(derivation, grammar)
+        for derivation in enumerate_derivations(grammar, GenBounds(max_adjunctions=BUDGET)):
+            tree = reference_derive(derivation, grammar)
+            assert _leaves(_checked(derivation, grammar)) == [
+                tree.labels[n] for n in tree.leaves()
+            ]
+
+    @staticmethod
+    def _spy(monkeypatch, module, name, calls):
+        original = getattr(module, name)
+
+        def spy(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, spy)
 
     @pytest.mark.parametrize("preset", list(GrammarPreset))
     def test_no_check_pass(self, monkeypatch, preset):
+        # the catalog reader checks no derivation, walks no leaves and
+        # parses no yield
         calls = []
-        check = trees._check
-
-        def spy(*args):
-            calls.append(args)
-            return check(*args)
-
-        monkeypatch.setattr(trees, "_check", spy)
+        for module, name in ((trees, "_check"), (trees, "_leaves"), (narmax, "_to_parts")):
+            self._spy(monkeypatch, module, name, calls)
         grammar = restrict(preset)
         models = list(enumerate_models(grammar, GenBounds(max_adjunctions=BUDGET)))
         assert models and calls == []
-        derived_leaves(models[-1][0], grammar)  # the spy sees the checked route
-        assert len(calls) == 1
+        _leaves_to_model(derived_leaves(models[-1][0], grammar), Mode.EXTENDED)
+        assert calls == ["_check", "_leaves", "_to_parts"]  # the spies see the reference route
+
+    def test_fresh_trees_take_the_reference_route(self, monkeypatch, capsys):
+        # a grammar read back from its own text has equal trees but not
+        # the catalog's: its stream is the same, through derived_leaves
+        assert main(["grammar-show", "--preset", "narx"]) == 0
+        grammar = parse_grammar(capsys.readouterr().out)
+        catalog = {e.name: e for e in build_narmax_grammar().grammar.elementary()}
+        entries = list(grammar.elementary())
+        assert entries and not any(catalog[e.name] is e for e in entries)
+        calls = []
+        self._spy(monkeypatch, trees, "_check", calls)
+        bounds = GenBounds(max_adjunctions=BUDGET)
+        fresh = [(d, format_model_text(m)) for d, m in enumerate_models(grammar, bounds)]
+        shared = [
+            (d, format_model_text(m))
+            for d, m in enumerate_models(restrict(GrammarPreset.NARX), bounds)
+        ]
+        assert fresh == shared and len(calls) == len(fresh)
 
 
 def _outcome(read, *args):
@@ -115,9 +167,9 @@ def _outcome(read, *args):
 
 
 class TestRandomGrammars:
-    """Malformed grammars: each enumerated part gives the leaves of
-    ``derived_leaves``, and ``enumerate_models`` raises its error on the
-    same derivation."""
+    """Malformed grammars: ``enumerate_models`` raises the reference
+    route's error on the same derivation, and each enumerated derivation
+    gives the leaves of the tree ``derive`` builds, or its error."""
 
     LIMIT = 200
 
@@ -148,15 +200,17 @@ class TestRandomGrammars:
             fast, slow = self._streams(monkeypatch, grammar)
             assert fast == slow, seed
             errors += fast[1] is not None
-            parts = islice(_checked_parts(grammar, GenBounds(max_adjunctions=2)), self.LIMIT)
+            bounds = GenBounds(max_adjunctions=2)
+            derivations = islice(enumerate_derivations(grammar, bounds), self.LIMIT)
             try:
-                for derivation, part in parts:
-                    leaves, error = _outcome(derived_leaves, derivation, grammar)
+                for derivation in derivations:
+                    part, error = _outcome(_checked, derivation, grammar)
+                    tree, tree_error = _outcome(derive, derivation, grammar)
+                    assert error == tree_error, seed
                     if part is None:
                         without_part += 1
-                        assert error is not None, seed
                     else:
-                        assert (_leaves(part), None) == (leaves, error), seed
+                        assert _leaves(part) == [tree.labels[n] for n in tree.leaves()], seed
             except TagError:
                 pass  # the cycle error, compared above
         assert errors > 100 and without_part > 100
@@ -177,18 +231,22 @@ class TestRandomGrammars:
             ElementaryTree("odd", kind, odd)
         )
         grammar = Grammar({"S", "A"}, {"x", "A"}, "S", initials, auxiliaries)
-        parts = list(_checked_parts(grammar, GenBounds(max_adjunctions=1)))
-        expected = [False, True] if kind is TreeKind.AUXILIARY else [True]
-        assert [part is None for _, part in parts] == expected
+        derivations = enumerate_derivations(grammar, GenBounds(max_adjunctions=1))
+        failed = [_outcome(_checked, d, grammar)[1] is not None for d in derivations]
+        assert failed == ([False, True] if kind is TreeKind.AUXILIARY else [True])
         fast, slow = self._streams(monkeypatch, grammar)
         assert fast == slow
         assert "does not match incoming root" in fast[1][1]
 
 
 def _enumerated_parts(grammar, budget):
-    for _, top in _checked_parts(grammar, GenBounds(max_adjunctions=budget)):
-        if top is not None:
-            yield from part_tree(top)
+    """Every part of the enumerated derivations that pass the check."""
+    for derivation in enumerate_derivations(grammar, GenBounds(max_adjunctions=budget)):
+        try:
+            top = _checked(derivation, grammar)
+        except TagError:
+            continue
+        yield from part_tree(top)
 
 
 class TestFeetFromCounts:

@@ -270,6 +270,24 @@ def test_enumerate_models_stdout(capsys, preset):
     assert (len(out.splitlines()), sha256(out)) == ENUMERATE_MODEL_DIGESTS[preset]
 
 
+# enumerate --max 5 (model text) per preset: (lines, stdout sha256),
+# captured from the implementation that read every enumerated model off
+# checked parts through the yield reader
+ENUMERATE_MODEL_DIGESTS_5 = {
+    "narmax": (8404, "111ab657b4a61fe4ad0366d88387b7cf6b724f4f036089204aefaaf1a372d5c0"),
+    "arx": (243, "fde56a7377d10a23f2c3bfb9abc9fb2777580e3e06df17778a53515d7f14caac"),
+    "narx": (1563, "2ba4a998c6c75e4249d0b8dadf54b341dabd7ce75452a0506ec8bae63c96b54f"),
+    "fir": (32, "8a5204f875ff35f6748c6f39449ffef7427b3bd0d1755ba08be7e171b0c3a788"),
+    "volterra": (122, "96f8dfa6dfa32d375268de55d9f2d1ec9d6cb15f66cb66409c129b27868ecaa2"),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(ENUMERATE_MODEL_DIGESTS_5))
+def test_enumerate_models_stdout_max5(capsys, preset):
+    out = stdout_of(capsys, "enumerate", "--preset", preset, "--max", "5")
+    assert (len(out.splitlines()), sha256(out)) == ENUMERATE_MODEL_DIGESTS_5[preset]
+
+
 def test_enumerate_classify_pipeline(capsys):
     # enumerate --max 4 | classify --all: 1,201 rows over 246 distinct models
     listing = stdout_of(capsys, "enumerate", "--max", "4")

@@ -244,6 +244,19 @@ class TestSimulate:
         with pytest.raises(ModelError, match=f"^coefficient values must be finite, got {shown}$"):
             simulate(parse_model_text(FIG_A), (0.5, value), (0.0,), (0.0,))
 
+    def test_int_past_the_float_range(self):
+        # float() of such an int raises OverflowError, not a model error
+        model = parse_model_text("c1*u[-1] + xi")
+        huge = 10**400
+        with pytest.raises(
+            ModelError, match="^coefficient values must be finite, got one past the float range$"
+        ):
+            simulate(model, [huge], [1.0], [1.0])
+        for record, inputs, noise in (("input", [huge], [1.0]), ("noise", [1.0], [huge])):
+            with pytest.raises(ModelError, match=f"^the {record} record has a value past"):
+                simulate(model, [1.0], inputs, noise)
+        assert simulate(model, [2], [1, 2**53], [0, 1]) == [0.0, 3.0]
+
     def test_power_overflow_is_divergence(self):
         # y: 1, 2, 8, 128, ..., ~9e307 at step 10; squaring it overflows
         model = parse_model_text("c1*y[-1]^2 + xi")
