@@ -72,6 +72,7 @@ from .trees import (
     InapplicableOperationError,
     InvalidAddressError,
     LabelKind,
+    MalformedGrammarError,
     NodeLabel,
     Operation,
     SyntacticTree,

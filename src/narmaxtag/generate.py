@@ -9,8 +9,8 @@ sequence of decisions at its slots, taken in pre-order of the
 derivation (a chosen tree's own slots before its parent's next slot),
 and the stream is in lexicographic order of those sequences: at each
 slot, skipping an adjunction comes first, then the candidates by name.
-Tree names mean what they mean to ``derive``: the first entry of a
-name wins.
+A grammar that :func:`~narmaxtag.trees.validate_grammar` flags is
+refused at the first item, with its first diagnostic.
 
 There is one traversal, and it hands each completed derivation node to
 a completion step.  :func:`enumerate_derivations` only builds the node.
@@ -57,7 +57,6 @@ from .trees import (
     DerivationEdge,
     DerivationTree,
     Grammar,
-    LabelKind,
     Operation,
     TagError,
     TreeKind,
@@ -95,16 +94,15 @@ class SampleConfig:
 
 
 def _slot_table(grammar: Grammar) -> tuple[dict[str, tuple[tuple, ...]], list[str]]:
-    """The slots of every tree ``derive`` knows, each an (operation,
+    """The slots of every tree of the grammar, each an (operation,
     address, candidate names) tuple, in pre-order; and the names of the
     initial trees rooted at the start symbol.
 
-    Candidates are the distinct tree names of the right kind whose root
-    label matches the slot's, sorted.  An internal node without any is
-    no slot; a substitution site without any is a dead end.  Whether a
-    candidate passes ``derive``'s other checks is no concern of the
-    table: the catalog's trees pass them wherever they are candidates,
-    and any other grammar's derivations are checked whole.
+    Candidates are the tree names of the right kind whose root label
+    matches the slot's, sorted.  An internal node without any is no
+    slot; a substitution site without any is a dead end.  The grammar is
+    well formed (``grammar._tables`` refuses any other), so a candidate
+    passes every check of ``derive`` at its slot.
     """
     tables = grammar._tables
     candidates: dict[tuple[TreeKind, str], list[str]] = {}
@@ -115,8 +113,6 @@ def _slot_table(grammar: Grammar) -> tuple[dict[str, tuple[tuple, ...]], list[st
     for name, table in tables.items():
         found = []
         for i, label in enumerate(table.labels):  # pre-order is address order
-            if label.kind is not LabelKind.NONTERMINAL:
-                continue
             if table.children[i]:
                 operation, kind = Operation.ADJUNCTION, TreeKind.AUXILIARY
             elif label.substitution_marker:
@@ -238,9 +234,8 @@ def enumerate_models(
     off its derivation as the traversal builds it (see
     :func:`_model_step`), with no check pass, leaf walk or yield parse.
     Any other grammar takes the reference route: each derivation of
-    :func:`enumerate_derivations` goes through
-    :func:`~narmaxtag.trees.derived_leaves`, which raises the error
-    ``derive`` would, and its leaves are read as a model.
+    :func:`enumerate_derivations` has its model read off
+    :func:`~narmaxtag.trees.derived_leaves`.
     """
     catalog = {entry.name: entry for entry in build_narmax_grammar().grammar.elementary()}
     if all(catalog.get(entry.name) is entry for entry in grammar.elementary()):

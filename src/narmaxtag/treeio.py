@@ -20,9 +20,9 @@ lines followed by named tree blocks ``initial NAME = TREE`` and
 ``auxiliary NAME = TREE``.  Header symbols are written like tree labels,
 quoted where needed, but without parentheses or markers.
 
-Derivation format: nested ``name[op@address -> child, ...]`` lists with
-``op`` one of ``sub``/``adj`` and dotted Gorn addresses (``ε`` for the
-root).
+Derivation format: ``name[op@address -> child, ...]`` lists, each child
+itself a derivation, with ``op`` one of ``sub``/``adj`` and dotted Gorn
+addresses (``ε`` for the root).
 
 Derivation text and the model text of :mod:`narmaxtag.models` are read
 with one cursor, :class:`_Scanner`.  Derivation text has three

@@ -16,7 +16,8 @@ auxiliary tree's foot.  They are the reference semantics of
 grammar compiled once, in time linear in the size of the derived tree
 and with no limit on its depth; :func:`derived_leaves` makes the same
 checks and returns only the derived tree's leaf labels.  Both work on
-checked parts (:class:`_Part`).
+checked parts (:class:`_Part`) of well-formed grammars: a grammar that
+:func:`validate_grammar` flags raises :class:`MalformedGrammarError`.
 
 Each elementary tree is compiled once into a pre-order table, which
 derivation, enumeration, validation and the catalogs' slot lookup read,
@@ -61,6 +62,10 @@ class DanglingReferenceError(TagError):
 
 class InapplicableOperationError(TagError):
     """A derivation edge cannot be applied at its recorded address."""
+
+
+class MalformedGrammarError(TagError):
+    """Derivation was asked of a grammar that :func:`validate_grammar` flags."""
 
 
 def format_address(address: GornAddress) -> str:
@@ -254,11 +259,11 @@ class Grammar:
 
     @cached_property
     def _tables(self) -> dict[str, _Table]:
-        tables: dict[str, _Table] = {}
-        for entry in self.elementary():
-            if entry.name not in tables:  # the first entry of a name wins
-                tables[entry.name] = entry._table
-        return tables
+        # derivation, enumeration and ``find`` read well-formed grammars only
+        diagnostics = validate_grammar(self)
+        if diagnostics:
+            raise MalformedGrammarError(f"malformed grammar: {diagnostics[0]}")
+        return {entry.name: entry._table for entry in self.elementary()}
 
     def find(self, name: str) -> ElementaryTree | None:
         table = self._tables.get(name)
@@ -272,28 +277,22 @@ class _Table:
 
     Nodes are the indices 0..n-1 in pre-order: ``labels`` and
     ``children`` are indexed by them, ``steps`` gives each node but the
-    root its (parent, position) pair, ``rank`` gives each node's place in
-    post-order, and ``feet`` counts its foot-marked nodes with no foot
-    above them.  :meth:`address` and :meth:`resolve` map a node to its
-    Gorn address and back.  ``cover`` maps each node with a foot-marked
-    node above it to the nearest such node, and ``nested`` maps each
-    foot-marked node to the number of foot-marked nodes it covers
-    nearest; both are empty below the feet of a well-formed grammar,
-    which are leaves, and :class:`_Part` counts its feet from them.
+    root its (parent, position) pair, and ``rank`` gives each node's place
+    in post-order.  :meth:`address` and :meth:`resolve` map a node to its
+    Gorn address and back.
 
     ``leaves`` holds the labels of the leaves in pre-order (left to
     right).  A node's span is the slice ``first[i]:end[i]`` of that list
     that its subtree's leaves fill; ``end[i]`` is None when a
     foot-marked node is at or under it.  Spans are two lists of indices
     into the one ``leaves`` list, so the table stays linear in the
-    tree's size.  ``unmarked`` maps each foot-marked node to its label
-    with the foot marker cleared, the label the node takes in a derived
-    tree when an adjunction uses it.
+    tree's size.  ``unmarked`` is the foot's label with the marker
+    cleared, the label the foot takes in a derived tree, or None when
+    the tree has no foot.
     """
 
     __slots__ = (
-        "entry", "labels", "children", "steps", "rank", "feet", "cover",
-        "nested", "leaves", "first", "end", "unmarked",
+        "entry", "labels", "children", "steps", "rank", "leaves", "first", "end", "unmarked",
     )
 
     def __init__(self, entry: ElementaryTree):
@@ -310,21 +309,6 @@ class _Table:
         self.rank = [0] * len(order)
         for position, nid in enumerate(tree.post_order()):
             self.rank[index[nid]] = position
-        self.cover: dict[int, int] = {}
-        self.nested: dict[int, int] = {}
-        self.feet = 0
-        for i, label in enumerate(self.labels):  # parents before their children
-            above = self.cover.get(i)
-            if label.foot_marker:
-                self.nested[i] = 0
-                if above is None:
-                    self.feet += 1
-                else:
-                    self.nested[above] += 1
-                above = i
-            if above is not None:
-                for kid in self.children[i]:
-                    self.cover[kid] = above
         self.leaves: list[NodeLabel] = []
         self.first: list[int] = []
         for label, kids in zip(self.labels, self.children):
@@ -337,11 +321,8 @@ class _Table:
             if self.labels[i].foot_marker or any(self.end[kid] is None for kid in kids):
                 continue
             self.end[i] = self.end[kids[-1]] if kids else self.first[i] + 1
-        self.unmarked = {
-            i: NodeLabel(label.kind, label.name, label.substitution_marker, False)
-            for i, label in enumerate(self.labels)
-            if label.foot_marker
-        }
+        feet = [NodeLabel(label.kind, label.name) for label in self.labels if label.foot_marker]
+        self.unmarked = feet[0] if feet else None
 
     def address(self, node: int) -> GornAddress:
         """The Gorn address of ``node``; it costs its own length."""
@@ -653,7 +634,7 @@ def _leaves(top: _Part) -> list[NodeLabel]:
             stack.append((op[1], 0))
             continue
         label = table.labels[i]
-        if label.foot_marker and excised:
+        if label.foot_marker:
             part, i = excised.pop()
         kids = part.table.children[i]
         if kids:
@@ -682,18 +663,9 @@ _IDLE: frozenset[int] = frozenset()
 
 
 class _Part:
-    """A checked derivation node: its compiled tree, the operations on
-    that tree by node index, each with the part it brings, and the number
-    of top feet of the tree it derives: its foot-marked nodes with no
-    foot above them.
-
-    Adjunction clears the first of these feet and hangs the excised
-    node's children there, so the count tells whether a part still has a
-    foot after any number of adjunctions into it.  It is the table's own
-    count, changed only by the operations that no foot covers (see
-    ``_Table.cover``): an adjunction adds its part's feet but the one it
-    clears, and an operation at a foot-marked node takes that foot's
-    place with the feet it covers nearest.
+    """A checked derivation node: its compiled tree and the operations on
+    that tree by node index, each with the part it brings.  It has a foot
+    exactly when its tree is auxiliary, since a foot is a leaf.
 
     ``busy`` holds the nodes at or above one of the operations, found by
     walking ``table.steps`` up from each operation until a node already
@@ -702,27 +674,17 @@ class _Part:
     leaves :func:`_leaves` copies through the table's spans.
     """
 
-    __slots__ = ("table", "ops", "feet", "busy")
+    __slots__ = ("table", "ops", "busy")
 
     def __init__(self, table: _Table, ops: dict[int, tuple[Operation, _Part]]):
         self.table = table
         self.ops = ops
-        self.feet = table.feet
         if not ops:
             self.busy = _IDLE
             return
-        cover, nested = table.cover, table.nested
         busy = set()
         steps = table.steps
-        for node, (operation, part) in ops.items():
-            above = cover.get(node)
-            while above in ops:  # a foot with an operation covers nothing
-                above = cover.get(above)
-            if above is None:
-                if operation is Operation.ADJUNCTION:
-                    self.feet += part.feet - 1
-                if node in nested:
-                    self.feet += nested[node] - 1
+        for node in ops:
             while node not in busy:
                 busy.add(node)
                 if not node:  # the root is node 0
@@ -788,13 +750,13 @@ def _check_edge(
             raise InapplicableOperationError(
                 f"substitution edge targets auxiliary tree {entry.name!r}"
             )
-        fault = _substitution_fault(label, internal, root, bool(part.feet))
+        fault = _substitution_fault(label, internal, root, False)
     else:
         if entry.kind is not TreeKind.AUXILIARY:
             raise InapplicableOperationError(
                 f"adjunction edge targets initial tree {entry.name!r}"
             )
-        fault = _adjunction_fault(label, internal, root, bool(part.feet))
+        fault = _adjunction_fault(label, internal, root, True)
     if fault:
         raise InapplicableOperationError(
             f"cannot apply {edge.operation.value} of {entry.name!r} "
@@ -805,9 +767,9 @@ def _check_edge(
 def _emit(top: _Part) -> SyntacticTree:
     """Build the derived tree of a checked part in one pre-order walk.
 
-    An adjoined part is walked in place of the excised node; the first
-    foot the walk meets inside it loses its marker and takes the excised
-    node's children instead of its own, as :func:`adjoin` does.
+    An adjoined part is walked in place of the excised node; its foot
+    loses its marker and takes the excised node's children, as
+    :func:`adjoin` does.
     """
     labels: list[NodeLabel] = []  # by id - 1
     children: list[list[int]] = [[]]  # by id; entry 0 receives the root
@@ -822,8 +784,8 @@ def _emit(top: _Part) -> SyntacticTree:
             stack.append((op[1], 0, parent))
             continue
         label = part.table.labels[i]
-        if label.foot_marker and excised:
-            label = part.table.unmarked[i]
+        if label.foot_marker:
+            label = part.table.unmarked
             part, i = excised.pop()
         labels.append(label)
         nid = len(labels)

@@ -31,6 +31,7 @@ from narmaxtag.trees import (
     InapplicableOperationError,
     InvalidAddressError,
     LabelKind,
+    MalformedGrammarError,
     NodeLabel,
     Operation,
     SyntacticTree,
@@ -41,6 +42,7 @@ from narmaxtag.trees import (
     format_address,
     node_at,
     substitute,
+    validate_grammar,
 )
 
 # ---------------------------------------------------------------------------
@@ -175,12 +177,30 @@ def expected_adjunction(gamma: SyntacticTree, at: int, aux: SyntacticTree):
 # ---------------------------------------------------------------------------
 
 
+def entries_by_name(grammar: Grammar) -> dict[str, ElementaryTree]:
+    """The grammar's elementary trees by name; unlike ``Grammar.find`` it
+    reads malformed grammars too."""
+    return {entry.name: entry for entry in grammar.elementary()}
+
+
+def refusal(grammar: Grammar) -> tuple | None:
+    """The (type, text) of the error that deriving over ``grammar`` must
+    raise before anything else: the first diagnostic of
+    ``validate_grammar``, or None for a well-formed grammar."""
+    diagnostics = validate_grammar(grammar)
+    if not diagnostics:
+        return None
+    return MalformedGrammarError, f"malformed grammar: {diagnostics[0]}"
+
+
 def reference_derive(derivation: DerivationTree, grammar: Grammar) -> SyntacticTree:
-    """``derive`` by the set-level operations: every node's elementary tree
-    is copied and each child's derived tree spliced in with ``substitute``
-    or ``adjoin``, innermost first.  Quadratic in tree size and recursive
-    in derivation depth; it raises the errors ``derive`` must raise."""
-    entry = grammar.find(derivation.tree_name)
+    """``derive`` by the set-level operations on a well-formed grammar:
+    every node's elementary tree is copied and each child's derived tree
+    spliced in with ``substitute`` or ``adjoin``, innermost first.
+    Quadratic in tree size and recursive in derivation depth; it raises
+    the errors ``derive`` must raise."""
+    entries = entries_by_name(grammar)
+    entry = entries.get(derivation.tree_name)
     if entry is None:
         raise DanglingReferenceError(f"unknown elementary tree {derivation.tree_name!r}")
     root_label = entry.tree.labels[entry.tree.root]
@@ -189,11 +209,13 @@ def reference_derive(derivation: DerivationTree, grammar: Grammar) -> SyntacticT
             f"derivation root {derivation.tree_name!r} is not an initial tree "
             f"rooted at {grammar.start!r}"
         )
-    return _reference_node(derivation, grammar)
+    return _reference_node(derivation, entries)
 
 
-def _reference_node(derivation: DerivationTree, grammar: Grammar) -> SyntacticTree:
-    host = grammar.find(derivation.tree_name).tree.renumbered(1)
+def _reference_node(
+    derivation: DerivationTree, entries: dict[str, ElementaryTree]
+) -> SyntacticTree:
+    host = entries[derivation.tree_name].tree.renumbered(1)
     resolved = []
     for edge in derivation.edges:
         try:
@@ -207,12 +229,12 @@ def _reference_node(derivation: DerivationTree, grammar: Grammar) -> SyntacticTr
     rank = {nid: pos for pos, nid in enumerate(host.post_order())}
     resolved.sort(key=lambda pair: rank[pair[1]])
     for edge, target in resolved:
-        child_entry = grammar.find(edge.child.tree_name)
+        child_entry = entries.get(edge.child.tree_name)
         if child_entry is None:
             raise DanglingReferenceError(
                 f"unknown elementary tree {edge.child.tree_name!r}"
             )
-        part = _reference_node(edge.child, grammar)
+        part = _reference_node(edge.child, entries)
         try:
             if edge.operation is Operation.SUBSTITUTION:
                 if child_entry.kind is not TreeKind.INITIAL:
@@ -235,38 +257,6 @@ def _reference_node(derivation: DerivationTree, grammar: Grammar) -> SyntacticTr
     return host
 
 
-def reference_top_feet(part) -> int:
-    """The number of foot-marked nodes with no foot above them in the
-    tree a checked ``trees._Part`` derives, by walking its whole table:
-    an operation's node is walked through (an adjunction adds the
-    adjoined part's count but the foot it clears), any other foot-marked
-    node counts once and hides what is under it."""
-    table, ops = part.table, part.ops
-    count = 0
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        if i in ops:
-            operation, child = ops[i]
-            if operation is Operation.ADJUNCTION:
-                count += child.feet - 1
-        elif table.labels[i].foot_marker:
-            count += 1
-            continue
-        stack += table.children[i]
-    return count
-
-
-def part_tree(top) -> list:
-    """Every part under a checked ``trees._Part``, ``top`` included."""
-    out, stack = [], [top]
-    while stack:
-        part = stack.pop()
-        out.append(part)
-        stack += [child for _, child in part.ops.values()]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Recursive derivation enumeration
 # ---------------------------------------------------------------------------
@@ -275,10 +265,7 @@ def part_tree(top) -> list:
 def reference_enumerate(grammar: Grammar, budget: int) -> Iterator[DerivationTree]:
     """``enumerate_derivations`` by two mutually recursive generators over
     slots read straight off the syntactic trees, with the adjunction
-    budget threaded through them.  Recursive in derivation depth; on a
-    grammar with a repeated tree name the last entry gives the slots and
-    every entry is a candidate, so compare on grammars with distinct
-    names."""
+    budget threaded through them.  Recursive in derivation depth."""
 
     def slots_of(entry: ElementaryTree) -> list[tuple]:
         tree = entry.tree
@@ -331,26 +318,6 @@ def reference_enumerate(grammar: Grammar, budget: int) -> Iterator[DerivationTre
     for entry in sorted(roots, key=lambda e: e.name):
         for derivation, _ in expand(entry, budget):
             yield derivation
-
-
-def first_entries(grammar: Grammar) -> Grammar:
-    """The grammar with only the first entry of each tree name, the one
-    ``derive`` and ``Grammar.find`` use."""
-    seen: set[str] = set()
-
-    def first(catalog: tuple[ElementaryTree, ...]) -> list[ElementaryTree]:
-        kept = []
-        for entry in catalog:
-            if entry.name not in seen:
-                seen.add(entry.name)
-                kept.append(entry)
-        return kept
-
-    initials = first(grammar.initials)
-    return Grammar(
-        grammar.nonterminals, grammar.terminals, grammar.start, initials,
-        first(grammar.auxiliaries),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -450,22 +417,48 @@ def _with_feet(rng: random.Random, tree: SyntacticTree) -> SyntacticTree:
     return _relabeled(tree, changes)
 
 
-def random_grammar(rng: random.Random) -> Grammar:
+def _with_foot(rng: random.Random, tree: SyntacticTree) -> SyntacticTree:
+    """One foot, on a leaf, named like the root (an inner node)."""
+    leaves = [nid for nid in tree.labels if not tree.children[nid]]
+    name = tree.labels[tree.root].name
+    return _relabeled(tree, {rng.choice(leaves): NodeLabel.nonterminal(name, foot=True)})
+
+
+def random_grammar(rng: random.Random, well_formed: bool = False) -> Grammar:
     """A small grammar over random trees, often malformed: feet missing,
-    doubled, on inner nodes or misnamed, and tree names used twice."""
+    doubled, on inner nodes or misnamed, and tree names used twice.
+
+    With ``well_formed`` it is one that ``validate_grammar`` passes:
+    every auxiliary tree has one foot, on a leaf named like its root, no
+    initial tree has a foot, and every tree name is used once.
+    """
     start = rng.choice(_NT_NAMES)
+    unique = iter(rng.sample(range(1, 10), 7)) if well_formed else None
+
+    def name() -> str:
+        return f"t{next(unique) if well_formed else rng.randint(1, 6)}"
+
     initials, auxiliaries = [], []
     for _ in range(rng.randint(1, 3)):
         tree = random_tree(rng, max_depth=2)
         if rng.random() < 0.6:
             tree = _relabeled(tree, {tree.root: NodeLabel.nonterminal(start)})
-        if rng.random() < 0.1:
+        if not well_formed and rng.random() < 0.1:
             tree = _with_feet(rng, tree)
-        initials.append(ElementaryTree(f"t{rng.randint(1, 6)}", TreeKind.INITIAL, tree))
+        initials.append(ElementaryTree(name(), TreeKind.INITIAL, tree))
     for _ in range(rng.randint(1, 4)):
-        tree = _with_feet(rng, random_tree(rng, max_depth=2))
-        auxiliaries.append(ElementaryTree(f"t{rng.randint(1, 6)}", TreeKind.AUXILIARY, tree))
+        tree = random_tree(rng, max_depth=2)
+        tree = _with_foot(rng, tree) if well_formed else _with_feet(rng, tree)
+        auxiliaries.append(ElementaryTree(name(), TreeKind.AUXILIARY, tree))
     return Grammar(set(_NT_NAMES), set(_T_NAMES), start, initials, auxiliaries)
+
+
+def random_grammars(seed: int) -> Iterator[tuple[random.Random, Grammar]]:
+    """The two random grammars of ``seed``, the well-formed one first,
+    each with the generator that drew it, left ready to draw more."""
+    for well_formed in (True, False):
+        rng = random.Random(seed)
+        yield rng, random_grammar(rng, well_formed)
 
 
 def random_derivation(
@@ -475,6 +468,7 @@ def random_derivation(
     trees whose root label fits, with some unknown names, wrong
     operations, addresses off the tree and edges in random order."""
     names = [entry.name for entry in grammar.elementary()] + ["zz"]
+    entries = entries_by_name(grammar)
 
     def pick(operation: Operation, label: NodeLabel) -> str:
         catalog = grammar.initials if operation is Operation.SUBSTITUTION else grammar.auxiliaries
@@ -482,7 +476,7 @@ def random_derivation(
         return rng.choice(fitting if fitting and rng.random() < 0.9 else names)
 
     def build(name: str, depth: int) -> DerivationTree:
-        entry = grammar.find(name)
+        entry = entries.get(name)
         if entry is None or depth == 0:
             return DerivationTree(name)
         tree = entry.tree

@@ -130,6 +130,36 @@ class TestPipeline:
         assert err.endswith("error: argument --preset: not allowed with argument --grammar\n")
 
 
+    @pytest.mark.parametrize(
+        "grammar, derivation, message",
+        [
+            (  # an auxiliary tree with two feet
+                "initial a = S(A(x))\nauxiliary b = A(A★ A★)\n",
+                "a[adj@1 -> b]",
+                "multiple-foot: 2 foot-marked nodes [b@2]",
+            ),
+            (  # an initial tree name used twice
+                "initial a = S(A(x))\ninitial a = S(x)\n",
+                "a",
+                "duplicate-tree-name: tree name 'a' appears more than once [a]",
+            ),
+        ],
+    )
+    def test_derive_refuses_a_malformed_grammar(
+        self, capsys, tmp_path, grammar, derivation, message
+    ):
+        grammar_file = tmp_path / "bad.grammar"
+        grammar_file.write_text(
+            "nonterminals: S A\nterminals: x\nstart: S\n" + grammar, encoding="utf-8"
+        )
+        derivation_file = tmp_path / "derivation.txt"
+        derivation_file.write_text(derivation, encoding="utf-8")
+        code, out, err = run(
+            capsys, "derive", str(derivation_file), "--grammar", str(grammar_file)
+        )
+        assert (code, out, err) == (1, "", f"error: malformed grammar: {message}\n")
+
+
 class TestClassifyCommand:
     def test_single(self, capsys):
         code, out, _ = run(capsys, "classify", "c1*y[-1] + c2*u[0] + xi")

@@ -5,11 +5,9 @@ catalog's trees, and any other grammar's through ``derived_leaves``.
 every derivation of ``enumerate_derivations`` through ``derived_leaves``
 and the yield reader, and raise that route's error on the same
 derivation; each enumerated derivation's checked part must give the
-leaves of the set-level reference, and its foot count must be the one
-the whole-table walk finds.
+leaves of the set-level reference.
 """
 
-import random
 from itertools import islice
 
 import pytest
@@ -26,10 +24,12 @@ from narmaxtag.narmax import (
     build_nbj_grammar,
     restrict,
 )
-from narmaxtag.treeio import parse_derivation, parse_grammar
+from narmaxtag.treeio import parse_grammar
 from narmaxtag.trees import (
+    DerivationTree,
     ElementaryTree,
     Grammar,
+    MalformedGrammarError,
     NodeLabel,
     SyntacticTree,
     TagError,
@@ -40,13 +40,7 @@ from narmaxtag.trees import (
     derived_leaves,
 )
 
-from oracles import (
-    part_tree,
-    random_derivation,
-    random_grammar,
-    reference_derive,
-    reference_top_feet,
-)
+from oracles import random_grammars, reference_derive, refusal
 
 GRAMMARS = [preset.value for preset in GrammarPreset] + ["nbj"]
 
@@ -167,9 +161,10 @@ def _outcome(read, *args):
 
 
 class TestRandomGrammars:
-    """Malformed grammars: ``enumerate_models`` raises the reference
-    route's error on the same derivation, and each enumerated derivation
-    gives the leaves of the tree ``derive`` builds, or its error."""
+    """Random grammars: ``enumerate_models`` raises the reference route's
+    error on the same derivation, and each enumerated derivation gives
+    the leaves of the tree ``derive`` builds.  A malformed grammar is
+    refused by both routes at the first item."""
 
     LIMIT = 200
 
@@ -194,31 +189,33 @@ class TestRandomGrammars:
         return (fast, fast_error), (slow, slow_error)
 
     def test_same_leaves_or_same_error(self, monkeypatch):
-        errors = without_part = 0
+        cycles = refused = parts = 0
         for seed in range(2000):
-            grammar = random_grammar(random.Random(seed))
-            fast, slow = self._streams(monkeypatch, grammar)
-            assert fast == slow, seed
-            errors += fast[1] is not None
-            bounds = GenBounds(max_adjunctions=2)
-            derivations = islice(enumerate_derivations(grammar, bounds), self.LIMIT)
-            try:
-                for derivation in derivations:
-                    part, error = _outcome(_checked, derivation, grammar)
-                    tree, tree_error = _outcome(derive, derivation, grammar)
-                    assert error == tree_error, seed
-                    if part is None:
-                        without_part += 1
-                    else:
-                        assert _leaves(part) == [tree.labels[n] for n in tree.leaves()], seed
-            except TagError:
-                pass  # the cycle error, compared above
-        assert errors > 100 and without_part > 100
+            for _, grammar in random_grammars(seed):
+                fast, slow = self._streams(monkeypatch, grammar)
+                assert fast == slow, seed
+                malformed = refusal(grammar)
+                if malformed:
+                    assert fast == ([], malformed), seed
+                    refused += 1
+                    continue
+                cycles += fast[1] is not None
+                bounds = GenBounds(max_adjunctions=2)
+                derivations = islice(enumerate_derivations(grammar, bounds), self.LIMIT)
+                try:
+                    for derivation in derivations:
+                        tree = derive(derivation, grammar)
+                        leaves = _leaves(_checked(derivation, grammar))
+                        assert leaves == [tree.labels[n] for n in tree.leaves()], seed
+                        parts += 1
+                except TagError as exc:
+                    assert "without end" in str(exc), seed  # compared above
+        assert cycles > 100 and refused > 1000 and parts > 2000
 
     @pytest.mark.parametrize("kind", list(TreeKind))
     def test_terminal_root_fails_the_label_check(self, monkeypatch, kind):
-        # a tree rooted at a terminal named like a slot's nonterminal is a
-        # candidate there, but no placement of it passes
+        # a tree rooted at a terminal named like a nonterminal needs the
+        # alphabets to overlap, so its grammar is refused before any slot
         nt, t = NodeLabel.nonterminal, NodeLabel.terminal
         if kind is TreeKind.AUXILIARY:
             start = SyntacticTree(0, {0: nt("S"), 1: nt("A"), 2: t("x")}, {0: (1,), 1: (2,)})
@@ -231,75 +228,10 @@ class TestRandomGrammars:
             ElementaryTree("odd", kind, odd)
         )
         grammar = Grammar({"S", "A"}, {"x", "A"}, "S", initials, auxiliaries)
-        derivations = enumerate_derivations(grammar, GenBounds(max_adjunctions=1))
-        failed = [_outcome(_checked, d, grammar)[1] is not None for d in derivations]
-        assert failed == ([False, True] if kind is TreeKind.AUXILIARY else [True])
-        fast, slow = self._streams(monkeypatch, grammar)
-        assert fast == slow
-        assert "does not match incoming root" in fast[1][1]
-
-
-def _enumerated_parts(grammar, budget):
-    """Every part of the enumerated derivations that pass the check."""
-    for derivation in enumerate_derivations(grammar, GenBounds(max_adjunctions=budget)):
-        try:
-            top = _checked(derivation, grammar)
-        except TagError:
-            continue
-        yield from part_tree(top)
-
-
-class TestFeetFromCounts:
-    """``_Part.feet`` against the walk over the whole table."""
-
-    @pytest.mark.parametrize("name", GRAMMARS)
-    def test_enumerated_parts(self, name):
-        grammar, _ = _grammar_and_reader(name)
-        for part in _enumerated_parts(grammar, BUDGET):
-            assert part.feet == reference_top_feet(part)
-
-    def test_random_grammars(self):
-        # the parts of enumerated and of random derivations; random
-        # grammars put operations at feet and under inner-node feet
-        at_foot = under_foot = 0
-        for seed in range(2000):
-            rng = random.Random(seed)
-            grammar = random_grammar(rng)
-            parts = []
-            try:
-                parts += islice(_enumerated_parts(grammar, 2), 1000)
-            except TagError:
-                pass
-            try:
-                parts += part_tree(_checked(random_derivation(rng, grammar), grammar))
-            except TagError:
-                pass
-            for part in parts:
-                assert part.feet == reference_top_feet(part), seed
-                at_foot += any(part.table.labels[i].foot_marker for i in part.ops)
-                under_foot += any(i in part.table.cover for i in part.ops)
-        assert at_foot > 0 and under_foot > 0
-
-    def test_feet_grammar(self):
-        # operations at inner-node feet, under them and under feet that
-        # have operations of their own, with parts of none, one and two
-        # feet; every part of every derivation with up to 3 adjunctions
-        grammar = parse_grammar(
-            "nonterminals: S A C\n"
-            "terminals: x y z\n"
-            "start: S\n"
-            "initial a = S(A(x C(y)) A(z))\n"
-            "auxiliary two = A(C(A★ z) A★)\n"
-            "auxiliary inner = A(A★(A(x) C(x)) C(z))\n"
-            "auxiliary nested = A(A★(A★(x)) C(z))\n"
-            "auxiliary c = C(z C★)\n"
-            "auxiliary none = C(z)\n"
+        error = (
+            MalformedGrammarError,
+            "malformed grammar: alphabets-overlap: nonterminals and terminals share A",
         )
-        checked = 0
-        for part in _enumerated_parts(grammar, 3):
-            assert part.feet == reference_top_feet(part)
-            checked += 1
-        assert checked > 1000
-        text = "a[adj@1 -> inner[adj@1 -> two, adj@1.1 -> two]]"
-        parts = part_tree(_checked(parse_derivation(text), grammar))
-        assert [p.feet for p in parts if p.table.entry.name == "inner"] == [2]
+        assert _outcome(_checked, DerivationTree("s"), grammar)[1] == error
+        fast, slow = self._streams(monkeypatch, grammar)
+        assert fast == slow == ([], error)

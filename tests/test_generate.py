@@ -1,4 +1,3 @@
-import random
 import time
 import tracemalloc
 from itertools import islice, product
@@ -34,15 +33,14 @@ from narmaxtag import (
 from narmaxtag import generate
 from narmaxtag.treeio import parse_grammar, parse_tree
 
-from conftest import SENTENCE_GRAMMAR_TEXT
 from oracles import (
     PRESET_TAGS,
     adjunctions_required,
     all_models_within_cost,
-    first_entries,
     node_names,
-    random_grammar,
+    random_grammars,
     reference_enumerate,
+    refusal,
 )
 
 
@@ -165,19 +163,6 @@ class TestEnumerate:
         assert len(items) == 600
         assert max(len(node_names(d)) for d in items) > 500
 
-    def test_first_entry_of_a_name_wins(self):
-        # a second ``beta1`` is neither a second candidate nor the source
-        # of beta1's slots, just as it is not for ``derive``
-        text = SENTENCE_GRAMMAR_TEXT + (
-            "auxiliary beta1 = sentence(sentence(adv(yesterday) sentence★))\n"
-        )
-        grammar = parse_grammar(text)
-        items = list(enumerate_derivations(grammar, GenBounds(max_adjunctions=2)))
-        assert len(items) == len(set(items)) == 3
-        for derivation in items:
-            derive(derivation, grammar)
-        assert items == list(reference_enumerate(first_entries(grammar), 2))
-
     def test_substitution_cycle_is_an_error(self):
         grammar = parse_grammar(
             "nonterminals: A\nterminals: a\nstart: A\ninitial t1 = A(A↓)\n"
@@ -254,30 +239,60 @@ class TestEnumerateParity:
             )
 
     def test_random_grammars(self):
-        # Equal streams, or a prefix of the reference's stream and then
-        # the cycle error where the reference recurses without end.
-        limit, cycles = 200, 0
+        # Over well-formed grammars: equal streams, or a prefix of the
+        # reference's stream and then the cycle error where the reference
+        # recurses without end.  A malformed grammar is refused at the
+        # first item.
+        limit, cycles, refused = 200, 0, 0
         for seed in range(600):
-            grammar = random_grammar(random.Random(seed))
-            new, error = [], None
+            for _, grammar in random_grammars(seed):
+                new, error = [], None
+                try:
+                    new.extend(
+                        islice(enumerate_derivations(grammar, GenBounds(max_adjunctions=2)), limit)
+                    )
+                except TagError as exc:
+                    error = exc
+                malformed = refusal(grammar)
+                if malformed:
+                    assert (new, (type(error), str(error))) == ([], malformed), seed
+                    refused += 1
+                    continue
+                old = []
+                try:
+                    old.extend(islice(reference_enumerate(grammar, 2), limit))
+                except RecursionError:
+                    old.append(None)
+                if error is None:
+                    assert new == old, seed
+                else:
+                    assert "without end" in str(error), seed
+                    assert len(new) < len(old) and new == old[: len(new)], seed
+                    cycles += 1
+        assert 0 < cycles < 600 and refused > 300
+
+
+class TestEnumeratedDerivationsDerive:
+    """Over a well-formed grammar every derivation enumeration yields
+    passes ``derive``: the slot table's candidates are exactly what
+    ``derive`` accepts, so the only error left is the substitution
+    cycle.  ``test_trees.TestDeriveParity.test_enumerated_derivations``
+    derives every enumerated derivation of each preset and NBJ."""
+
+    def test_well_formed_random_grammars(self):
+        derived = cycles = 0
+        for seed in range(2000):
+            _, grammar = next(random_grammars(seed))
             try:
-                new.extend(
-                    islice(enumerate_derivations(grammar, GenBounds(max_adjunctions=2)), limit)
-                )
+                for derivation in islice(
+                    enumerate_derivations(grammar, GenBounds(max_adjunctions=2)), 200
+                ):
+                    derive(derivation, grammar)
+                    derived += 1
             except TagError as exc:
-                error = exc
-            old = []
-            try:
-                old.extend(islice(reference_enumerate(first_entries(grammar), 2), limit))
-            except RecursionError:
-                old.append(None)
-            if error is None:
-                assert new == old, seed
-            else:
-                assert "without end" in str(error), seed
-                assert len(new) < len(old) and new == old[: len(new)], seed
+                assert type(exc) is TagError and "without end" in str(exc), seed
                 cycles += 1
-        assert 0 < cycles < 600
+        assert derived > 2000 and cycles > 100
 
 
 class TestSample:

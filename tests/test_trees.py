@@ -19,6 +19,7 @@ from narmaxtag import (
     InapplicableOperationError,
     InvalidAddressError,
     LabelKind,
+    MalformedGrammarError,
     NodeLabel,
     Operation,
     SyntacticTree,
@@ -35,7 +36,8 @@ from narmaxtag import (
     validate_grammar,
     yield_of,
 )
-from narmaxtag.generate import GenBounds, enumerate_derivations
+from narmaxtag import trees
+from narmaxtag.generate import GenBounds, enumerate_derivations, enumerate_models
 from narmaxtag.narmax import GrammarPreset, build_narmax_grammar, build_nbj_grammar, restrict
 from narmaxtag.treeio import parse_derivation, parse_grammar, parse_tree
 from narmaxtag.trees import _Table
@@ -50,7 +52,9 @@ from oracles import (
     node_names,
     random_derivation,
     random_grammar,
+    random_grammars,
     reference_derive,
+    refusal,
     structural_key,
     structurally_equal,
     substitution_case,
@@ -249,7 +253,11 @@ class TestCompiledOnce:
         assert [(d.code, d.tree) for d in diagnostics] == [
             ("duplicate-tree-name", "t"), ("missing-foot", "t")
         ]
-        assert grammar._tables == {"t": first._table}  # the first entry of a name wins
+        with pytest.raises(MalformedGrammarError) as info:
+            grammar._tables
+        assert str(info.value) == (
+            "malformed grammar: duplicate-tree-name: tree name 't' appears more than once [t]"
+        )
         assert second._table.entry is second and second._table is not first._table
 
 
@@ -545,21 +553,27 @@ class TestDeriveParity:
             assert structurally_equal(fast, reference_derive(derivation, sentence_grammar))
 
     def test_random_grammars(self):
-        # malformed grammars and derivations: same tree or same error
-        outcomes = set()
+        # random derivations over well-formed grammars: same tree or same
+        # error; a malformed grammar is refused whatever the derivation
+        outcomes, refused = set(), 0
         for seed in range(2000):
-            rng = random.Random(seed)
-            grammar = random_grammar(rng)
-            derivation = random_derivation(rng, grammar)
-            fast, fast_error = _outcome(derive, derivation, grammar)
-            slow, slow_error = _outcome(reference_derive, derivation, grammar)
-            assert fast_error == slow_error, seed
-            if fast is not None:
-                assert structurally_equal(fast, slow), seed
-                SyntacticTree(fast.root, fast.labels, fast.children)
-                assert list(fast.pre_order()) == list(range(1, len(fast.labels) + 1))
-            outcomes.add(fast_error[0] if fast_error else None)
+            for rng, grammar in random_grammars(seed):
+                derivation = random_derivation(rng, grammar)
+                fast, fast_error = _outcome(derive, derivation, grammar)
+                malformed = refusal(grammar)
+                if malformed:
+                    assert fast_error == malformed, seed
+                    refused += 1
+                    continue
+                slow, slow_error = _outcome(reference_derive, derivation, grammar)
+                assert fast_error == slow_error, seed
+                if fast is not None:
+                    assert structurally_equal(fast, slow), seed
+                    SyntacticTree(fast.root, fast.labels, fast.children)
+                    assert list(fast.pre_order()) == list(range(1, len(fast.labels) + 1))
+                outcomes.add(fast_error[0] if fast_error else None)
         assert outcomes == {None, DanglingReferenceError, InapplicableOperationError}
+        assert refused > 1000
 
 
 def _leaf_labels(derivation, grammar):
@@ -586,17 +600,23 @@ class TestDerivedLeavesParity:
             assert leaves == _leaf_labels(derivation, sentence_grammar)
 
     def test_random_grammars(self):
-        # malformed grammars and derivations: same labels or same error
-        outcomes = set()
+        # random derivations over well-formed grammars: same labels or
+        # same error; a malformed grammar is refused whatever the derivation
+        outcomes, refused = set(), 0
         for seed in range(2000):
-            rng = random.Random(seed)
-            grammar = random_grammar(rng)
-            derivation = random_derivation(rng, grammar)
-            fast, fast_error = _outcome(derived_leaves, derivation, grammar)
-            slow, slow_error = _outcome(_leaf_labels, derivation, grammar)
-            assert (fast, fast_error) == (slow, slow_error), seed
-            outcomes.add(fast_error[0] if fast_error else None)
+            for rng, grammar in random_grammars(seed):
+                derivation = random_derivation(rng, grammar)
+                fast, fast_error = _outcome(derived_leaves, derivation, grammar)
+                malformed = refusal(grammar)
+                if malformed:
+                    assert fast_error == malformed, seed
+                    refused += 1
+                    continue
+                slow, slow_error = _outcome(_leaf_labels, derivation, grammar)
+                assert (fast, fast_error) == (slow, slow_error), seed
+                outcomes.add(fast_error[0] if fast_error else None)
         assert outcomes == {None, DanglingReferenceError, InapplicableOperationError}
+        assert refused > 1000
 
 
 # auxiliary trees with two feet and with a foot on an inner node
@@ -612,10 +632,9 @@ auxiliary c = C(z C★)
 
 
 class TestDerivedLeavesFeet:
-    """``derived_leaves`` copies a node's leaves in one slice only where
-    no operation and no foot is at or under the node; these derivations
-    meet feet, one of two or on an inner node, below nodes with and
-    without an operation under them."""
+    """A grammar whose auxiliary trees have two feet or a foot on an
+    inner node is malformed: ``derive`` and ``derived_leaves`` refuse it
+    with its first diagnostic, whatever the derivation."""
 
     @pytest.mark.parametrize(
         "text",
@@ -630,11 +649,71 @@ class TestDerivedLeavesFeet:
             "a[adj@1.2 -> c, adj@2 -> two[adj@1 -> c, adj@ε -> inner]]",
         ],
     )
-    def test_same_leaves_as_the_reference(self, text):
+    def test_refused_with_the_first_diagnostic(self, text):
         grammar = parse_grammar(FEET_GRAMMAR)
         derivation = parse_derivation(text)
-        tree = reference_derive(derivation, grammar)
-        assert derived_leaves(derivation, grammar) == [tree.labels[n] for n in tree.leaves()]
+        for evaluate in (derive, derived_leaves):
+            assert _outcome(evaluate, derivation, grammar)[1] == (
+                MalformedGrammarError,
+                "malformed grammar: multiple-foot: 2 foot-marked nodes [two@2]",
+            )
+
+
+class TestMalformedGrammars:
+    """A grammar that ``validate_grammar`` flags can be built, read and
+    validated, and everything that derives over it or looks a tree up
+    refuses it with its first diagnostic."""
+
+    def test_every_reader_refuses_the_random_grammars(self):
+        bounds = GenBounds(max_adjunctions=2)
+        refused = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            grammar = random_grammar(rng)
+            error = refusal(grammar)
+            if error is None:
+                continue
+            derivation = random_derivation(rng, grammar)
+            uses = (
+                lambda: derive(derivation, grammar),
+                lambda: derived_leaves(derivation, grammar),
+                lambda: next(enumerate_derivations(grammar, bounds)),
+                lambda: next(enumerate_models(grammar, bounds)),
+                lambda: grammar.find(derivation.tree_name),
+            )
+            for use in uses:
+                with pytest.raises(MalformedGrammarError) as info:
+                    use()
+                assert (type(info.value), str(info.value)) == error, seed
+            refused += 1
+        assert refused > 200
+
+    def test_refused_on_first_use_not_on_construction(self):
+        grammar = parse_grammar(FEET_GRAMMAR)
+        generator = enumerate_derivations(grammar, GenBounds())
+        assert [d.code for d in validate_grammar(grammar)][:2] == ["multiple-foot", "foot-not-leaf"]
+        with pytest.raises(MalformedGrammarError):
+            next(generator)
+
+    def test_validated_once_per_grammar(self, monkeypatch, sentence_grammar, plain_derivation):
+        calls = []
+        validate = trees.validate_grammar
+
+        def counted(grammar):
+            calls.append(grammar)
+            return validate(grammar)
+
+        monkeypatch.setattr(trees, "validate_grammar", counted)
+        grammar = Grammar(
+            sentence_grammar.nonterminals, sentence_grammar.terminals, sentence_grammar.start,
+            sentence_grammar.initials, sentence_grammar.auxiliaries,
+        )
+        for _ in range(3):
+            derive(plain_derivation, grammar)
+            derived_leaves(plain_derivation, grammar)
+        list(enumerate_derivations(grammar, GenBounds(max_adjunctions=2)))
+        assert grammar.find("alpha1") is not None
+        assert calls == [grammar]
 
 
 class TestValidateGrammar:
