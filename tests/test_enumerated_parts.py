@@ -5,9 +5,12 @@ catalog's trees, and any other grammar's through ``derived_leaves``.
 every derivation of ``enumerate_derivations`` through ``derived_leaves``
 and the yield reader, and raise that route's error on the same
 derivation; each enumerated derivation's checked part must give the
-leaves of the set-level reference.
+leaves of the set-level reference, and every part under it must have a
+foot exactly when its tree is auxiliary and be busy exactly at and
+above its operations.
 """
 
+import random
 from itertools import islice
 
 import pytest
@@ -40,7 +43,14 @@ from narmaxtag.trees import (
     derived_leaves,
 )
 
-from oracles import random_grammars, reference_derive, refusal
+from oracles import (
+    random_derivation,
+    random_grammars,
+    reference_busy,
+    reference_derive,
+    reference_derive_node,
+    refusal,
+)
 
 GRAMMARS = [preset.value for preset in GrammarPreset] + ["nbj"]
 
@@ -235,3 +245,89 @@ class TestRandomGrammars:
         assert _outcome(_checked, DerivationTree("s"), grammar)[1] == error
         fast, slow = self._streams(monkeypatch, grammar)
         assert fast == slow == ([], error)
+
+
+def _sub_derivations(derivation):
+    """Every node of a derivation, ``derivation`` included."""
+    out, stack = [], [derivation]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack += [edge.child for edge in node.edges]
+    return out
+
+
+def _check_parts(derivation, grammar) -> int:
+    """Check the part of every node under a derivation that passes the
+    check against the set-level reference; return how many of them
+    have an operation above their foot."""
+    above_foot = 0
+    for node in _sub_derivations(derivation):
+        part = trees._check(node, grammar._tables)
+        table = part.table
+        tree = reference_derive_node(node, grammar)
+        feet = [n for n, label in tree.labels.items() if label.foot_marker]
+        assert len(feet) == (table.entry.kind is TreeKind.AUXILIARY)
+        assert tree.labels[tree.root] == table.labels[0]
+        assert part.busy == reference_busy(table, part.ops)
+        if table.entry.kind is TreeKind.INITIAL:
+            assert _leaves(part) == [tree.labels[n] for n in tree.leaves()]
+        above_foot += any(table.end[i] is None for i in part.ops)
+    return above_foot
+
+
+class TestPartsOfEnumeratedDerivations:
+    """Each part under a checked derivation, against the tree the
+    set-level operations derive from its derivation node: one foot when
+    its tree is auxiliary and none otherwise, the root label of its own
+    tree, ``busy`` at and above its operations only, and for an initial
+    tree the leaves of the reference."""
+
+    @pytest.mark.parametrize("name", GRAMMARS)
+    def test_enumerated_parts(self, name):
+        grammar, _ = _grammar_and_reader(name)
+        derivations = list(enumerate_derivations(grammar, GenBounds(max_adjunctions=BUDGET)))
+        for derivation in derivations:
+            _check_parts(derivation, grammar)
+        assert any(d.edges for d in derivations)
+
+    def test_random_grammars(self):
+        # the well-formed random grammars, over enumerated derivations
+        # and over random ones that pass the check
+        checked = above_foot = 0
+        for seed in range(1000):
+            rng, grammar = next(random_grammars(seed))
+            derivations = []
+            try:
+                derivations += islice(
+                    enumerate_derivations(grammar, GenBounds(max_adjunctions=2)), 100
+                )
+            except TagError as exc:
+                assert "without end" in str(exc), seed
+            candidate = random_derivation(rng, grammar)
+            if _outcome(derive, candidate, grammar)[1] is None:
+                derivations.append(candidate)
+            for derivation in derivations:
+                above_foot += _check_parts(derivation, grammar)
+                checked += 1
+        assert checked > 2000 and above_foot > 0
+
+    def test_operations_above_the_foot(self):
+        # adjunctions on the spine of an auxiliary tree, nested, beside
+        # substitutions and adjunctions off the spine
+        grammar = parse_grammar(
+            "nonterminals: S A C\n"
+            "terminals: x y z\n"
+            "start: S\n"
+            "initial a = S(A(x C(y)) A(z))\n"
+            "initial b = C(x)\n"
+            "auxiliary two = A(C(A★ z) A(x))\n"
+            "auxiliary wrap = A(A(x) C(C(A★) C↓))\n"
+            "auxiliary c = C(z C★)\n"
+        )
+        assert refusal(grammar) is None
+        checked = above_foot = 0
+        for derivation in enumerate_derivations(grammar, GenBounds(max_adjunctions=3)):
+            above_foot += _check_parts(derivation, grammar)
+            checked += 1
+        assert checked > 200 and above_foot > 200
