@@ -265,36 +265,42 @@ def _model_step(mode: Mode):
     multiplicative tree one factor to its term, an additive tree one
     term, a factor-count map, to the sum.  A factor's delay is read from
     its backshifts by :func:`~narmaxtag.narmax._factor_delay`.  At the
-    root the terms go to the canonical form, and a model that ``mode``
-    refuses leaves None in the derivation's place.
+    root the terms go to the canonical form.  Strict mode refuses a model
+    with the current noise sample in a product, which is decided at that
+    factor: its step returns None, each step above it hands the None on,
+    and the root leaves it in the derivation's place.
     """
     (roles,) = build_narmax_grammar().equations
     # each tree's family, and the signal of the factor it brings
     family = {roles.delay_tree: (_BACKSHIFTS, None)}
     for kind, trees in ((_FACTORS, roles.multiplicative), (_TERMS, roles.additive)):
         family.update((name, (kind, signal)) for signal, name in trees.items())
+    refused = (SignalKind.NOISE, 0) if mode is Mode.STRICT else None
 
     def step(name: str, chain: tuple | None, slot: tuple | None):
         # the chain holds (edge, family, what the subtree adds), last edge
         # first; backshifts add up and factors and terms join their lists
         edges, found = [], [0, [], []]
         while chain is not None:
-            (edge, kind, adds), chain = chain
+            item, chain = chain
+            if item is None:  # a refused subtree
+                return None
+            edge, kind, adds = item
             edges.append(edge)
             found[kind] += adds
         edges.reverse()
         derivation = DerivationTree._build(name, tuple(edges))
         backshifts, factors, terms = found
         if slot is None:  # the initial tree
-            try:
-                return derivation, _canonical([(term, None) for term in terms], mode)
-            except CausalityError:
-                return None
+            return derivation, _canonical([(term, None) for term in terms], mode)
         kind, signal = family[name]
         if kind is _BACKSHIFTS:
             adds = backshifts + 1
         else:
-            factors.append((signal, _factor_delay(signal, backshifts)))
+            factor = (signal, _factor_delay(signal, backshifts))
+            if factor == refused:
+                return None
+            factors.append(factor)
             adds = factors
             if kind is _TERMS:
                 term: dict[FactorKey, int] = {}

@@ -70,6 +70,7 @@ class Mode(Enum):
 
 
 FactorKey = tuple[SignalKind, int]
+_ID_RULE = "coefficient ids are positive integers"
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class Monomial:
 
     def __post_init__(self) -> None:
         if self.coeff_id < 1:
-            raise ModelError("coefficient ids are positive integers")
+            raise ModelError(_ID_RULE)
         if self.coeff_value is not None:
             _finite(self.coeff_value)
         factors = dict(self.factors)
@@ -108,10 +109,11 @@ class Monomial:
 
         Its one caller, :func:`_canonical`, numbers ids from 1, checks each
         value with :func:`_finite` (a merged sum may overflow), and builds
-        factor maps from keys and exponents that a :class:`Monomial` or
-        the yield parser :func:`narmaxtag.narmax._parse_token_sum` has
-        checked, or that :mod:`narmaxtag.generate` reads off the model
-        catalog's trees, whose delays are causal by construction.
+        factor maps from keys and exponents that a :class:`Monomial`, the
+        model-text reader :func:`parse_model_text` or the yield parser
+        :func:`narmaxtag.narmax._parse_token_sum` has checked, or that
+        :mod:`narmaxtag.generate` reads off the model catalog's trees,
+        whose delays are causal by construction.
         """
         term = object.__new__(Monomial)
         object.__setattr__(term, "coeff_id", coeff_id)
@@ -307,7 +309,7 @@ def _floats(record: Sequence[float], name: str) -> list[float]:
     """The values of the record called ``name`` as floats; a value past
     the float range is a :class:`ModelError` that names the record."""
     try:
-        return [float(x) for x in record]
+        return list(map(float, record))
     except OverflowError:
         raise ModelError(f"the {name} record has a value past the float range") from None
 
@@ -346,6 +348,17 @@ def classify(model: NarmaxModel) -> frozenset[str]:
 _SIGNAL_TOKEN = {signal.value: signal for signal in SignalKind}
 _INTEGER_RE = re.compile(r"\d+")
 _REAL_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+# A term head "cN" with its optional ":VALUE", and a factor "*s[OFFSET]"
+# with its optional "^EXP", each read by one pattern that consumes what
+# the stepwise reads consume.  A pattern matches a whole production or
+# nothing: after the id, a ":" must start a value, and after the "]", a
+# "^" an exponent.  Digit runs are unbounded, so a run ``int`` cannot
+# take is left to the stepwise reads too.
+_TERM_HEAD_RE = re.compile(rf"c\s*(\d+)(?:\s*:\s*({_REAL_RE.pattern})|(?!\s*:))")
+_FACTOR_RE = re.compile(
+    rf"\s*\*\s*({'|'.join(_SIGNAL_TOKEN)})\s*\[\s*(-?)\s*(\d+)\s*\]"
+    r"(?:\s*\^\s*(\d+)|(?!\s*\^))"
+)
 
 
 def _parse_factor(scanner: _Scanner, factors: dict[FactorKey, int]) -> None:
@@ -376,6 +389,52 @@ def _parse_factor(scanner: _Scanner, factors: dict[FactorKey, int]) -> None:
     factors[key] = factors.get(key, 0) + exponent
 
 
+def _term_head(scanner: _Scanner) -> tuple[int, float | None]:
+    """Read ``cN(:VALUE)?`` at the scanner, which is past any whitespace."""
+    found = _TERM_HEAD_RE.match(scanner.text, scanner.pos)
+    if found:
+        try:
+            coeff_id = int(found[1])
+        except ValueError:  # too many digits: the stepwise reads report it
+            pass
+        else:
+            value = None if found[2] is None else float(found[2])
+            if value is None or math.isfinite(value):
+                scanner.pos = found.end()
+                return coeff_id, value
+    scanner.expect("c")
+    coeff_id = scanner.number(_INTEGER_RE, "an integer", int)
+    value = None
+    if scanner.take(":"):
+        value = scanner.number(_REAL_RE, "a number", float)
+    return coeff_id, value
+
+
+def _term_factors(scanner: _Scanner) -> dict[FactorKey, int]:
+    """Read a term's ``('*' factor)*`` into its factor-count map."""
+    factors: dict[FactorKey, int] = {}
+    while True:
+        found = _FACTOR_RE.match(scanner.text, scanner.pos)
+        if found:
+            signal = _SIGNAL_TOKEN[found[1]]
+            try:
+                offset = int(found[3])
+                exponent = 1 if found[4] is None else int(found[4])
+            except ValueError:  # too many digits: the stepwise reads report it
+                pass
+            else:
+                delay = offset if found[2] else -offset
+                # a factor the stepwise reads refuse is left to them, to report
+                if delay >= 0 and exponent >= 1 and (delay or signal is not SignalKind.OUTPUT):
+                    scanner.pos = found.end()
+                    key = (signal, delay)
+                    factors[key] = factors.get(key, 0) + exponent
+                    continue
+        if not scanner.take("*"):
+            return factors
+        _parse_factor(scanner, factors)
+
+
 def parse_model_text(text: str, mode: Mode = Mode.EXTENDED) -> NarmaxModel:
     """Parse model text and return its canonical form.
 
@@ -386,7 +445,8 @@ def parse_model_text(text: str, mode: Mode = Mode.EXTENDED) -> NarmaxModel:
     output).
     """
     scanner = _Scanner(text, ModelSyntaxError)
-    terms: list[Monomial] = []
+    # (factor map, value) per term; the reads check what Monomial would
+    terms: list[tuple[dict[FactorKey, int], float | None]] = []
     while True:
         scanner.skip_ws()
         start = scanner.pos
@@ -399,20 +459,13 @@ def parse_model_text(text: str, mode: Mode = Mode.EXTENDED) -> NarmaxModel:
                     )
                 break
             scanner.pos = start
-        scanner.expect("c")
-        coeff_id = scanner.number(_INTEGER_RE, "an integer", int)
-        value = None
-        if scanner.take(":"):
-            value = scanner.number(_REAL_RE, "a number", float)
-        factors: dict[FactorKey, int] = {}
-        while scanner.take("*"):
-            _parse_factor(scanner, factors)
-        try:
-            terms.append(Monomial(coeff_id, factors, value))
-        except ModelError as exc:
-            raise ModelSyntaxError(str(exc), start) from exc
+        coeff_id, value = _term_head(scanner)
+        factors = _term_factors(scanner)
+        if coeff_id < 1:
+            raise ModelSyntaxError(_ID_RULE, start)
+        terms.append((factors, value))
         scanner.expect("+")
-    return canonicalize(NarmaxModel(tuple(terms), mode))
+    return _canonical(terms, mode)
 
 
 def format_model_text(model: NarmaxModel) -> str:

@@ -10,10 +10,10 @@ Labels that collide with the markers or the structural characters are
 written in double quotes.  When the alphabets are known the label kinds
 are resolved against them; otherwise internal and marked nodes are read
 as nonterminals, ``ε`` as the empty leaf and everything else as a
-terminal.  Tree text is lexed by one compiled pattern.  Its bare-label
-rule, like the tree-name rule ``[\\w.\\-]+``, is shared by the readers
-and the writers, so a writer refuses what its reader could not read
-back.
+terminal.  Tree text is lexed by one compiled pattern whose ``findall``
+gives the token texts.  Its bare-label rule, like the tree-name rule
+``[\\w.\\-]+``, is shared by the readers and the writers, so a writer
+refuses what its reader could not read back.
 
 Grammar format: ``nonterminals:`` / ``terminals:`` / ``start:`` header
 lines followed by named tree blocks ``initial NAME = TREE`` and
@@ -25,14 +25,24 @@ itself a derivation, with ``op`` one of ``sub``/``adj`` and dotted Gorn
 addresses (``ε`` for the root).
 
 Derivation text and the model text of :mod:`narmaxtag.models` are read
-with one cursor, :class:`_Scanner`.  Derivation text has three
-productions (a node name, an edge head, the separator after a child),
-and each is read by one compiled pattern; where a pattern does not
-match, the scanner's stepwise reads take over at the same position, so
-errors and their positions come from one reader.  Both tree and
-derivation readers resolve each distinct label or name once per call.
-Every parser and printer here is a loop over an explicit stack, so
-nesting depth is bounded by memory only.
+with one cursor, :class:`_Scanner`.  Each production of derivation text
+(a node name, an edge head, the separator after a child) is read by one
+compiled pattern; where a pattern does not match, the scanner's stepwise
+reads take over at the same position, so errors and their positions come
+from one reader.  The derivation reader builds its nodes and edges
+through the trusted constructors and checks their two rules (a Gorn
+index 0, two edges at one address) itself, where the constructors would.
+
+Work that depends on a token's text alone is done once per distinct
+text and call: the tree reader decodes and resolves each label token
+once for leaves and once for internal nodes, the derivation reader
+converts each address text once and keeps one string per tree name, the
+tree writer renders each label once for leaves and once, with its
+``(``, for internal nodes, and the derivation writer checks each tree
+name and renders each edge head once.  An error is never kept, so it is
+raised at the first node that has it.  Every parser and printer here is
+a loop over an explicit stack, so nesting depth is bounded by memory
+only.
 """
 
 from __future__ import annotations
@@ -55,17 +65,20 @@ from .trees import (
     Operation,
     SyntacticTree,
     TreeKind,
+    _INDEX_RULE,
+    _shared_address,
     format_address,
 )
 
 _MARKERS = SUBSTITUTION_MARK + FOOT_MARK
 _BARE_LABEL_RE = re.compile(rf'[^\s()"{_MARKERS}]+')
 # "(" or ")" | a quoted or bare label with an optional marker | any other
-# non-space character, an error; whitespace between tokens matches nothing
+# non-space character, a lone '"' or marker, which is an error; whitespace
+# between tokens matches nothing, and ``findall`` returns the token texts
 _TREE_TOKEN_RE = re.compile(
-    rf'([()])|(?:"((?:[^"\\]|\\.)*)"|({_BARE_LABEL_RE.pattern}))([{_MARKERS}])?|(\S)',
-    re.DOTALL,
+    rf'[()]|(?:"(?:[^"\\]|\\.)*"|{_BARE_LABEL_RE.pattern})[{_MARKERS}]?|\S', re.DOTALL
 )
+_STRAY_TOKENS = frozenset('"' + _MARKERS)
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _NAME_RE = re.compile(r"[\w.\-]+")
 _BLOCK_RE = re.compile(rf"(initial|auxiliary)\s+({_NAME_RE.pattern})\s*=\s*(.+)$")
@@ -136,15 +149,13 @@ class _Scanner:
 # ---------------------------------------------------------------------------
 
 
-def _lex_tree(text: str) -> list[tuple[str, str, str, str, str]]:
-    """The tokens of tree text as ``(punct, quoted, bare, marker, other)``
-    string tuples, ``""`` for a group that did not take part, so a quoted
-    label is a token with none of ``punct``, ``bare`` and ``other``.  The
-    first ``other`` token, a lone ``"`` or marker, is an error."""
+def _lex_tree(text: str) -> list[str]:
+    """The token texts of tree text.  The first stray token, a lone ``"``
+    or marker, is an error."""
     tokens = _TREE_TOKEN_RE.findall(text)
-    if any(token[4] for token in tokens):
-        index = next(index for index, token in enumerate(tokens) if token[4])
-        if tokens[index][4] == '"':
+    if not _STRAY_TOKENS.isdisjoint(tokens):
+        index = next(index for index, token in enumerate(tokens) if token in _STRAY_TOKENS)
+        if tokens[index] == '"':
             raise TextFormatError("unterminated quoted label", _token_start(text, index))
         raise TextFormatError("marker without a preceding label", _token_start(text, index))
     return tokens
@@ -155,6 +166,15 @@ def _token_start(text: str, index: int) -> int:
     return next(itertools.islice(_TREE_TOKEN_RE.finditer(text), index, None)).start()
 
 
+def _label_parts(token: str) -> tuple[str, bool, str]:
+    """A label token's name, whether it is quoted, and its marker (or ``""``)."""
+    marker = token[-1] if token[-1] in _MARKERS else ""
+    body = token[:-1] if marker else token
+    if body[0] == '"':
+        return _ESCAPE_RE.sub(r"\1", body[1:-1]), True, marker
+    return body, False, marker
+
+
 # ---------------------------------------------------------------------------
 # Tree format
 # ---------------------------------------------------------------------------
@@ -162,15 +182,14 @@ def _token_start(text: str, index: int) -> int:
 
 def _resolve_label(
     text: str,
-    tokens: list[tuple],
+    tokens: list[str],
     index: int,
     internal: bool,
     nonterminals: frozenset[str] | None,
     terminals: frozenset[str] | None,
 ) -> NodeLabel:
     """The label of token ``index``, a label token, at an internal node or a leaf."""
-    _, quoted, bare, marker, _ = tokens[index]
-    name = bare or _ESCAPE_RE.sub(r"\1", quoted)
+    name, quoted, marker = _label_parts(tokens[index])
     site = marker == SUBSTITUTION_MARK
     foot = marker == FOOT_MARK
 
@@ -180,9 +199,9 @@ def _resolve_label(
     if not name:
         raise error("empty label")
     if nonterminals is not None or terminals is not None:
-        if bare and name in (nonterminals or frozenset()):
+        if not quoted and name in (nonterminals or frozenset()):
             return NodeLabel.nonterminal(name, site=site, foot=foot)
-        if bare and name == EPSILON:
+        if not quoted and name == EPSILON:
             return NodeLabel.epsilon()
         if name in (terminals or frozenset()):
             if marker:
@@ -190,10 +209,10 @@ def _resolve_label(
             return NodeLabel.terminal(name)
         raise error(f"label {name!r} is not in the alphabets")
     if internal or marker:
-        if not bare:
+        if quoted:
             raise error("quoted labels denote terminals")
         return NodeLabel.nonterminal(name, site=site, foot=foot)
-    if name == EPSILON and bare:
+    if name == EPSILON and not quoted:
         return NodeLabel.epsilon()
     return NodeLabel.terminal(name)
 
@@ -210,28 +229,30 @@ def parse_tree(
     # structure first, labels after: a structural error anywhere in the
     # text wins over a label error; node ids are 1..n in pre-order
     heads: list[int] = []  # the label token of each node, by node id - 1
-    kids: list[list[int]] = []  # the child ids of each node, by node id - 1
-    open_kids: list[list[int]] = []  # those of the nodes whose ')' is pending
+    children: dict[int, tuple[int, ...]] = {}
+    pending: list[tuple[int, list[int]]] = []  # the nodes whose ')' is pending, with their kids
     count = len(tokens)
     i = 0
     while True:
-        if tokens[i][0]:
+        token = tokens[i]
+        if token == "(" or token == ")":
             raise TextFormatError("expected a node label", _token_start(text, i))
         heads.append(i)
-        own: list[int] = []
-        kids.append(own)
-        if open_kids:
-            open_kids[-1].append(len(heads))
+        nid = len(heads)
+        if pending:
+            pending[-1][1].append(nid)
+        children[nid] = ()  # a leaf until its child list is closed
         i += 1
-        if i < count and tokens[i][0] == "(":
+        if i < count and tokens[i] == "(":
             i += 1
-            if i < count and tokens[i][0] == ")":
+            if i < count and tokens[i] == ")":
                 raise TextFormatError("empty child list", _token_start(text, i))
-            open_kids.append(own)
-        while open_kids and i < count and tokens[i][0] == ")":
-            open_kids.pop()
+            pending.append((nid, []))
+        while pending and i < count and tokens[i] == ")":
+            parent, kids = pending.pop()
+            children[parent] = tuple(kids)
             i += 1
-        if not open_kids:
+        if not pending:
             break
         if i == count:
             raise TextFormatError("missing ')'", len(text))
@@ -242,16 +263,15 @@ def parse_tree(
     # each distinct label token is resolved once for leaves and once for
     # internal nodes; an error is not kept, so it is raised at the first
     # node that has it
-    resolved: tuple[dict, dict] = ({}, {})
+    resolved: tuple[dict[str, NodeLabel], dict[str, NodeLabel]] = ({}, {})
     labels: dict[int, NodeLabel] = {}
     for nid, index in enumerate(heads, 1):
-        internal = bool(kids[nid - 1])
+        internal = bool(children[nid])
         label = resolved[internal].get(tokens[index])
         if label is None:
             label = _resolve_label(text, tokens, index, internal, nts, ts)
             resolved[internal][tokens[index]] = label
         labels[nid] = label
-    children = {nid: tuple(ids) for nid, ids in enumerate(kids, 1)}
     return SyntacticTree._build(1, labels, children)
 
 
@@ -285,6 +305,13 @@ def format_tree(tree: SyntacticTree) -> str:
 
 
 def _format_tree(tree: SyntacticTree, epsilon_nonterminal: bool) -> str:
+    labels, children = tree.labels, tree.children
+    # each distinct label object is written once as a leaf and once as an
+    # internal node, with its "(" (by id: the tree holds every label for
+    # the call); an error is not kept, so it is raised at the first node
+    # that has it
+    leaf_texts: dict[int, str] = {}
+    open_texts: dict[int, str] = {}
     parts: list[str] = []
     stack: list[int | str] = [tree.root]  # node ids and pending punctuation
     while stack:
@@ -292,14 +319,23 @@ def _format_tree(tree: SyntacticTree, epsilon_nonterminal: bool) -> str:
         if isinstance(item, str):
             parts.append(item)
             continue
-        kids = tree.children[item]
-        parts.append(_format_label(tree.labels[item], not kids, epsilon_nonterminal))
-        if kids:
-            pending: list[int | str] = [")"]
-            for kid in reversed(kids):
-                pending += (kid, " ")
-            pending[-1] = "("
-            stack += pending
+        label = labels[item]
+        kids = children[item]
+        if not kids:
+            text = leaf_texts.get(id(label))
+            if text is None:
+                text = leaf_texts[id(label)] = _format_label(label, True, epsilon_nonterminal)
+            parts.append(text)
+            continue
+        text = open_texts.get(id(label))
+        if text is None:
+            text = open_texts[id(label)] = _format_label(label, False, epsilon_nonterminal) + "("
+        parts.append(text)
+        pending: list[int | str] = [")"]
+        for kid in reversed(kids):
+            pending += (kid, " ")
+        pending.pop()
+        stack += pending
     return "".join(parts)
 
 
@@ -309,12 +345,14 @@ def _format_tree(tree: SyntacticTree, epsilon_nonterminal: bool) -> str:
 
 
 def _header_symbols(text: str) -> list[str]:
-    tokens = _lex_tree(text)
-    for index, (punct, _, _, marker, _) in enumerate(tokens):
-        if punct or marker:
+    symbols = []
+    for index, token in enumerate(_lex_tree(text)):
+        name, _, marker = _label_parts(token)
+        if token == "(" or token == ")" or marker:
             message = "header symbols take no parentheses or markers"
             raise TextFormatError(message, _token_start(text, index))
-    return [bare or _ESCAPE_RE.sub(r"\1", quoted) for _, quoted, bare, _, _ in tokens]
+        symbols.append(name)
+    return symbols
 
 
 def parse_grammar(text: str) -> Grammar:
@@ -408,6 +446,7 @@ _EDGE_HEAD_RE = re.compile(
     rf"\s*({'|'.join(op.value for op in Operation)})\s*@\s*({_ADDRESS_RE.pattern})\s*->"
 )
 _AFTER_CHILD_RE = re.compile(r"\s*([,\]])")
+_OPERATIONS = {op.value: op for op in Operation}
 
 
 def _address(text: str) -> tuple[int, ...]:
@@ -423,24 +462,28 @@ def _node_head(scanner: _Scanner) -> tuple[str, bool]:
     return scanner.match(_NAME_RE, "an elementary-tree name"), scanner.take("[")
 
 
-def _edge_head(scanner: _Scanner) -> tuple[Operation, tuple[int, ...]]:
-    """Read ``op@address ->`` of the next edge."""
+def _edge_head(
+    scanner: _Scanner, addresses: dict[str, tuple[int, ...]]
+) -> tuple[Operation, tuple[int, ...]]:
+    """Read ``op@address ->`` of the next edge; ``addresses`` holds the
+    address of each address text read so far in the call."""
     found = _EDGE_HEAD_RE.match(scanner.text, scanner.pos)
     if found:
-        try:
-            address = _address(found[2])
-        except ValueError:  # too many digits: the stepwise reads report it
-            pass
-        else:
+        address = addresses.get(found[2])
+        if address is None:
+            try:
+                address = addresses[found[2]] = _address(found[2])
+            except ValueError:  # too many digits: the stepwise reads report it
+                pass
+        if address is not None:
             scanner.pos = found.end()
-            return Operation(found[1]), address
+            return _OPERATIONS[found[1]], address
     scanner.skip_ws()
     start = scanner.pos
     op_name = scanner.match(_NAME_RE, "an operation (sub/adj)")
-    try:
-        operation = Operation(op_name)
-    except ValueError:
-        raise TextFormatError(f"unknown operation {op_name!r} (expected sub/adj)", start) from None
+    operation = _OPERATIONS.get(op_name)
+    if operation is None:
+        raise TextFormatError(f"unknown operation {op_name!r} (expected sub/adj)", start)
     scanner.expect("@")
     address = scanner.number(_ADDRESS_RE, "a Gorn address", _address)
     scanner.expect("->")
@@ -462,30 +505,30 @@ def _another_edge(scanner: _Scanner) -> bool:
 def parse_derivation(text: str) -> DerivationTree:
     scanner = _Scanner(text, TextFormatError)
     names: dict[str, str] = {}  # one string per distinct tree name
+    addresses: dict[str, tuple[int, ...]] = {}  # one address per distinct address text
     # (name, edges, operation, address) of the nodes whose edge waits for its child
     stack: list[tuple] = []
     while True:
         name, opens = _node_head(scanner)
         name = names.setdefault(name, name)
         if opens:
-            stack.append((name, [], *_edge_head(scanner)))
+            stack.append((name, [], *_edge_head(scanner, addresses)))
             continue
-        node = DerivationTree(name)
+        node = DerivationTree._build(name, ())
         while stack:
             parent, edges, operation, address = stack.pop()
             # the constructors' rules (indices >= 1, distinct addresses)
-            # are reported as format errors where they are detected
-            try:
-                edges.append(DerivationEdge(operation, address, node))
-            except ValueError as exc:
-                raise TextFormatError(str(exc), scanner.pos) from None
+            # are checked here and reported as format errors where they
+            # are detected: after the child, and after the closing "]"
+            if 0 in address:
+                raise TextFormatError(_INDEX_RULE, scanner.pos)
+            edges.append(DerivationEdge._build(operation, address, node))
             if _another_edge(scanner):
-                stack.append((parent, edges, *_edge_head(scanner)))
+                stack.append((parent, edges, *_edge_head(scanner, addresses)))
                 break
-            try:
-                node = DerivationTree(parent, tuple(edges))
-            except ValueError as exc:
-                raise TextFormatError(str(exc), scanner.pos) from None
+            if len(edges) > 1 and len({edge.address for edge in edges}) < len(edges):
+                raise TextFormatError(_shared_address(parent, edges), scanner.pos)
+            node = DerivationTree._build(parent, tuple(edges))
         if not stack:
             break
     if scanner.peek():
@@ -494,6 +537,9 @@ def parse_derivation(text: str) -> DerivationTree:
 
 
 def format_derivation(derivation: DerivationTree) -> str:
+    names: dict[str, str] = {}  # each distinct tree name, checked once
+    # each distinct edge head "op@address -> " once, by operation and address
+    heads: dict[Operation, dict[tuple[int, ...], str]] = {op: {} for op in Operation}
     parts: list[str] = []
     stack: list[DerivationTree | str] = [derivation]  # nodes and pending text
     while stack:
@@ -501,11 +547,19 @@ def format_derivation(derivation: DerivationTree) -> str:
         if isinstance(item, str):
             parts.append(item)
             continue
-        parts.append(_format_name(item.tree_name))
+        name = names.get(item.tree_name)
+        if name is None:
+            name = names[item.tree_name] = _format_name(item.tree_name)
+        parts.append(name)
         if item.edges:
             pending: list[DerivationTree | str] = ["]"]
             for edge in reversed(item.edges):
-                head = f"{edge.operation.value}@{format_address(edge.address)} -> "
+                known = heads[edge.operation]
+                head = known.get(edge.address)
+                if head is None:
+                    head = known[edge.address] = (
+                        f"{edge.operation.value}@{format_address(edge.address)} -> "
+                    )
                 pending += (edge.child, head, ", ")
             pending[-1] = "["
             stack += pending

@@ -342,6 +342,20 @@ class _Table:
         return node
 
 
+_INDEX_RULE = "Gorn address indices must be >= 1"
+
+
+def _shared_address(tree_name: str, edges: Sequence[DerivationEdge]) -> str | None:
+    """The error text for the first of ``edges`` at the address of an
+    earlier one, or None when their addresses are distinct."""
+    seen = set()
+    for edge in edges:
+        if edge.address in seen:
+            return f"two edges of {tree_name!r} share address {format_address(edge.address)}"
+        seen.add(edge.address)
+    return None
+
+
 class Operation(Enum):
     SUBSTITUTION = "sub"
     ADJUNCTION = "adj"
@@ -358,7 +372,7 @@ class DerivationEdge:
     def __post_init__(self) -> None:
         object.__setattr__(self, "address", tuple(self.address))
         if any(i < 1 for i in self.address):
-            raise ValueError("Gorn address indices must be >= 1")
+            raise ValueError(_INDEX_RULE)
 
     @staticmethod
     def _build(
@@ -368,8 +382,10 @@ class DerivationEdge:
 
         Its callers pass an address that is already a tuple of indices
         >= 1: enumeration (:mod:`narmaxtag.generate`) takes it from
-        :meth:`_Table.address`, and :func:`narmaxtag.narmax._node` from
-        the slots the catalog found in its own trees.
+        :meth:`_Table.address`, :func:`narmaxtag.narmax._node` from the
+        slots the catalog found in its own trees, and
+        :func:`narmaxtag.treeio.parse_derivation` from digit runs, after
+        it has refused an index 0 itself.
         """
         edge = object.__new__(DerivationEdge)
         object.__setattr__(edge, "operation", operation)
@@ -393,24 +409,21 @@ class DerivationTree:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", tuple(self.edges))
-        seen = set()
-        for edge in self.edges:
-            if edge.address in seen:
-                raise ValueError(
-                    f"two edges of {self.tree_name!r} share address "
-                    f"{format_address(edge.address)}"
-                )
-            seen.add(edge.address)
+        message = _shared_address(self.tree_name, self.edges)
+        if message:
+            raise ValueError(message)
 
     @staticmethod
     def _build(tree_name: str, edges: tuple[DerivationEdge, ...]) -> "DerivationTree":
         """Trusted fast path that skips ``__post_init__``.
 
-        Its callers pass a tuple of edges in increasing address order, so
-        no two share an address: enumeration (:mod:`narmaxtag.generate`)
-        makes one edge per slot of its slot table, and
+        Its callers pass a tuple of edges no two of which share an
+        address: enumeration (:mod:`narmaxtag.generate`) makes one edge
+        per slot of its slot table, in increasing address order,
         :func:`narmaxtag.narmax._node` one per distinct slot of a catalog
-        tree, in the order its callers give.
+        tree, in the order its callers give, and
+        :func:`narmaxtag.treeio.parse_derivation` the edges of the text
+        once it has found their addresses distinct.
         """
         node = object.__new__(DerivationTree)
         object.__setattr__(node, "tree_name", tree_name)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from typing import Iterator, Sequence
 
 from narmaxtag.models import (
@@ -44,6 +45,59 @@ from narmaxtag.trees import (
     substitute,
     validate_grammar,
 )
+
+# ---------------------------------------------------------------------------
+# Text formats
+# ---------------------------------------------------------------------------
+
+# The tree token pattern as first compiled, with a group per token kind:
+# "(" or ")" | a quoted or bare label with an optional marker | any other
+# non-space character.  The reader's own pattern must split every text
+# into the same token spans.
+REFERENCE_TREE_TOKEN_RE = re.compile(
+    r'([()])|(?:"((?:[^"\\]|\\.)*)"|([^\s()"↓★]+))([↓★])?|(\S)', re.DOTALL
+)
+
+# one token of well-formed derivation text: an edge head, a node name
+# with its "[", a leaf name, or the "," or "]" after a child
+_DERIVATION_TOKEN_RE = re.compile(
+    r"\s*(?:(sub|adj)\s*@\s*(ε|\d+(?:\.\d+)*)\s*->|([\w.\-]+)\s*\[|([\w.\-]+)|([,\]]))\s*"
+)
+
+
+def reference_parse_derivation(text: str) -> DerivationTree:
+    """Well-formed derivation text read token by token into the checked
+    constructors, :class:`DerivationTree` and :class:`DerivationEdge`."""
+    done: list[DerivationTree] = []
+    stack: list[tuple[str, list[DerivationEdge], list[tuple]]] = []  # name, edges, heads
+    pos = 0
+    while pos < len(text):
+        found = _DERIVATION_TOKEN_RE.match(text, pos)
+        assert found and found.end() > pos, f"cannot read {text[pos:pos + 20]!r}"
+        pos = found.end()
+        op, address, opened, leaf, punct = found.groups()
+        if op:
+            steps = () if address == "ε" else tuple(int(i) for i in address.split("."))
+            stack[-1][2].append((Operation(op), steps))
+            continue
+        if opened:
+            stack.append((opened, [], []))
+            continue
+        if punct == ",":
+            continue
+        if leaf:
+            node = DerivationTree(leaf)
+        else:
+            name, edges, _ = stack.pop()
+            node = DerivationTree(name, tuple(edges))
+        if stack:
+            operation, steps = stack[-1][2][len(stack[-1][1])]
+            stack[-1][1].append(DerivationEdge(operation, steps, node))
+        else:
+            done.append(node)
+    (derivation,) = done
+    return derivation
+
 
 # ---------------------------------------------------------------------------
 # Structural views of trees, read off ``labels`` and ``children``

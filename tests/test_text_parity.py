@@ -31,17 +31,26 @@ character-loop lexer that predates the compiled token pattern.
 
 Beyond the short strings, the readers must rebuild what the writers
 wrote on large texts (100-term models, as large as the benchmark's) and
-on every derivation of the model grammar within 4 adjunctions.
+on every derivation of the model grammar within 4 adjunctions; there
+the derivation reader, which builds through the trusted constructors,
+must agree with a reference reader that builds through the checked
+ones.  The tree lexer must split every corpus string into the token
+spans of the pattern the tree digests were first captured with
+(``oracles.REFERENCE_TREE_TOKEN_RE``), and the model reader's
+one-pattern reads must give the outcomes of its stepwise reads alone,
+digit runs of every length included.
 """
 
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from narmaxtag.generate import GenBounds, enumerate_derivations
+from narmaxtag import models
 from narmaxtag.models import (
     ModelError,
     Monomial,
@@ -52,6 +61,7 @@ from narmaxtag.models import (
 )
 from narmaxtag.narmax import model_to_derivation
 from narmaxtag.treeio import (
+    _TREE_TOKEN_RE,
     TextFormatError,
     format_derivation,
     format_tree,
@@ -59,6 +69,8 @@ from narmaxtag.treeio import (
     parse_tree,
 )
 from narmaxtag.trees import NodeLabel, SyntacticTree, derive
+
+from oracles import REFERENCE_TREE_TOKEN_RE, reference_parse_derivation
 
 TREE_LABELS = ("A", "expr0", "b", "ε", '"ε"', "q⁻¹", '"x y"', '"★"', '"a\\"b"')
 TREE_PIECES = TREE_LABELS + ("(", ")", " ", "↓", "★", '"', "\\", "")
@@ -199,6 +211,16 @@ def test_code_point_outcome_digest():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CODE_POINT_DIGEST
 
 
+def test_tree_tokens_have_the_reference_spans():
+    texts = corpus(random_tree, TREE_PIECES) + [
+        context.format(c) for c in code_points() for context in CODE_POINT_CONTEXTS
+    ]
+    for text in texts:
+        spans = [found.span() for found in REFERENCE_TREE_TOKEN_RE.finditer(text)]
+        assert [found.span() for found in _TREE_TOKEN_RE.finditer(text)] == spans, repr(text)
+        assert _TREE_TOKEN_RE.findall(text) == [text[a:b] for a, b in spans], repr(text)
+
+
 def test_terminal_labels_round_trip():
     for c in code_points():
         label = NodeLabel.terminal("a" + c)
@@ -260,8 +282,10 @@ def preorder_maps(tree):
 
 
 def assert_texts_round_trip(derivation, tree):
-    back = parse_derivation(format_derivation(derivation))
+    text = format_derivation(derivation)
+    back = parse_derivation(text)
     assert back == derivation  # tree names, operations, addresses and arities in pre-order
+    assert back == reference_parse_derivation(text)
     read = parse_tree(format_tree(tree))
     assert read.root == 1
     assert (read.labels, read.children) == preorder_maps(tree)
@@ -300,3 +324,37 @@ def test_enumerated_texts_round_trip(narmax_catalog):
         assert_texts_round_trip(derivation, derive(derivation, grammar))
         count += 1
     assert count == 1201
+
+
+def digit_run_texts():
+    """Model texts with a digit run of each length in each number's place:
+    the id, the value's integer part and exponent, the offset and the
+    factor exponent; runs past the interpreter's digit limit included."""
+    texts = []
+    for length in (1, 2, 17, 18, 19, 20, 40, 4299, 4300, 4301):
+        run = "9" * length
+        for template in (
+            "c{}*u[0] + xi",
+            "c1:{} + xi",
+            "c1:1e{} + xi",
+            "c1*u[-{}] + xi",
+            "c1*y[-{}]*u[0] + xi",
+            "c1*u[0]^{} + xi",
+            "c1*u[0]^{}*y[-1] + xi",
+            "c1*xi[{}] + xi",
+            "c1*u[0]^0{} + xi",
+        ):
+            texts.append(template.format(run))
+    return texts
+
+
+def test_model_patterns_read_what_the_stepwise_reads_read(monkeypatch):
+    # a pattern that never matches leaves every term head and factor to
+    # the stepwise reads
+    texts = corpus(random_model, MODEL_PIECES) + digit_run_texts()
+    run = CASES["model"][2]
+    fast = [run(text) for text in texts]
+    never = re.compile(r"(?!)")
+    monkeypatch.setattr(models, "_TERM_HEAD_RE", never)
+    monkeypatch.setattr(models, "_FACTOR_RE", never)
+    assert [run(text) for text in texts] == fast

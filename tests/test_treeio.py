@@ -37,11 +37,15 @@ class TestTreeFormat:
         assert format_tree(a) == "A(b c(d))"
 
     def test_quoted_terminals(self):
-        tree = parse_tree('A("(" "two words" "★")')
-        assert [tree.labels[n].name for n in tree.leaves()] == ["(", "two words", "★"]
-        text = format_tree(tree)
-        assert text == 'A("(" "two words" "★")'
-        assert structurally_equal(parse_tree(text), tree)
+        for text, names in (
+            ('A("(" "two words" "★")', ["(", "two words", "★"]),
+            # one quoted terminal at several leaves, read and written once
+            ('A("a b" B("a b" "a\\"b") "a b")', ["a b", "a b", 'a"b', "a b"]),
+        ):
+            tree = parse_tree(text)
+            assert [tree.labels[n].name for n in tree.leaves()] == names
+            assert format_tree(tree) == text
+            assert structurally_equal(parse_tree(text), tree)
 
     def test_epsilon_and_quoted_epsilon(self):
         tree = parse_tree('A(ε "ε")')
@@ -51,17 +55,33 @@ class TestTreeFormat:
 
     def test_nonterminal_epsilon_leaf_is_refused(self):
         # read back without alphabets, a bare ``ε`` leaf is the empty leaf
-        tree = SyntacticTree(
-            1, {1: NodeLabel.nonterminal("A"), 2: NodeLabel.nonterminal("ε")}, {1: (2,)}
-        )
-        with pytest.raises(ValueError, match="empty leaf"):
-            format_tree(tree)
+        epsilon, reserved = NodeLabel.nonterminal("ε"), NodeLabel.nonterminal("a b")
+        for labels, children, message in (
+            ({1: NodeLabel.nonterminal("A"), 2: epsilon}, {1: (2,)}, "empty leaf"),
+            # one label object at an internal node and then at a leaf: the
+            # leaf is refused though the internal node was written
+            ({1: epsilon, 2: epsilon}, {1: (2,)}, "empty leaf"),
+            # two faults: the first node in pre-order decides
+            ({1: NodeLabel.nonterminal("A"), 2: epsilon, 3: reserved}, {1: (2, 3)}, "empty leaf"),
+            (
+                {1: NodeLabel.nonterminal("A"), 2: reserved, 3: epsilon},
+                {1: (2, 3)},
+                "reserved characters",
+            ),
+        ):
+            with pytest.raises(ValueError, match=message):
+                format_tree(SyntacticTree(1, labels, children))
         # marked or internal, it reads back as a nonterminal
         for text in ("A(ε↓)", "A(ε★)", "ε(a)"):
             tree = parse_tree(text)
             (label,) = [label for label in tree.labels.values() if label.name == "ε"]
             assert label.kind is LabelKind.NONTERMINAL
             assert format_tree(tree) == text
+
+    def test_one_label_object_internal_and_leaf(self):
+        label = NodeLabel.nonterminal("A")
+        tree = SyntacticTree(1, {1: label, 2: label, 3: label, 4: label}, {1: (2, 3), 3: (4,)})
+        assert format_tree(tree) == "A(A A(A))"
 
     def test_kind_resolution_with_alphabets(self):
         tree = parse_tree("A(B)", nonterminals={"A", "B"}, terminals=set())
@@ -214,6 +234,20 @@ class TestGrammarFormat:
     def test_empty_leaf_beside_an_epsilon_nonterminal_is_refused(self):
         with pytest.raises(ValueError, match="reads back as the nonterminal"):
             format_grammar(self.epsilon_grammar(NodeLabel.epsilon()))
+        # beside a leaf with another fault: the first node in pre-order decides
+        for leaf, message in (
+            (NodeLabel.terminal("a"), "reads back as the nonterminal"),
+            (NodeLabel.nonterminal("a b"), "reserved characters"),
+        ):
+            tree = SyntacticTree(
+                1,
+                {1: NodeLabel.nonterminal("A"), 2: leaf, 3: NodeLabel.epsilon(), 4: leaf},
+                {1: (2, 3, 4)},
+            )
+            entry = ElementaryTree("t", TreeKind.INITIAL, tree)
+            grammar = Grammar({"A", "ε"}, {"a"}, "A", (entry,), ())
+            with pytest.raises(ValueError, match=message):
+                format_grammar(grammar)
 
     def test_epsilon_nonterminal_leaf_roundtrips(self):
         grammar = self.epsilon_grammar(NodeLabel.nonterminal("ε"))
@@ -322,6 +356,21 @@ class TestDerivationFormat:
     def test_deep_nesting(self):
         text = "a[adj@1 -> " * 10_000 + "b" + "]" * 10_000
         assert format_derivation(parse_derivation(text)) == text
+
+    @pytest.mark.parametrize(
+        "bottom, message, at",
+        [
+            ("a[adj@0 -> b]", "Gorn address indices must be >= 1", 12),
+            ("a[sub@1 -> b, adj@1 -> c]", "two edges of 'a' share address 1", 25),
+        ],
+    )
+    def test_edge_rules_at_the_bottom_of_a_deep_chain(self, bottom, message, at):
+        # a chain 1,000 nodes deep with the fault in its last node: the
+        # error is reported where that node alone reports it, shifted
+        top = "a[adj@1.2 -> " * 999
+        with pytest.raises(TextFormatError) as err:
+            parse_derivation(top + bottom + "]" * 999)
+        assert str(err.value) == f"{message} (at position {len(top) + at})"
 
     def test_operations_parsed(self):
         derivation = parse_derivation(ADVERB_DERIVATION)
