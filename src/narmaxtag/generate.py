@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._record import record
 from .models import _CLASSES, CausalityError, FactorKey, Mode, NarmaxModel, SignalKind, _canonical
 from .narmax import (
     _PRESET_CLASS,
@@ -64,7 +64,7 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True)
+@record()
 class GenBounds:
     """Structural limits for generated derivations and models."""
 
@@ -80,7 +80,7 @@ class GenBounds:
                 raise ValueError(f"{name} must be >= 0")
 
 
-@dataclass(frozen=True)
+@record()
 class SampleConfig:
     """Bounds plus a seed; equal configs draw identical sequences."""
 

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from sys import float_info
 from typing import Iterable, Mapping, Sequence
 
+from ._record import record
 from .treeio import _Scanner
 
 
@@ -73,7 +73,7 @@ FactorKey = tuple[SignalKind, int]
 _ID_RULE = "coefficient ids are positive integers"
 
 
-@dataclass(frozen=True)
+@record()
 class Monomial:
     """One model term: a coefficient slot times a product of delayed factors.
 
@@ -149,7 +149,7 @@ def _check_mode(terms: Sequence[Monomial], mode: Mode) -> None:
         raise CausalityError("strict mode forbids the current noise sample in products")
 
 
-@dataclass(frozen=True)
+@record()
 class NarmaxModel:
     """Sum of monomials plus the implicit additive current-noise term.
 
@@ -164,6 +164,18 @@ class NarmaxModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
         _check_mode(self.terms, self.mode)
+
+    @staticmethod
+    def _build(terms: tuple[Monomial, ...], mode: Mode) -> "NarmaxModel":
+        """Trusted fast path that skips ``__post_init__``.
+
+        Its one caller, :func:`_canonical`, passes a tuple of terms that
+        it has checked against ``mode`` with :func:`_check_mode`.
+        """
+        model = object.__new__(NarmaxModel)
+        object.__setattr__(model, "terms", terms)
+        object.__setattr__(model, "mode", mode)
+        return model
 
     def __str__(self) -> str:
         return format_model_text(self)
@@ -215,7 +227,8 @@ def _canonical(
         )
         for i, ((_, key), value) in enumerate(sorted(merged.items()), 1)
     ]
-    return NarmaxModel(terms, mode)
+    _check_mode(terms, mode)
+    return NarmaxModel._build(tuple(terms), mode)
 
 
 def simulate(
@@ -489,7 +502,7 @@ def format_model_text(model: NarmaxModel) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record()
 class NbjModel:
     """Process/noise equation pair for the nonlinear Box-Jenkins structure.
 

@@ -24,11 +24,11 @@ functions are entry points over the two catalogs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
+from ._record import record
 from .models import (
     _CLASSES,
     FactorKey,
@@ -98,7 +98,7 @@ class UnrepresentableModelError(ValueError):
     """The model has no derivation tree over the grammar."""
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SumRoles:
     """Role bookkeeping for one part of the yield, a sum-shaped expression.
 
@@ -125,7 +125,7 @@ class SumRoles:
     foreign: Mapping[str, str]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Catalog:
     """A validated grammar and the role map of each of its yield's one or
     two parts, in yield order."""

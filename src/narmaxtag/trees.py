@@ -26,10 +26,11 @@ and which alone works out a node's Gorn address (:class:`_Table`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence, Union
+
+from ._record import record
 
 GornAddress = tuple[int, ...]
 
@@ -82,7 +83,7 @@ class LabelKind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
+@record()
 class NodeLabel:
     """Label of a tree node, plus its substitution/foot marker state."""
 
@@ -112,7 +113,7 @@ class NodeLabel:
         return NodeLabel(LabelKind.EPSILON, EPSILON)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SyntacticTree:
     """Finite ordered labeled tree.
 
@@ -223,7 +224,7 @@ class TreeKind(Enum):
     __hash__ = object.__hash__  # see LabelKind
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ElementaryTree:
     """A named catalog entry: an immutable template instantiated at use."""
 
@@ -237,7 +238,7 @@ class ElementaryTree:
         return _Table(self)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Grammar:
     """Alphabets, start symbol and the elementary-tree catalogs."""
 
@@ -363,7 +364,7 @@ class Operation(Enum):
     __hash__ = object.__hash__  # see LabelKind
 
 
-@dataclass(frozen=True)
+@record()
 class DerivationEdge:
     operation: Operation
     address: GornAddress
@@ -394,7 +395,7 @@ class DerivationEdge:
         return edge
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class DerivationTree:
     """Record of which elementary trees were combined, where and how.
 
@@ -432,7 +433,7 @@ class DerivationTree:
 
     def _shape(self) -> list[tuple]:
         # (tree name, incoming operation, incoming address, arity) in
-        # pre-order; the generated methods recurse once per level
+        # pre-order; field-wise methods would recurse once per level
         out = []
         stack: list[tuple] = [(None, None, self)]
         while stack:
@@ -818,7 +819,7 @@ def _emit(top: _Part) -> SyntacticTree:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record()
 class Diagnostic:
     code: str
     message: str

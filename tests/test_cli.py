@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from narmaxtag import narmax
+from narmaxtag import cli, narmax
 from narmaxtag.cli import main
 from narmaxtag.models import NarmaxModel
 from narmaxtag.narmax import MAX_ADJUNCTIONS
@@ -724,3 +725,36 @@ class TestRepeatedCalls:
             "c1*y[-1]*xi[-1] + xi\tNARMAX\n",
             "",
         )
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic collector for the command and gives the
+    caller back the setting it had, on every way out."""
+
+    CALLS = [
+        (["parse", "c1*u[0] + xi"], 0),
+        (["parse", "c1*y[0] + xi"], 1),
+        (["parse", "--bogus"], 2),
+    ]
+
+    @pytest.fixture
+    def collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("argv, expected", CALLS, ids=["success", "domain", "usage"])
+    def test_setting_restored(self, capsys, monkeypatch, collector, enabled, argv, expected):
+        seen = []
+        real = cli._parser
+
+        def parser():
+            seen.append(gc.isenabled())
+            return real()
+
+        monkeypatch.setattr(cli, "_parser", parser)
+        (gc.enable if enabled else gc.disable)()
+        assert run(capsys, *argv)[0] == expected
+        assert seen == [False]
+        assert gc.isenabled() is enabled

@@ -1,6 +1,8 @@
-"""The package imports only the standard library."""
+"""The package imports only the standard library, and only what its
+commands need: every command pays for its imports before it works."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,3 +27,29 @@ def test_absolute_imports_are_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_import_loads_no_code_generation():
+    # dataclasses exec'd generated source at every import and loaded
+    # inspect, dis, ast and tokenize; -S keeps site's own imports out
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+        "import narmaxtag, narmaxtag.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
+
+
+def test_no_exec_eval_or_compile():
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("exec", "eval", "compile")
+    ]
+    assert calls == []

@@ -3,9 +3,10 @@ checks; these tests rebuild them through those constructors.
 
 ``enumerate_derivations`` and ``narmax._node`` build derivation nodes
 and edges with ``_build``, and ``canonicalize``'s builder builds its
-terms with ``Monomial._build``.  Whatever they build must be something
-the public constructors accept and compare equal to, and every check
-of the public constructors must still fire on bad input.
+terms with ``Monomial._build`` and its model with ``NarmaxModel._build``.
+Whatever they build must be something the public constructors accept
+and compare equal to, and every check of the public constructors must
+still fire on bad input.
 """
 
 import sys
