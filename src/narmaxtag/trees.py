@@ -12,12 +12,14 @@ substitution replaces a marked nonterminal leaf by the root of an
 initial tree, adjunction excises an internal node, splices an auxiliary
 tree in its place and re-hangs the excised node's children below the
 auxiliary tree's foot.  They are the reference semantics of
-:func:`derive`, which evaluates a whole derivation in one pass over a
-grammar compiled once, in time linear in the size of the derived tree
-and with no limit on its depth; :func:`derived_leaves` makes the same
-checks and returns only the derived tree's leaf labels.  Both work on
-checked parts (:class:`_Part`) of well-formed grammars: a grammar that
-:func:`validate_grammar` flags raises :class:`MalformedGrammarError`.
+:func:`derive` and :func:`derived_leaves`.  Both check a whole
+derivation into a checked part (:class:`_Part`) over a grammar compiled
+once, then read the derived tree off one pre-order walk of that part
+(:func:`_walk`): :func:`derive` builds the tree from it, and
+:func:`derived_leaves` keeps only its leaf labels.  Both take time
+linear in the size of the derived tree, with no limit on its depth, and
+read well-formed grammars only: a grammar that :func:`validate_grammar`
+flags raises :class:`MalformedGrammarError`.
 
 Each elementary tree is compiled once into a pre-order table, which
 derivation, enumeration, validation and the catalogs' slot lookup read,
@@ -280,21 +282,12 @@ class _Table:
     ``children`` are indexed by them, ``steps`` gives each node but the
     root its (parent, position) pair, and ``rank`` gives each node's place
     in post-order.  :meth:`address` and :meth:`resolve` map a node to its
-    Gorn address and back.
-
-    ``leaves`` holds the labels of the leaves in pre-order (left to
-    right).  A node's span is the slice ``first[i]:end[i]`` of that list
-    that its subtree's leaves fill; ``end[i]`` is None when a
-    foot-marked node is at or under it.  Spans are two lists of indices
-    into the one ``leaves`` list, so the table stays linear in the
-    tree's size.  ``unmarked`` is the foot's label with the marker
-    cleared, the label the foot takes in a derived tree, or None when
-    the tree has no foot.
+    Gorn address and back.  ``unmarked`` is the foot's label with the
+    marker cleared, the label the foot takes in a derived tree, or None
+    when the tree has no foot.
     """
 
-    __slots__ = (
-        "entry", "labels", "children", "steps", "rank", "leaves", "first", "end", "unmarked",
-    )
+    __slots__ = ("entry", "labels", "children", "steps", "rank", "unmarked")
 
     def __init__(self, entry: ElementaryTree):
         tree = entry.tree
@@ -310,18 +303,6 @@ class _Table:
         self.rank = [0] * len(order)
         for position, nid in enumerate(tree.post_order()):
             self.rank[index[nid]] = position
-        self.leaves: list[NodeLabel] = []
-        self.first: list[int] = []
-        for label, kids in zip(self.labels, self.children):
-            self.first.append(len(self.leaves))
-            if not kids:
-                self.leaves.append(label)
-        self.end: list[int | None] = [None] * len(order)
-        for i in reversed(range(len(order))):  # children before their parent
-            kids = self.children[i]
-            if self.labels[i].foot_marker or any(self.end[kid] is None for kid in kids):
-                continue
-            self.end[i] = self.end[kids[-1]] if kids else self.first[i] + 1
         feet = [NodeLabel(label.kind, label.name) for label in self.labels if label.foot_marker]
         self.unmarked = feet[0] if feet else None
 
@@ -603,9 +584,10 @@ def derive(derivation: DerivationTree, grammar: Grammar) -> SyntacticTree:
     applied in post-order of their targets, and a child is derived before
     its own edge is applied, so the first error those operations would
     meet is the one raised.  The evaluation makes two passes over the
-    grammar's compiled trees, a check pass and an emit pass that numbers
-    the nodes 1..n in pre-order; both are loops, so the cost is linear in
-    the size of the derived tree and any depth is allowed.
+    grammar's compiled trees: a check pass, and the walk (:func:`_walk`)
+    that :func:`_emit` builds the tree from, numbering the nodes 1..n in
+    pre-order.  Both are loops, so the cost is linear in the size of the
+    derived tree and any depth is allowed.
     """
     return _emit(_checked(derivation, grammar))
 
@@ -613,49 +595,16 @@ def derive(derivation: DerivationTree, grammar: Grammar) -> SyntacticTree:
 def derived_leaves(derivation: DerivationTree, grammar: Grammar) -> list[NodeLabel]:
     """The leaf labels of ``derive(derivation, grammar)``, left to right.
 
-    The checks and errors are those of :func:`derive`; the labels come
-    from :func:`_leaves` on the checked part, which builds no tree.
+    The checks and errors are those of :func:`derive`, and the labels
+    come from the same walk over the checked part, which keeps the
+    leaves and builds no tree.
     """
     return _leaves(_checked(derivation, grammar))
 
 
 def _leaves(top: _Part) -> list[NodeLabel]:
-    """The leaf labels of the tree a checked part derives, left to right,
-    from one walk over the parts.
-
-    A node that is not busy in its part (no operation at or under it,
-    see :class:`_Part`) and has a span (no foot at or under it, see
-    :class:`_Table`) adds its elementary subtree's leaves as one slice of
-    ``table.leaves``.  Every other node is walked one by one: as in
-    :func:`_emit`, a foot met inside an adjoined part hands over to the
-    excised node, whose children (it has some) are walked instead.
-    """
-    out: list[NodeLabel] = []
-    excised: list[tuple[_Part, int]] = []  # adjunctions still to meet their foot
-    stack: list[tuple[_Part, int]] = [(top, 0)]
-    while stack:
-        part, i = stack.pop()
-        table = part.table
-        if i not in part.busy:
-            end = table.end[i]
-            if end is not None:
-                out += table.leaves[table.first[i] : end]
-                continue
-        op = part.ops.get(i)
-        if op is not None:
-            if op[0] is Operation.ADJUNCTION:
-                excised.append((part, i))
-            stack.append((op[1], 0))
-            continue
-        label = table.labels[i]
-        if label.foot_marker:
-            part, i = excised.pop()
-        kids = part.table.children[i]
-        if kids:
-            stack += [(part, kid) for kid in reversed(kids)]
-        else:
-            out.append(label)
-    return out
+    """The leaf labels of the tree a checked part derives, left to right."""
+    return [label for label, _, kids in _walk(top) if not kids]
 
 
 def _checked(derivation: DerivationTree, grammar: Grammar) -> _Part:
@@ -673,38 +622,17 @@ def _checked(derivation: DerivationTree, grammar: Grammar) -> _Part:
     return _check(derivation, tables)
 
 
-_IDLE: frozenset[int] = frozenset()
-
-
 class _Part:
     """A checked derivation node: its compiled tree and the operations on
     that tree by node index, each with the part it brings.  It has a foot
     exactly when its tree is auxiliary, since a foot is a leaf.
-
-    ``busy`` holds the nodes at or above one of the operations, found by
-    walking ``table.steps`` up from each operation until a node already
-    in the set, so it costs at most the tree's size.  Below any other
-    node the derived tree is the elementary tree's own subtree, whose
-    leaves :func:`_leaves` copies through the table's spans.
     """
 
-    __slots__ = ("table", "ops", "busy")
+    __slots__ = ("table", "ops")
 
     def __init__(self, table: _Table, ops: dict[int, tuple[Operation, _Part]]):
         self.table = table
         self.ops = ops
-        if not ops:
-            self.busy = _IDLE
-            return
-        busy = set()
-        steps = table.steps
-        for node in ops:
-            while node not in busy:
-                busy.add(node)
-                if not node:  # the root is node 0
-                    break
-                node = steps[node][0]
-        self.busy = busy
 
 
 def _open(node: DerivationTree, table: _Table) -> tuple:
@@ -778,17 +706,19 @@ def _check_edge(
         )
 
 
-def _emit(top: _Part) -> SyntacticTree:
-    """Build the derived tree of a checked part in one pre-order walk.
+def _walk(top: _Part) -> Iterator[tuple[NodeLabel, int, tuple[int, ...]]]:
+    """The nodes of the tree a checked part derives, in pre-order, as
+    (label, parent number, children in the node's compiled tree).
 
-    An adjoined part is walked in place of the excised node; its foot
-    loses its marker and takes the excised node's children, as
-    :func:`adjoin` does.
+    The nodes are numbered 1..n in the order they come, and the root's
+    parent number is 0.  An adjoined part is walked in place of the
+    excised node; its foot loses its marker and takes the excised node's
+    children, as :func:`adjoin` does.  A node is a leaf of the derived
+    tree exactly when it has no children in its compiled tree.
     """
-    labels: list[NodeLabel] = []  # by id - 1
-    children: list[list[int]] = [[]]  # by id; entry 0 receives the root
     excised: list[tuple[_Part, int]] = []  # adjunctions still to meet their foot
-    stack: list[tuple[_Part, int, int]] = [(top, 0, 0)]  # (part, node, parent id)
+    stack: list[tuple[_Part, int, int]] = [(top, 0, 0)]  # (part, node, parent number)
+    number = 0
     while stack:
         part, i, parent = stack.pop()
         op = part.ops.get(i)
@@ -801,13 +731,22 @@ def _emit(top: _Part) -> SyntacticTree:
         if label.foot_marker:
             label = part.table.unmarked
             part, i = excised.pop()
-        labels.append(label)
-        nid = len(labels)
-        children[parent].append(nid)
-        children.append([])
         kids = part.table.children[i]
+        yield label, parent, kids
+        number += 1
         if kids:
-            stack += [(part, kid, nid) for kid in reversed(kids)]
+            stack += [(part, kid, number) for kid in reversed(kids)]
+
+
+def _emit(top: _Part) -> SyntacticTree:
+    """Build the derived tree of a checked part from :func:`_walk`, with
+    the walk's numbers as node ids."""
+    labels: list[NodeLabel] = []  # by id - 1
+    children: list[list[int]] = [[]]  # by id; entry 0 receives the root
+    for label, parent, _ in _walk(top):
+        labels.append(label)
+        children[parent].append(len(labels))
+        children.append([])
     ids = range(1, len(labels) + 1)
     return SyntacticTree._build(
         1, dict(zip(ids, labels)), dict(zip(ids, map(tuple, children[1:])))

@@ -273,18 +273,6 @@ def reference_derive_node(derivation: DerivationTree, grammar: Grammar) -> Synta
     return _reference_node(derivation, entries_by_name(grammar))
 
 
-def reference_busy(table, ops) -> set[int]:
-    """The nodes of a compiled table at or above one of ``ops``, by
-    walking each node's whole subtree."""
-
-    def subtree(i: int) -> Iterator[int]:
-        yield i
-        for kid in table.children[i]:
-            yield from subtree(kid)
-
-    return {i for i in range(len(table.labels)) if any(n in ops for n in subtree(i))}
-
-
 def _reference_node(
     derivation: DerivationTree, entries: dict[str, ElementaryTree]
 ) -> SyntacticTree:

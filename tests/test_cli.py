@@ -507,24 +507,37 @@ class TestDomainErrors:
         assert err.splitlines() == [f"error: values in {record} must be numbers, got 'abc'"]
 
     def test_out_of_memory(self):
-        # the child caps its own address space before it imports the
-        # package; a derivation at the adjunction limit needs ~200 MiB
-        script = (
-            "import resource, sys\n"
-            "cap = 100 * 2**20\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
-            "from narmaxtag.cli import main\n"
-            f"sys.exit(main(['parse', 'c1*u[0]^{MAX_ADJUNCTIONS} + xi']))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
-        )
-        assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: out of memory\n")
+        # a derivation at the adjunction limit needs ~200 MiB
+        outcome = _capped_main(100, ["parse", f"c1*u[0]^{MAX_ADJUNCTIONS} + xi"])
+        assert outcome == (1, "", "error: out of memory\n")
+
+    @pytest.mark.parametrize(
+        "model", [f"c1*u[0]^{MAX_ADJUNCTIONS} + xi", f"c1*u[-{MAX_ADJUNCTIONS - 1}] + xi"]
+    )
+    def test_roundtrip_out_of_memory(self, model):
+        # a round trip at the adjunction limit peaks near 390 MiB resident
+        assert _capped_main(300, ["roundtrip", model]) == (1, "", "error: out of memory\n")
+
+
+def _capped_main(cap_mib, argv):
+    """Exit code, stdout and stderr of ``main(argv)`` in a child that caps
+    its own address space at ``cap_mib`` MiB before it imports the package."""
+    script = (
+        "import resource, sys\n"
+        f"cap = {cap_mib} * 2**20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "from narmaxtag.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 # A child that caps its own address space before it imports the package,
-# as test_out_of_memory does, runs each argv of its first argument through
+# as `_capped_main` does, runs each argv of its first argument through
 # `main` and prints, per argv, the exit code, stdout, stderr and the
 # seconds `main` took, as JSON.
 _CAPPED_RUNS = """\

@@ -38,7 +38,15 @@ from narmaxtag import (
 )
 from narmaxtag import trees
 from narmaxtag.generate import GenBounds, enumerate_derivations, enumerate_models
-from narmaxtag.narmax import GrammarPreset, build_narmax_grammar, build_nbj_grammar, restrict
+from narmaxtag.models import parse_model_text
+from narmaxtag.narmax import (
+    GrammarPreset,
+    adjunctions_needed,
+    build_narmax_grammar,
+    build_nbj_grammar,
+    model_to_derivation,
+    restrict,
+)
 from narmaxtag.treeio import parse_derivation, parse_grammar, parse_tree
 from narmaxtag.trees import _Table
 
@@ -657,6 +665,28 @@ class TestDerivedLeavesFeet:
                 MalformedGrammarError,
                 "malformed grammar: multiple-foot: 2 foot-marked nodes [two@2]",
             )
+
+
+class TestCheckedPartMemory:
+    """The checked part of a long chain holds one operation map per
+    derivation node and nothing more: at most 400 B per adjunction
+    (~350 B on CPython 3.11, x86-64)."""
+
+    @pytest.mark.parametrize("text", ["c1*u[-10000] + xi", "c1*u[0]^10000 + xi"])
+    def test_bytes_per_adjunction(self, text):
+        grammar = build_narmax_grammar().grammar
+        tables = grammar._tables  # compiled before the count starts
+        model = parse_model_text(text)
+        derivation = model_to_derivation(model)
+        tracemalloc.start()
+        try:
+            part = trees._check(derivation, tables)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert part.table is tables["alpha1"]
+        per_adjunction = held / adjunctions_needed(model)
+        assert per_adjunction <= 400, f"{per_adjunction:.0f} B per adjunction"
 
 
 class TestMalformedGrammars:
