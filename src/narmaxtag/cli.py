@@ -363,8 +363,9 @@ def _run(argv: Sequence[str] | None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 1
+        pass  # leaving the handler frees the traceback and all the command built
+    print("error: out of memory", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -437,10 +437,10 @@ def format_grammar(grammar: Grammar) -> str:
 # ---------------------------------------------------------------------------
 
 _ADDRESS_RE = re.compile(rf"{EPSILON}|\d+(?:\.\d+)*")
-# the three productions of derivation text, each read by one pattern
-# that consumes what the stepwise reads consume: a node name with an
-# optional "[", an edge head "op@address ->", and the "," or "]" after
-# a child
+# the three productions of derivation text, each read by one pattern:
+# a node name with an optional "[", an edge head "op@address ->", and
+# the "," or "]" after a child.  Only a failed edge head is read again
+# step by step, to place its error; ``\s`` agrees with ``str.isspace``
 _NODE_RE = re.compile(rf"\s*({_NAME_RE.pattern})\s*(\[?)")
 _EDGE_HEAD_RE = re.compile(
     rf"\s*({'|'.join(op.value for op in Operation)})\s*@\s*({_ADDRESS_RE.pattern})\s*->"
@@ -456,10 +456,11 @@ def _address(text: str) -> tuple[int, ...]:
 def _node_head(scanner: _Scanner) -> tuple[str, bool]:
     """Read a node's name and whether a ``[`` opens its edge list."""
     found = _NODE_RE.match(scanner.text, scanner.pos)
-    if found:
-        scanner.pos = found.end()
-        return found[1], bool(found[2])
-    return scanner.match(_NAME_RE, "an elementary-tree name"), scanner.take("[")
+    if not found:
+        scanner.skip_ws()
+        raise TextFormatError("expected an elementary-tree name", scanner.pos)
+    scanner.pos = found.end()
+    return found[1], bool(found[2])
 
 
 def _edge_head(
@@ -493,13 +494,11 @@ def _edge_head(
 def _another_edge(scanner: _Scanner) -> bool:
     """Read the ``,`` (another edge follows) or ``]`` after a child."""
     found = _AFTER_CHILD_RE.match(scanner.text, scanner.pos)
-    if found:
-        scanner.pos = found.end()
-        return found[1] == ","
-    if scanner.take(","):
-        return True
-    scanner.expect("]")
-    return False
+    if not found:
+        scanner.skip_ws()
+        raise TextFormatError("expected ']'", scanner.pos)
+    scanner.pos = found.end()
+    return found[1] == ","
 
 
 def parse_derivation(text: str) -> DerivationTree:

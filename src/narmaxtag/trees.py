@@ -13,13 +13,13 @@ initial tree, adjunction excises an internal node, splices an auxiliary
 tree in its place and re-hangs the excised node's children below the
 auxiliary tree's foot.  They are the reference semantics of
 :func:`derive` and :func:`derived_leaves`.  Both check a whole
-derivation into a checked part (:class:`_Part`) over a grammar compiled
-once, then read the derived tree off one pre-order walk of that part
-(:func:`_walk`): :func:`derive` builds the tree from it, and
-:func:`derived_leaves` keeps only its leaf labels.  Both take time
-linear in the size of the derived tree, with no limit on its depth, and
-read well-formed grammars only: a grammar that :func:`validate_grammar`
-flags raises :class:`MalformedGrammarError`.
+derivation into a checked part (:class:`_Part`), which costs no more
+than the derived tree, then read the derived tree off one pre-order
+walk of that part (:func:`_walk`): :func:`derive` builds the tree from
+it, and :func:`derived_leaves` keeps only its leaf labels.  Both take
+time linear in the size of the derived tree, with no limit on its
+depth, and read well-formed grammars only: a grammar that
+:func:`validate_grammar` flags raises :class:`MalformedGrammarError`.
 
 Each elementary tree is compiled once into a pre-order table, which
 derivation, enumeration, validation and the catalogs' slot lookup read,
@@ -623,14 +623,14 @@ def _checked(derivation: DerivationTree, grammar: Grammar) -> _Part:
 
 
 class _Part:
-    """A checked derivation node: its compiled tree and the operations on
-    that tree by node index, each with the part it brings.  It has a foot
-    exactly when its tree is auxiliary, since a foot is a leaf.
+    """A checked derivation node: its compiled tree, and in ``ops``, one
+    entry per node of that tree, the part brought there or None.  A part
+    was adjoined exactly when its tree has a foot (:func:`_check_edge`).
     """
 
     __slots__ = ("table", "ops")
 
-    def __init__(self, table: _Table, ops: dict[int, tuple[Operation, _Part]]):
+    def __init__(self, table: _Table, ops: list[_Part | None]):
         self.table = table
         self.ops = ops
 
@@ -648,7 +648,7 @@ def _open(node: DerivationTree, table: _Table) -> tuple:
             )
         pending.append((table.rank[target], target, edge))
     pending.sort(reverse=True)  # distinct targets, distinct ranks: edges never compared
-    return node, table, pending, {}
+    return node, table, pending, [None] * len(table.labels)
 
 
 def _check(derivation: DerivationTree, tables: dict[str, _Table]) -> _Part:
@@ -677,7 +677,7 @@ def _check(derivation: DerivationTree, tables: dict[str, _Table]) -> _Part:
         node, table, pending, ops = stack[-1]
         _, target, edge = pending.pop()
         _check_edge(node, table, target, edge, part)
-        ops[target] = (edge.operation, part)
+        ops[target] = part
 
 
 def _check_edge(
@@ -711,21 +711,21 @@ def _walk(top: _Part) -> Iterator[tuple[NodeLabel, int, tuple[int, ...]]]:
     (label, parent number, children in the node's compiled tree).
 
     The nodes are numbered 1..n in the order they come, and the root's
-    parent number is 0.  An adjoined part is walked in place of the
-    excised node; its foot loses its marker and takes the excised node's
-    children, as :func:`adjoin` does.  A node is a leaf of the derived
-    tree exactly when it has no children in its compiled tree.
+    parent number is 0.  A part in ``ops`` is walked in place of its
+    node; one whose tree has a foot was adjoined, and its foot loses its
+    marker and takes the excised node's children, as :func:`adjoin` does.
+    A node is a leaf of the derived tree when it has no compiled children.
     """
     excised: list[tuple[_Part, int]] = []  # adjunctions still to meet their foot
     stack: list[tuple[_Part, int, int]] = [(top, 0, 0)]  # (part, node, parent number)
     number = 0
     while stack:
         part, i, parent = stack.pop()
-        op = part.ops.get(i)
-        if op is not None:
-            if op[0] is Operation.ADJUNCTION:
+        child = part.ops[i]
+        if child is not None:
+            if child.table.unmarked is not None:  # adjoined: its tree has a foot
                 excised.append((part, i))
-            stack.append((op[1], 0, parent))
+            stack.append((child, 0, parent))
             continue
         label = part.table.labels[i]
         if label.foot_marker:

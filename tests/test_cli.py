@@ -4,7 +4,9 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -511,11 +513,26 @@ class TestDomainErrors:
         outcome = _capped_main(100, ["parse", f"c1*u[0]^{MAX_ADJUNCTIONS} + xi"])
         assert outcome == (1, "", "error: out of memory\n")
 
+    def test_out_of_memory_reported_after_the_command_is_freed(self, capsys, monkeypatch):
+        # what the failed command built is freed before the message is
+        # printed, so the print does not compete with it for memory
+        class Held:
+            pass
+
+        def command(args):
+            held = Held()
+            weakref.finalize(held, print, "freed", file=sys.stderr)
+            raise MemoryError
+
+        parser = SimpleNamespace(parse_args=lambda argv: SimpleNamespace(func=command))
+        monkeypatch.setattr(cli, "_parser", lambda: parser)
+        assert run(capsys, "parse", "xi") == (1, "", "freed\nerror: out of memory\n")
+
     @pytest.mark.parametrize(
         "model", [f"c1*u[0]^{MAX_ADJUNCTIONS} + xi", f"c1*u[-{MAX_ADJUNCTIONS - 1}] + xi"]
     )
     def test_roundtrip_out_of_memory(self, model):
-        # a round trip at the adjunction limit peaks near 390 MiB resident
+        # a round trip at the adjunction limit peaks near 320 MiB resident
         assert _capped_main(300, ["roundtrip", model]) == (1, "", "error: out of memory\n")
 
 

@@ -282,7 +282,8 @@ def _check_parts(derivation, grammar) -> int:
         assert tree.labels[tree.root] == table.labels[0]
         if table.entry.kind is TreeKind.INITIAL:
             assert _leaves(part) == [tree.labels[n] for n in tree.leaves()]
-        above_foot += not _spine(table).isdisjoint(part.ops)
+        targets = {i for i, child in enumerate(part.ops) if child is not None}
+        above_foot += not _spine(table).isdisjoint(targets)
     return above_foot
 
 

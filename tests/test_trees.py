@@ -668,9 +668,9 @@ class TestDerivedLeavesFeet:
 
 
 class TestCheckedPartMemory:
-    """The checked part of a long chain holds one operation map per
-    derivation node and nothing more: at most 400 B per adjunction
-    (~350 B on CPython 3.11, x86-64)."""
+    """The checked part of a long chain holds one entry per node of each
+    elementary tree it uses and nothing more: at most 220 B per
+    adjunction (~155-180 B on CPython 3.11, x86-64)."""
 
     @pytest.mark.parametrize("text", ["c1*u[-10000] + xi", "c1*u[0]^10000 + xi"])
     def test_bytes_per_adjunction(self, text):
@@ -686,7 +686,7 @@ class TestCheckedPartMemory:
             tracemalloc.stop()
         assert part.table is tables["alpha1"]
         per_adjunction = held / adjunctions_needed(model)
-        assert per_adjunction <= 400, f"{per_adjunction:.0f} B per adjunction"
+        assert per_adjunction <= 220, f"{per_adjunction:.0f} B per adjunction"
 
 
 class TestMalformedGrammars:
