@@ -130,7 +130,9 @@ def enumerate_derivations(
     grammar: Grammar, bounds: GenBounds
 ) -> Iterator[DerivationTree]:
     """Every complete derivation with at most ``bounds.max_adjunctions``
-    adjunctions, exactly once, in a deterministic order.
+    adjunctions, exactly once, in a deterministic order.  That is the
+    only bound read here: ``max_terms``, ``max_delay`` and
+    ``max_exponent`` bound sampling only.
 
     Substitution sites are always filled (otherwise the derived tree
     would not be saturated) and do not count against the budget, so a
@@ -226,7 +228,9 @@ def enumerate_models(
 ) -> Iterator[tuple[DerivationTree, NarmaxModel]]:
     """Enumerated derivations over a polynomial-model grammar, each with
     its model; strict mode skips a derivation whose model has the current
-    noise sample in a product.
+    noise sample in a product.  Of ``bounds`` only ``max_adjunctions``
+    and ``mode`` are read: ``max_terms``, ``max_delay`` and
+    ``max_exponent`` bound sampling only.
 
     A grammar whose every elementary tree is one of the model catalog's
     own (checked by identity: the full grammar and every preset

@@ -21,7 +21,6 @@ from sys import float_info
 from typing import Iterable, Mapping, Sequence
 
 from ._record import record
-from .treeio import _Scanner
 
 
 class ModelError(ValueError):
@@ -359,93 +358,80 @@ def classify(model: NarmaxModel) -> frozenset[str]:
 
 # built once: iterating SignalKind for each factor read costs ~4x this dict
 _SIGNAL_TOKEN = {signal.value: signal for signal in SignalKind}
-_INTEGER_RE = re.compile(r"\d+")
-_REAL_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
-# A term head "cN" with its optional ":VALUE", and a factor "*s[OFFSET]"
-# with its optional "^EXP", each read by one pattern that consumes what
-# the stepwise reads consume.  A pattern matches a whole production or
-# nothing: after the id, a ":" must start a value, and after the "]", a
-# "^" an exponent.  Digit runs are unbounded, so a run ``int`` cannot
-# take is left to the stepwise reads too.
-_TERM_HEAD_RE = re.compile(rf"c\s*(\d+)(?:\s*:\s*({_REAL_RE.pattern})|(?!\s*:))")
+_REAL = r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+# A term head, "cN" with its optional ":VALUE" or the trailing noise term
+# "xi", and a factor "*s[OFFSET]" with its optional "^EXP", each read by
+# one pattern.  Every piece after the first is an optional group, written
+# ``(?:piece|)`` or ``(piece|)``, which sre matches faster than ``?``, and
+# the whitespace before a piece is matched outside its group.  So the
+# pattern always matches, and a read that stops early ends at the
+# character where a piece is missing: the reader raises the first missing
+# piece there.  Everything after a piece is optional, so no piece gives
+# back what it matched; ``\s`` agrees with ``str.isspace``.
+_TERM_HEAD_RE = re.compile(
+    rf"\s*(?:(c)\s*(?:(\d+)\s*(?:(:)\s*({_REAL}|)|)|)|(xi)(?!\s*\[)\s*|)"
+)
 _FACTOR_RE = re.compile(
-    rf"\s*\*\s*({'|'.join(_SIGNAL_TOKEN)})\s*\[\s*(-?)\s*(\d+)\s*\]"
-    r"(?:\s*\^\s*(\d+)|(?!\s*\^))"
+    rf"\s*(?:(\*)\s*(?:({'|'.join(_SIGNAL_TOKEN)})\s*(?:(\[)\s*(-?)\s*"
+    r"(?:(\d+)\s*(?:(\])\s*(?:(\^)\s*(\d+|)|)|)|)|)|)|)"
 )
 
 
-def _parse_factor(scanner: _Scanner, factors: dict[FactorKey, int]) -> None:
-    scanner.skip_ws()
-    start = scanner.pos
-    for token, signal in _SIGNAL_TOKEN.items():
-        if scanner.take(token):
-            break
-    else:
-        raise ModelSyntaxError("expected a signal (u, y or xi)", start)
-    scanner.expect("[")
-    negative = scanner.take("-")
-    offset = scanner.number(_INTEGER_RE, "an integer", int)
-    scanner.expect("]")
-    delay = offset if negative else -offset
-    if delay < 0:
-        raise CausalityError(
-            f"{signal.value}[{-delay}] references the future (position {start})"
-        )
-    if signal is SignalKind.OUTPUT and delay == 0:
-        raise CausalityError(f"y[0] violates causality (position {start})")
-    exponent = 1
-    if scanner.take("^"):
-        exponent = scanner.number(_INTEGER_RE, "an integer", int)
-        if exponent < 1:
-            raise ModelSyntaxError("exponents must be >= 1", scanner.pos)
-    key = (signal, delay)
-    factors[key] = factors.get(key, 0) + exponent
+def _integer(found: re.Match, group: int) -> int:
+    """``int`` of a digit run; a run past the interpreter's limit is an
+    error at its first digit."""
+    try:
+        return int(found[group])
+    except ValueError:
+        raise ModelSyntaxError("an integer is out of range", found.start(group)) from None
 
 
-def _term_head(scanner: _Scanner) -> tuple[int, float | None]:
-    """Read ``cN(:VALUE)?`` at the scanner, which is past any whitespace."""
-    found = _TERM_HEAD_RE.match(scanner.text, scanner.pos)
-    if found:
-        try:
-            coeff_id = int(found[1])
-        except ValueError:  # too many digits: the stepwise reads report it
-            pass
-        else:
-            value = None if found[2] is None else float(found[2])
-            if value is None or math.isfinite(value):
-                scanner.pos = found.end()
-                return coeff_id, value
-    scanner.expect("c")
-    coeff_id = scanner.number(_INTEGER_RE, "an integer", int)
-    value = None
-    if scanner.take(":"):
-        value = scanner.number(_REAL_RE, "a number", float)
+def _term_head(found: re.Match) -> tuple[int, float | None]:
+    """The id and value of a ``cN(:VALUE)?`` read by ``_TERM_HEAD_RE``."""
+    if found[2] is None:
+        what = "an integer" if found[1] else "'c'"
+        raise ModelSyntaxError(f"expected {what}", found.end())
+    coeff_id = _integer(found, 2)
+    if found[3] is None:
+        return coeff_id, None
+    if not found[4]:
+        raise ModelSyntaxError("expected a number", found.end())
+    value = float(found[4])
+    if not math.isfinite(value):
+        raise ModelSyntaxError("a number is out of range", found.start(4))
     return coeff_id, value
 
 
-def _term_factors(scanner: _Scanner) -> dict[FactorKey, int]:
-    """Read a term's ``('*' factor)*`` into its factor-count map."""
-    factors: dict[FactorKey, int] = {}
-    while True:
-        found = _FACTOR_RE.match(scanner.text, scanner.pos)
-        if found:
-            signal = _SIGNAL_TOKEN[found[1]]
-            try:
-                offset = int(found[3])
-                exponent = 1 if found[4] is None else int(found[4])
-            except ValueError:  # too many digits: the stepwise reads report it
-                pass
-            else:
-                delay = offset if found[2] else -offset
-                # a factor the stepwise reads refuse is left to them, to report
-                if delay >= 0 and exponent >= 1 and (delay or signal is not SignalKind.OUTPUT):
-                    scanner.pos = found.end()
-                    key = (signal, delay)
-                    factors[key] = factors.get(key, 0) + exponent
-                    continue
-        if not scanner.take("*"):
-            return factors
-        _parse_factor(scanner, factors)
+def _factor(found: re.Match) -> tuple[FactorKey, int]:
+    """The key and exponent of a ``*s[OFFSET](^EXP)?`` read by ``_FACTOR_RE``."""
+    if found[6] is None:  # the first missing piece is an error
+        if found[2] is None:
+            what = "a signal (u, y or xi)"
+        elif found[3] is None:
+            what = "'['"
+        elif found[5] is None:
+            what = "an integer"
+        else:
+            _integer(found, 5)
+            what = "']'"
+        raise ModelSyntaxError(f"expected {what}", found.end())
+    offset = _integer(found, 5)
+    delay = offset if found[4] else -offset
+    signal = _SIGNAL_TOKEN[found[2]]
+    if delay < 0:
+        raise CausalityError(
+            f"{signal.value}[{-delay}] references the future (position {found.start(2)})"
+        )
+    if signal is SignalKind.OUTPUT and delay == 0:
+        raise CausalityError(f"y[0] violates causality (position {found.start(2)})")
+    if found[7] is None:
+        return (signal, delay), 1
+    if not found[8]:
+        raise ModelSyntaxError("expected an integer", found.end())
+    exponent = _integer(found, 8)
+    if exponent < 1:
+        raise ModelSyntaxError("exponents must be >= 1", found.end())
+    return (signal, delay), exponent
 
 
 def parse_model_text(text: str, mode: Mode = Mode.EXTENDED) -> NarmaxModel:
@@ -457,27 +443,31 @@ def parse_model_text(text: str, mode: Mode = Mode.EXTENDED) -> NarmaxModel:
     negative (``u[0]`` is the current input, ``y[-1]`` the previous
     output).
     """
-    scanner = _Scanner(text, ModelSyntaxError)
     # (factor map, value) per term; the reads check what Monomial would
     terms: list[tuple[dict[FactorKey, int], float | None]] = []
+    pos = 0
     while True:
-        scanner.skip_ws()
-        start = scanner.pos
-        if scanner.take("xi"):
-            following = scanner.peek()
-            if following != "[":
-                if following:
-                    raise ModelSyntaxError(
-                        "the trailing noise term must end the model", scanner.pos
-                    )
+        head = _TERM_HEAD_RE.match(text, pos)
+        pos = head.end()
+        if head[5]:
+            if pos < len(text):
+                raise ModelSyntaxError("the trailing noise term must end the model", pos)
+            break
+        coeff_id, value = _term_head(head)
+        factors: dict[FactorKey, int] = {}
+        while True:
+            found = _FACTOR_RE.match(text, pos)
+            pos = found.end()
+            if not found[1]:
                 break
-            scanner.pos = start
-        coeff_id, value = _term_head(scanner)
-        factors = _term_factors(scanner)
+            key, exponent = _factor(found)
+            factors[key] = factors.get(key, 0) + exponent
         if coeff_id < 1:
-            raise ModelSyntaxError(_ID_RULE, start)
+            raise ModelSyntaxError(_ID_RULE, head.start(1))
         terms.append((factors, value))
-        scanner.expect("+")
+        if not text.startswith("+", pos):
+            raise ModelSyntaxError("expected '+'", pos)
+        pos += 1
     return _canonical(terms, mode)
 
 

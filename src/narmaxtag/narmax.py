@@ -315,10 +315,12 @@ _PRESET_CLASS: Mapping[GrammarPreset, str] = {
 }
 
 
+@lru_cache(maxsize=len(GrammarPreset))
 def restrict(preset: GrammarPreset) -> Grammar:
     """The model grammar cut to the preset's class, sharing its trees: the
     delay tree, the additive trees of the class's signals, and their
-    multiplicative trees when the class allows products."""
+    multiplicative trees when the class allows products.  Built once per
+    preset: a grammar is immutable, and it validates itself on first use."""
     catalog = build_narmax_grammar()
     (roles,) = catalog.equations
     signals, products = _CLASSES[_PRESET_CLASS[preset]]

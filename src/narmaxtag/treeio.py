@@ -24,14 +24,15 @@ Derivation format: ``name[op@address -> child, ...]`` lists, each child
 itself a derivation, with ``op`` one of ``sub``/``adj`` and dotted Gorn
 addresses (``ε`` for the root).
 
-Derivation text and the model text of :mod:`narmaxtag.models` are read
-with one cursor, :class:`_Scanner`.  Each production of derivation text
-(a node name, an edge head, the separator after a child) is read by one
-compiled pattern; where a pattern does not match, the scanner's stepwise
-reads take over at the same position, so errors and their positions come
-from one reader.  The derivation reader builds its nodes and edges
-through the trusted constructors and checks their two rules (a Gorn
-index 0, two edges at one address) itself, where the constructors would.
+Each production of derivation text (a node name, an edge head, the
+separator after a child), like each production of the model text of
+:mod:`narmaxtag.models`, is read by one compiled pattern in which every
+piece after the first is optional.  The pattern always matches, and a
+read that stops early ends where the first missing piece should start,
+so that is where the error is reported.  The derivation reader builds
+its nodes and edges through the trusted constructors and checks their
+two rules (a Gorn index 0, two edges at one address) itself, where the
+constructors would.
 
 Work that depends on a token's text alone is done once per distinct
 text and call: the tree reader decodes and resolves each label token
@@ -48,9 +49,8 @@ only.
 from __future__ import annotations
 
 import itertools
-import math
 import re
-from typing import Any, Callable, Iterable
+from typing import Iterable
 
 from .trees import (
     EPSILON,
@@ -91,57 +91,6 @@ class TextFormatError(ValueError):
         super().__init__(f"{message} (at position {position})")
         self.message = message
         self.position = position
-
-
-class _Scanner:
-    """Cursor over text; mismatches raise ``error(message, position)``."""
-
-    def __init__(self, text: str, error: type[ValueError]):
-        self.text = text
-        self.pos = 0
-        self.error = error
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def expect(self, literal: str) -> None:
-        if not self.take(literal):
-            raise self.error(f"expected {literal!r}", self.pos)
-
-    def match(self, pattern: re.Pattern, what: str) -> str:
-        self.skip_ws()
-        found = pattern.match(self.text, self.pos)
-        if not found:
-            raise self.error(f"expected {what}", self.pos)
-        self.pos = found.end()
-        return found.group()
-
-    def number(self, pattern: re.Pattern, what: str, convert: Callable) -> Any:
-        """``convert`` of the next ``match``; a value it cannot take, such as
-        a digit run past the interpreter's limit, or a non-finite float is
-        an error at the value's first character."""
-        self.skip_ws()
-        start = self.pos
-        text = self.match(pattern, what)
-        try:
-            value = convert(text)
-        except ValueError:
-            raise self.error(f"{what} is out of range", start) from None
-        if isinstance(value, float) and not math.isfinite(value):
-            raise self.error(f"{what} is out of range", start)
-        return value
 
 
 # ---------------------------------------------------------------------------
@@ -436,102 +385,97 @@ def format_grammar(grammar: Grammar) -> str:
 # Derivation format
 # ---------------------------------------------------------------------------
 
-_ADDRESS_RE = re.compile(rf"{EPSILON}|\d+(?:\.\d+)*")
-# the three productions of derivation text, each read by one pattern:
-# a node name with an optional "[", an edge head "op@address ->", and
-# the "," or "]" after a child.  Only a failed edge head is read again
-# step by step, to place its error; ``\s`` agrees with ``str.isspace``
-_NODE_RE = re.compile(rf"\s*({_NAME_RE.pattern})\s*(\[?)")
+_ADDRESS = rf"{EPSILON}|\d+(?:\.\d+)*"
+# the three productions of derivation text, each read by one pattern: a
+# node name with an optional "[", an edge head "op@address ->", and the
+# "," or "]" after a child.  Every piece after the first is an optional
+# group, ``(?:piece|)`` or ``(piece|)`` (sre matches these faster than
+# ``?``), and the whitespace before a piece is matched outside its group,
+# so a read that stops early ends at the character where a piece is
+# missing; no piece gives back what it matched, as all that follows it is
+# optional, and ``\s`` agrees with ``str.isspace``
+_NODE_RE = re.compile(rf"\s*(?:({_NAME_RE.pattern})\s*(\[|)|)")
 _EDGE_HEAD_RE = re.compile(
-    rf"\s*({'|'.join(op.value for op in Operation)})\s*@\s*({_ADDRESS_RE.pattern})\s*->"
+    rf"\s*(?:({_NAME_RE.pattern})\s*(?:(@)\s*(?:({_ADDRESS})\s*(->|)|)|)|)"
 )
-_AFTER_CHILD_RE = re.compile(r"\s*([,\]])")
+_AFTER_CHILD_RE = re.compile(r"\s*([,\]]|)")
 _OPERATIONS = {op.value: op for op in Operation}
 
 
-def _address(text: str) -> tuple[int, ...]:
-    return () if text == EPSILON else tuple(int(part) for part in text.split("."))
-
-
-def _node_head(scanner: _Scanner) -> tuple[str, bool]:
-    """Read a node's name and whether a ``[`` opens its edge list."""
-    found = _NODE_RE.match(scanner.text, scanner.pos)
-    if not found:
-        scanner.skip_ws()
-        raise TextFormatError("expected an elementary-tree name", scanner.pos)
-    scanner.pos = found.end()
-    return found[1], bool(found[2])
-
-
-def _edge_head(
-    scanner: _Scanner, addresses: dict[str, tuple[int, ...]]
-) -> tuple[Operation, tuple[int, ...]]:
-    """Read ``op@address ->`` of the next edge; ``addresses`` holds the
-    address of each address text read so far in the call."""
-    found = _EDGE_HEAD_RE.match(scanner.text, scanner.pos)
-    if found:
-        address = addresses.get(found[2])
-        if address is None:
-            try:
-                address = addresses[found[2]] = _address(found[2])
-            except ValueError:  # too many digits: the stepwise reads report it
-                pass
-        if address is not None:
-            scanner.pos = found.end()
-            return _OPERATIONS[found[1]], address
-    scanner.skip_ws()
-    start = scanner.pos
-    op_name = scanner.match(_NAME_RE, "an operation (sub/adj)")
-    operation = _OPERATIONS.get(op_name)
-    if operation is None:
-        raise TextFormatError(f"unknown operation {op_name!r} (expected sub/adj)", start)
-    scanner.expect("@")
-    address = scanner.number(_ADDRESS_RE, "a Gorn address", _address)
-    scanner.expect("->")
-    return operation, address
-
-
-def _another_edge(scanner: _Scanner) -> bool:
-    """Read the ``,`` (another edge follows) or ``]`` after a child."""
-    found = _AFTER_CHILD_RE.match(scanner.text, scanner.pos)
-    if not found:
-        scanner.skip_ws()
-        raise TextFormatError("expected ']'", scanner.pos)
-    scanner.pos = found.end()
-    return found[1] == ","
+def _edge_head_address(found: re.Match, addresses: dict[str, tuple[int, ...]]) -> tuple[int, ...]:
+    """The address of an edge head read by ``_EDGE_HEAD_RE`` whose
+    operation, address or ``->`` the fast path did not find: the first
+    missing piece in reading order is an error, else the address text is
+    new and is converted and kept in ``addresses``."""
+    if found[1] is None:
+        raise TextFormatError("expected an operation (sub/adj)", found.end())
+    if found[1] not in _OPERATIONS:
+        message = f"unknown operation {found[1]!r} (expected sub/adj)"
+        raise TextFormatError(message, found.start(1))
+    if found[2] is None:
+        raise TextFormatError("expected '@'", found.end())
+    text = found[3]
+    if text is None:
+        raise TextFormatError("expected a Gorn address", found.end())
+    address = addresses.get(text)
+    if address is None:
+        try:
+            address = () if text == EPSILON else tuple(int(part) for part in text.split("."))
+        except ValueError:  # a digit run past the interpreter's limit
+            raise TextFormatError("a Gorn address is out of range", found.start(3)) from None
+        addresses[text] = address
+    if not found[4]:
+        raise TextFormatError("expected '->'", found.end())
+    return address
 
 
 def parse_derivation(text: str) -> DerivationTree:
-    scanner = _Scanner(text, TextFormatError)
     names: dict[str, str] = {}  # one string per distinct tree name
     addresses: dict[str, tuple[int, ...]] = {}  # one address per distinct address text
     # (name, edges, operation, address) of the nodes whose edge waits for its child
     stack: list[tuple] = []
+    pos = 0
     while True:
-        name, opens = _node_head(scanner)
+        found = _NODE_RE.match(text, pos)
+        pos = found.end()
+        name = found[1]
+        if name is None:
+            raise TextFormatError("expected an elementary-tree name", pos)
         name = names.setdefault(name, name)
-        if opens:
-            stack.append((name, [], *_edge_head(scanner, addresses)))
-            continue
-        node = DerivationTree._build(name, ())
-        while stack:
-            parent, edges, operation, address = stack.pop()
-            # the constructors' rules (indices >= 1, distinct addresses)
-            # are checked here and reported as format errors where they
-            # are detected: after the child, and after the closing "]"
-            if 0 in address:
-                raise TextFormatError(_INDEX_RULE, scanner.pos)
-            edges.append(DerivationEdge._build(operation, address, node))
-            if _another_edge(scanner):
-                stack.append((parent, edges, *_edge_head(scanner, addresses)))
+        if found[2]:
+            edges: list[DerivationEdge] = []
+        else:
+            node = DerivationTree._build(name, ())
+            while stack:
+                name, edges, operation, address = stack.pop()
+                # the constructors' rules (indices >= 1, distinct addresses)
+                # are checked here and reported as format errors where they
+                # are detected: after the child, and after the closing "]"
+                if 0 in address:
+                    raise TextFormatError(_INDEX_RULE, pos)
+                edges.append(DerivationEdge._build(operation, address, node))
+                found = _AFTER_CHILD_RE.match(text, pos)
+                pos = found.end()
+                if found[1] == ",":
+                    break
+                if not found[1]:
+                    raise TextFormatError("expected ']'", pos)
+                if len(edges) > 1 and len({edge.address for edge in edges}) < len(edges):
+                    raise TextFormatError(_shared_address(name, edges), pos)
+                node = DerivationTree._build(name, tuple(edges))
+            else:  # the root is closed
                 break
-            if len(edges) > 1 and len({edge.address for edge in edges}) < len(edges):
-                raise TextFormatError(_shared_address(parent, edges), scanner.pos)
-            node = DerivationTree._build(parent, tuple(edges))
-        if not stack:
-            break
-    if scanner.peek():
-        raise TextFormatError("trailing text after derivation", scanner.pos)
+        # a "[" or "," is followed by the edge head of node ``name``
+        found = _EDGE_HEAD_RE.match(text, pos)
+        pos = found.end()
+        operation = _OPERATIONS.get(found[1])
+        address = addresses.get(found[3])
+        if operation is None or address is None or not found[4]:
+            address = _edge_head_address(found, addresses)
+        stack.append((name, edges, operation, address))
+    rest = text[pos:]
+    if rest and not rest.isspace():
+        raise TextFormatError("trailing text after derivation", len(text) - len(rest.lstrip()))
     return node
 
 

@@ -442,6 +442,8 @@ class TestDomainErrors:
                 ["parse", "c1*y[-9223372036854775808] + xi"],
                 "the model needs 9223372036854775808 adjunctions, more than the limit of 500000",
             ),
+            # a multi-digit id and a colon without a number: placed after the colon
+            (["classify", "c12: + xi"], "expected a number (at position 5)"),
             # checked before the noise-seed line goes to stderr
             (
                 ["simulate", "xi", "--n", "3", "--noise-std", "-1"],

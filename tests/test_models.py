@@ -72,6 +72,17 @@ class TestMonomial:
         with pytest.raises(CausalityError):
             Monomial(1, {(SignalKind.OUTPUT, 0): 1})
 
+    @pytest.mark.parametrize(
+        "coeff_id, factors, error, message",
+        [
+            (0, {(SignalKind.INPUT, 0): 1}, ModelError, "coefficient ids are positive integers"),
+            (1, {(SignalKind.INPUT, -1): 1}, CausalityError, "negative delay on u"),
+        ],
+    )
+    def test_rejects_zero_id_and_negative_delay(self, coeff_id, factors, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            Monomial(coeff_id, factors)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -(10**400)])
     def test_rejects_non_finite_value(self, value):
         with pytest.raises(ModelError, match="coefficient values must be finite"):

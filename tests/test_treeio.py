@@ -192,6 +192,27 @@ class TestGrammarFormat:
             parse_grammar(text)
         assert text[info.value.position] == char
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            (
+                "nonterminals: S T\nterminals: a\n  start: S T\n",
+                "start line needs exactly one symbol",
+                33,
+            ),
+            (
+                "nonterminals: S\nterminals: a\nstart: S\ninitial t S(a)\n",
+                "cannot parse grammar line 'initial t S(a)'",
+                38,
+            ),
+            ("nonterminals: S\nterminals: a\n", "grammar is missing header lines", 0),
+        ],
+    )
+    def test_refused_lines(self, text, message, position):
+        with pytest.raises(TextFormatError) as info:
+            parse_grammar(text)
+        assert (info.value.message, info.value.position) == (message, position)
+
     def test_missing_paren_is_reported_at_the_tree_block_end(self):
         text = "nonterminals: S\nterminals: a b\nstart: S\ninitial t = S(a b  \n"
         with pytest.raises(TextFormatError, match="missing") as info:

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -100,6 +101,21 @@ class TestSyntacticTree:
                   3: NodeLabel.terminal("a")}
         with pytest.raises(ValueError):
             SyntacticTree(1, labels, {1: (2, 3), 2: (3,)})
+
+    @pytest.mark.parametrize(
+        "root, children, message",
+        [
+            (4, {}, "root id is not a labeled node"),
+            (1, {1: (2, 5)}, "child id 5 of node 1 is unlabeled"),
+            (2, {1: (2,), 2: (3,)}, "root has an incoming edge"),
+            (1, {2: (3,), 3: (2,)}, "not all nodes are reachable from the root"),
+        ],
+    )
+    def test_rejects_malformed_structure(self, root, children, message):
+        labels = {1: NodeLabel.nonterminal("A"), 2: NodeLabel.nonterminal("B"),
+                  3: NodeLabel.terminal("a")}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SyntacticTree(root, labels, children)
 
     def test_post_order(self):
         tree = parse_tree("A(B(c d) e)")
@@ -298,6 +314,16 @@ class TestSubstitute:
         with pytest.raises(UndefinedSubstitutionError):
             substitute(host, node_at(host, (1,)), beta1)
 
+    def test_node_outside_the_host_rejected(self, sentence_grammar):
+        host = find(sentence_grammar, "alpha1").tree.renumbered(1)
+        with pytest.raises(UndefinedSubstitutionError, match="is not part of the host tree"):
+            substitute(host, max(host.labels) + 1, find(sentence_grammar, "alpha2"))
+
+    def test_foot_leaf_rejected(self):
+        host = parse_tree("A(a A★)")
+        with pytest.raises(UndefinedSubstitutionError, match="cannot substitute at a foot node"):
+            substitute(host, 3, parse_tree("A(b)"))
+
     def test_set_counts_on_random_cases(self):
         rng = random.Random(1203)
         for _ in range(100):
@@ -340,6 +366,16 @@ class TestAdjoin:
         beta1 = find(sentence_grammar, "beta1")
         with pytest.raises(UndefinedAdjunctionError):
             adjoin(tree, node_at(tree, (1, 1, 1)), beta1)
+
+    def test_node_outside_the_host_rejected(self, sentence_grammar, plain_derivation):
+        tree = self._saw_mary_tree(sentence_grammar, plain_derivation)
+        beta1 = find(sentence_grammar, "beta1")
+        with pytest.raises(UndefinedAdjunctionError, match="is not part of the host tree"):
+            adjoin(tree, max(tree.labels) + 1, beta1)
+
+    def test_tree_without_foot_rejected(self):
+        with pytest.raises(UndefinedAdjunctionError, match="incoming tree has no foot node"):
+            adjoin(parse_tree("A(a)"), 1, parse_tree("A(b)"))
 
     def test_foot_marker_cleared(self, sentence_grammar, plain_derivation):
         tree = self._saw_mary_tree(sentence_grammar, plain_derivation)
@@ -784,6 +820,13 @@ class TestValidateGrammar:
         codes = [d.code for d in validate_grammar(grammar)]
         assert "alphabets-overlap" in codes
         assert "unknown-label" in codes
+
+    def test_unknown_nonterminal(self):
+        tree = parse_tree("A(B(a))")
+        grammar = Grammar({"A"}, {"a"}, "A", (ElementaryTree("t", TreeKind.INITIAL, tree),), ())
+        (diagnostic,) = validate_grammar(grammar)
+        assert (diagnostic.code, diagnostic.address) == ("unknown-label", "1")
+        assert diagnostic.message == "nonterminal 'B' is not in the alphabet"
 
     def test_many_diagnostics_in_linear_time(self):
         # a root over 8,000 internal nodes labelled with a terminal: one
