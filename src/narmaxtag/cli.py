@@ -199,7 +199,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         for derivation in enumerate_derivations(grammar, bounds):
             print(format_derivation(derivation))
     else:
-        for _, model in enumerate_models(grammar, bounds):
+        for model in enumerate_models(grammar, bounds):
             print(format_model_text(model))
     return 0
 

@@ -13,15 +13,14 @@ A grammar that :func:`~narmaxtag.trees.validate_grammar` flags is
 refused at the first item, with its first diagnostic.
 
 There is one traversal, and it hands each completed derivation node to
-a completion step.  :func:`enumerate_derivations` only builds the node.
-Over a grammar of the model catalog's own trees (the full model grammar
-and every preset), :func:`enumerate_models` also reads, next to each
-node, what its subtree adds to the model: a delay tree a backshift, a
-multiplicative tree a factor, an additive tree a term.  So the model is
-read off the derivation, the inverse of how the catalog builds one, with
-no derived tree checked, walked or parsed; what shared subtrees add is
-shared.  Any other grammar's derivations go through the reference
-route, :func:`~narmaxtag.trees.derived_leaves` and the yield reader.
+a completion step.  :func:`enumerate_derivations` builds the node.
+:func:`enumerate_models` yields only models, one per derivation in the
+same order (zip the two streams, in extended mode, for pairs).  Over
+the model catalog's own trees (the full grammar and every preset) its
+step builds no node: it reads what each subtree adds, a delay tree a
+backshift, a multiplicative tree a factor, an additive tree a term.
+Any other grammar goes through :func:`~narmaxtag.trees.derived_leaves`
+and the yield reader.
 
 Sampling grows a random model over the polynomial-model grammar (or one
 of its presets) extension by extension: it draws a number of
@@ -223,34 +222,39 @@ def _check_cycle(frame: tuple, name: str) -> None:
         frame = parent
 
 
-def enumerate_models(
-    grammar: Grammar, bounds: GenBounds
-) -> Iterator[tuple[DerivationTree, NarmaxModel]]:
-    """Enumerated derivations over a polynomial-model grammar, each with
-    its model; strict mode skips a derivation whose model has the current
-    noise sample in a product.  Of ``bounds`` only ``max_adjunctions``
-    and ``mode`` are read: ``max_terms``, ``max_delay`` and
-    ``max_exponent`` bound sampling only.
+def enumerate_models(grammar: Grammar, bounds: GenBounds) -> Iterator[NarmaxModel]:
+    """The model of each enumerated derivation over a polynomial-model
+    grammar, in the order of :func:`enumerate_derivations`; strict mode
+    skips a derivation whose model has the current noise sample in a
+    product.  Of ``bounds`` only ``max_adjunctions`` and ``mode`` are
+    read: ``max_terms``, ``max_delay`` and ``max_exponent`` bound
+    sampling only.
+
+    Only models are yielded.  In extended mode none is skipped, so
+    ``zip(enumerate_derivations(...), enumerate_models(...))`` pairs
+    each derivation with its model.  Strict mode's refusals are dropped
+    by an ``is None`` test, never by a model's truth value.
 
     A grammar whose every elementary tree is one of the model catalog's
     own (checked by identity: the full grammar and every preset
     :func:`~narmaxtag.narmax.restrict` cuts from it) has each model read
-    off its derivation as the traversal builds it (see
-    :func:`_model_step`), with no check pass, leaf walk or yield parse.
-    Any other grammar takes the reference route: each derivation of
+    off the traversal (see :func:`_model_step`), with no derivation
+    built and no check pass, leaf walk or yield parse.  Any other
+    grammar takes the reference route: each derivation of
     :func:`enumerate_derivations` has its model read off
     :func:`~narmaxtag.trees.derived_leaves`.
     """
     catalog = {entry.name: entry for entry in build_narmax_grammar().grammar.elementary()}
     if all(catalog.get(entry.name) is entry for entry in grammar.elementary()):
-        yield from filter(None, _enumerate(grammar, bounds, _model_step(bounds.mode)))
+        for model in _enumerate(grammar, bounds, _model_step(bounds.mode)):
+            if model is not None:
+                yield model
         return
     for derivation in enumerate_derivations(grammar, bounds):
         try:
-            model = _leaves_to_model(derived_leaves(derivation, grammar), bounds.mode)
+            yield _leaves_to_model(derived_leaves(derivation, grammar), bounds.mode)
         except CausalityError:
             continue
-        yield derivation, model
 
 
 # what a completed subtree of the catalog adds to its parent: backshifts
@@ -262,17 +266,17 @@ _BACKSHIFTS, _FACTORS, _TERMS = range(3)
 def _model_step(mode: Mode):
     """The completion step that reads each derivation over the model
     catalog's trees into its model, by the catalog's roles: the inverse of
-    :func:`~narmaxtag.narmax._term_fragment`.
+    :func:`~narmaxtag.narmax._term_fragment`.  It builds no derivation.
 
-    A completed node hands its edge to its parent together with what its
-    subtree adds there: a delay tree one backshift to its factor, a
+    A completed node hands its parent its family and what its subtree
+    adds there: a delay tree one backshift to its factor, a
     multiplicative tree one factor to its term, an additive tree one
     term, a factor-count map, to the sum.  A factor's delay is read from
     its backshifts by :func:`~narmaxtag.narmax._factor_delay`.  At the
     root the terms go to the canonical form.  Strict mode refuses a model
     with the current noise sample in a product, which is decided at that
     factor: its step returns None, each step above it hands the None on,
-    and the root leaves it in the derivation's place.
+    and the root returns it in the model's place.
     """
     (roles,) = build_narmax_grammar().equations
     # each tree's family, and the signal of the factor it brings
@@ -282,37 +286,32 @@ def _model_step(mode: Mode):
     refused = (SignalKind.NOISE, 0) if mode is Mode.STRICT else None
 
     def step(name: str, chain: tuple | None, slot: tuple | None):
-        # the chain holds (edge, family, what the subtree adds), last edge
+        # the chain holds (family, what the subtree adds), last child
         # first; backshifts add up and factors and terms join their lists
-        edges, found = [], [0, [], []]
+        found = [0, [], []]
         while chain is not None:
             item, chain = chain
             if item is None:  # a refused subtree
                 return None
-            edge, kind, adds = item
-            edges.append(edge)
+            kind, adds = item
             found[kind] += adds
-        edges.reverse()
-        derivation = DerivationTree._build(name, tuple(edges))
         backshifts, factors, terms = found
         if slot is None:  # the initial tree
-            return derivation, _canonical([(term, None) for term in terms], mode)
+            return _canonical([(term, None) for term in terms], mode)
         kind, signal = family[name]
         if kind is _BACKSHIFTS:
-            adds = backshifts + 1
-        else:
-            factor = (signal, _factor_delay(signal, backshifts))
-            if factor == refused:
-                return None
-            factors.append(factor)
-            adds = factors
-            if kind is _TERMS:
-                term: dict[FactorKey, int] = {}
-                for factor in factors:
-                    term[factor] = term.get(factor, 0) + 1
-                terms.append(term)
-                adds = terms
-        return DerivationEdge._build(slot[0], slot[1], derivation), kind, adds
+            return kind, backshifts + 1
+        factor = (signal, _factor_delay(signal, backshifts))
+        if factor == refused:
+            return None
+        factors.append(factor)
+        if kind is _FACTORS:
+            return kind, factors
+        term: dict[FactorKey, int] = {}
+        for factor in factors:
+            term[factor] = term.get(factor, 0) + 1
+        terms.append(term)
+        return kind, terms
 
     return step
 

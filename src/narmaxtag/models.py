@@ -59,6 +59,7 @@ class SignalKind(Enum):
 
 _SIGNALS = tuple(SignalKind)  # canonical rank order: input, output, noise
 _SIGNAL_RANK = {signal: rank for rank, signal in enumerate(_SIGNALS)}
+_SIGNAL_NAMES = tuple(signal.value for signal in _SIGNALS)  # by rank; .value is a slow property
 
 
 class Mode(Enum):
@@ -479,7 +480,7 @@ def format_model_text(model: NarmaxModel) -> str:
         if term.coeff_value is not None:
             text += f":{term.coeff_value!r}"
         for rank, delay, exponent in _factor_key(term.factors):
-            text += f"*{_SIGNALS[rank].value}[{-delay if delay else 0}]"
+            text += f"*{_SIGNAL_NAMES[rank]}[{-delay if delay else 0}]"
             if exponent > 1:
                 text += f"^{exponent}"
         parts.append(text)

@@ -135,7 +135,7 @@ def test_criterion_5_subset_soundness():
         ]
         for preset, tag in expectations:
             grammar = restrict(preset)
-            for _, model in enumerate_models(grammar, GenBounds(max_adjunctions=5)):
+            for model in enumerate_models(grammar, GenBounds(max_adjunctions=5)):
                 assert tag in classify(model), (preset, format_model_text(model))
 
 

@@ -1,13 +1,15 @@
 """Enumeration reads each model off its derivation over the model
 catalog's trees, and any other grammar's through ``derived_leaves``.
 
-``enumerate_models`` must give what the reference route gives, reading
-every derivation of ``enumerate_derivations`` through ``derived_leaves``
-and the yield reader, and raise that route's error on the same
-derivation; each enumerated derivation's checked part must give the
-leaves of the set-level reference, and every part under it must have a
-foot exactly when its tree is auxiliary and the root label of its own
-tree.
+``enumerate_models`` must give, position by position, the models the
+reference route gives, reading every derivation of
+``enumerate_derivations`` through ``derived_leaves`` and the yield
+reader, and in extended mode one model per derivation; it must raise
+that route's error on the same derivation, and over the catalog's trees
+build no derivation node.  Each enumerated derivation's checked part
+must give the leaves of the set-level reference, and every part under
+it must have a foot exactly when its tree is auxiliary and the root
+label of its own tree.
 """
 
 import random
@@ -29,6 +31,7 @@ from narmaxtag.narmax import (
 )
 from narmaxtag.treeio import parse_grammar
 from narmaxtag.trees import (
+    DerivationEdge,
     DerivationTree,
     ElementaryTree,
     Grammar,
@@ -42,6 +45,8 @@ from narmaxtag.trees import (
     derive,
     derived_leaves,
 )
+
+from test_golden import ENUMERATE_DERIVATION_DIGESTS, sha256, stdout_of
 
 from oracles import (
     random_derivation,
@@ -73,13 +78,21 @@ def _grammar_and_reader(name):
 
 def _reference_models(grammar, bounds, read):
     """``enumerate_models`` by the checked route: every derivation of
-    ``enumerate_derivations`` through ``derived_leaves``."""
+    ``enumerate_derivations`` through ``derived_leaves``, the refused
+    ones dropped."""
     for derivation in enumerate_derivations(grammar, bounds):
         try:
-            model = read(derived_leaves(derivation, grammar), bounds.mode)
+            yield read(derived_leaves(derivation, grammar), bounds.mode)
         except CausalityError:
             continue
-        yield derivation, model
+
+
+def _same_stream(grammar, bounds, fast, slow):
+    """Assert the two model streams are equal position by position and,
+    in extended mode, hold one model per enumerated derivation."""
+    assert fast == slow
+    if bounds.mode is Mode.EXTENDED:
+        assert len(fast) == sum(1 for _ in enumerate_derivations(grammar, bounds))
 
 
 class TestModelStreamParity:
@@ -89,9 +102,9 @@ class TestModelStreamParity:
         grammar, read = _grammar_and_reader(name)
         monkeypatch.setattr(generate, "_leaves_to_model", read)
         bounds = GenBounds(max_adjunctions=BUDGET, mode=mode)
-        fast = [(d, m.structure()) for d, m in enumerate_models(grammar, bounds)]
-        slow = [(d, m.structure()) for d, m in _reference_models(grammar, bounds, read)]
-        assert fast == slow
+        fast = [m.structure() for m in enumerate_models(grammar, bounds)]
+        slow = [m.structure() for m in _reference_models(grammar, bounds, read)]
+        _same_stream(grammar, bounds, fast, slow)
         assert len(fast) > 1
 
     @pytest.mark.parametrize("mode", list(Mode))
@@ -101,12 +114,9 @@ class TestModelStreamParity:
         # with at most 5 adjunctions, model text and all
         grammar = restrict(preset)
         bounds = GenBounds(max_adjunctions=5, mode=mode)
-        fast = [(d, format_model_text(m)) for d, m in enumerate_models(grammar, bounds)]
-        slow = [
-            (d, format_model_text(m))
-            for d, m in _reference_models(grammar, bounds, _leaves_to_model)
-        ]
-        assert fast == slow
+        fast = [format_model_text(m) for m in enumerate_models(grammar, bounds)]
+        slow = [format_model_text(m) for m in _reference_models(grammar, bounds, _leaves_to_model)]
+        _same_stream(grammar, bounds, fast, slow)
         assert len(fast) > 30
 
     @pytest.mark.parametrize("name", GRAMMARS)
@@ -138,10 +148,39 @@ class TestModelStreamParity:
         for module, name in ((trees, "_check"), (trees, "_leaves"), (narmax, "_to_parts")):
             self._spy(monkeypatch, module, name, calls)
         grammar = restrict(preset)
-        models = list(enumerate_models(grammar, GenBounds(max_adjunctions=BUDGET)))
+        bounds = GenBounds(max_adjunctions=BUDGET)
+        models = list(enumerate_models(grammar, bounds))
         assert models and calls == []
-        _leaves_to_model(derived_leaves(models[-1][0], grammar), Mode.EXTENDED)
+        *_, last = enumerate_derivations(grammar, bounds)
+        model = _leaves_to_model(derived_leaves(last, grammar), Mode.EXTENDED)
         assert calls == ["_check", "_leaves", "_to_parts"]  # the spies see the reference route
+        assert model == models[-1]
+
+    @pytest.mark.parametrize("preset", list(GrammarPreset))
+    def test_no_derivation_node_built(self, monkeypatch, capsys, preset):
+        # the catalog reader builds no derivation node, by the trusted
+        # constructors or the public ones; the spies do see the nodes of
+        # enumerate --derivations, which prints its golden digest
+        calls = []
+        for cls in (DerivationTree, DerivationEdge):
+            build, init = cls._build, cls.__init__
+
+            def spy_build(*args, build=build):
+                calls.append("_build")
+                return build(*args)
+
+            def spy_init(self, *args, init=init, **kwargs):
+                calls.append("__init__")
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "_build", staticmethod(spy_build))
+            monkeypatch.setattr(cls, "__init__", spy_init)
+        models = list(enumerate_models(restrict(preset), GenBounds(max_adjunctions=4)))
+        assert models and calls == []
+        name = preset.value
+        out = stdout_of(capsys, "enumerate", "--preset", name, "--max", "3", "--derivations")
+        assert (len(out.splitlines()), sha256(out)) == ENUMERATE_DERIVATION_DIGESTS[name]
+        assert len(calls) > len(out.splitlines())
 
     def test_fresh_trees_take_the_reference_route(self, monkeypatch, capsys):
         # a grammar read back from its own text has equal trees but not
@@ -154,11 +193,9 @@ class TestModelStreamParity:
         calls = []
         self._spy(monkeypatch, trees, "_check", calls)
         bounds = GenBounds(max_adjunctions=BUDGET)
-        fresh = [(d, format_model_text(m)) for d, m in enumerate_models(grammar, bounds)]
-        shared = [
-            (d, format_model_text(m))
-            for d, m in enumerate_models(restrict(GrammarPreset.NARX), bounds)
-        ]
+        fresh = [format_model_text(m) for m in enumerate_models(grammar, bounds)]
+        narx = restrict(GrammarPreset.NARX)
+        shared = [format_model_text(m) for m in enumerate_models(narx, bounds)]
         assert fresh == shared and len(calls) == len(fresh)
 
 
@@ -183,7 +220,10 @@ class TestRandomGrammars:
         bounds = GenBounds(max_adjunctions=2)
         fast, fast_error = [], None
         try:
-            fast.extend(islice(enumerate_models(grammar, bounds), self.LIMIT))
+            # paired as a caller pairs them; the models are drawn first,
+            # so an error is enumerate_models' own
+            pairs = zip(enumerate_models(grammar, bounds), enumerate_derivations(grammar, bounds))
+            fast.extend((d, leaves) for leaves, d in islice(pairs, self.LIMIT))
         except TagError as exc:
             fast_error = (type(exc), str(exc))
         slow, slow_error = [], None

@@ -112,21 +112,21 @@ class TestEnumerate:
         full = restrict(GrammarPreset.NARMAX)
         for mode in Mode:
             bounds = GenBounds(max_adjunctions=4, mode=mode)
-            models = {model.structure(): model for _, model in enumerate_models(full, bounds)}
+            models = {model.structure(): model for model in enumerate_models(full, bounds)}
             for preset, tag in PRESET_TAGS.items():
-                carved = {m.structure() for _, m in enumerate_models(restrict(preset), bounds)}
+                carved = {m.structure() for m in enumerate_models(restrict(preset), bounds)}
                 tagged = {key for key, model in models.items() if tag in classify(model)}
                 assert carved == tagged, (preset, mode)
 
     def test_arx_enumeration_classifies_arx(self):
         grammar = restrict(GrammarPreset.ARX)
-        for _, model in enumerate_models(grammar, GenBounds(max_adjunctions=3)):
+        for model in enumerate_models(grammar, GenBounds(max_adjunctions=3)):
             assert "ARX" in classify(model)
 
     def test_completeness_against_model_space(self, narmax_catalog):
         budget = 4
         parsed = set()
-        for _, model in enumerate_models(
+        for model in enumerate_models(
             narmax_catalog.grammar, GenBounds(max_adjunctions=budget)
         ):
             assert adjunctions_required(model) <= budget
@@ -136,22 +136,26 @@ class TestEnumerate:
 
 
     def test_strict_stream_is_the_filtered_extended_stream(self):
-        # strict mode skips the derivations whose model has the current
-        # noise sample in a product, and keeps the rest in stream order
+        # the extended stream holds one model per derivation; strict mode
+        # skips the models with the current noise sample in a product,
+        # and keeps the rest in stream order
         grammar = restrict(GrammarPreset.NARMAX)
         for budget in range(4):
+            bounds = GenBounds(max_adjunctions=budget)
+            extended = list(enumerate_models(grammar, bounds))
+            assert len(extended) == len(list(enumerate_derivations(grammar, bounds)))
             strict = [
-                (derivation, model.structure())
-                for derivation, model in enumerate_models(
+                model.structure()
+                for model in enumerate_models(
                     grammar, GenBounds(max_adjunctions=budget, mode=Mode.STRICT)
                 )
             ]
-            extended = [
-                (derivation, model.structure())
-                for derivation, model in enumerate_models(grammar, GenBounds(max_adjunctions=budget))
+            kept = [
+                model.structure()
+                for model in extended
                 if all((SignalKind.NOISE, 0) not in term.factors for term in model.terms)
             ]
-            assert strict == extended
+            assert strict == kept
         assert len(strict) < count_upto(grammar, 3)
 
     def test_any_depth(self):
@@ -212,6 +216,26 @@ class TestEnumerate:
             tracemalloc.stop()
         assert [edge.address for edge in derivation.edges] == [(1,) * depth]
         assert peak < 16 * 2**20, f"enumeration peaked at {peak / 2**20:.1f} MiB"
+
+    def test_models_stream(self):
+        # draining the 8,404 models at 5 adjunctions holds one model at a
+        # time: a memo kept per model or per derivation would show here
+        grammar = restrict(GrammarPreset.NARMAX)
+        bounds = GenBounds(max_adjunctions=5)
+        peaks = []
+        for keep in (False, True):
+            kept = []
+            tracemalloc.start()
+            try:
+                for model in enumerate_models(grammar, bounds):
+                    if keep:
+                        kept.append(model)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert len(kept) == 8404
+        assert peaks[0] * 10 <= peaks[1], f"streamed {peaks[0]} B, kept {peaks[1]} B"
 
 
 PARITY_GRAMMARS = [(preset.value, 5) for preset in GrammarPreset] + [("nbj", 4)]

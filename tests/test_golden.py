@@ -228,7 +228,7 @@ def test_model_to_derivation_over_enumeration():
     grammar = restrict(GrammarPreset.NARMAX)
     lines = [
         format_derivation(model_to_derivation(model))
-        for _, model in enumerate_models(grammar, GenBounds(max_adjunctions=4))
+        for model in enumerate_models(grammar, GenBounds(max_adjunctions=4))
     ]
     assert len(lines) == 1201
     assert sha256("\n".join(lines)) == (

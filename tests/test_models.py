@@ -184,7 +184,7 @@ class TestCanonicalizeParity:
         rng = random.Random(4)
         grammar = restrict(GrammarPreset.NARMAX)
         count = 0
-        for _, model in enumerate_models(grammar, GenBounds(max_adjunctions=4)):
+        for model in enumerate_models(grammar, GenBounds(max_adjunctions=4)):
             self.assert_same(self.scrambled(model, rng, self.VALUES))
             count += 1
         assert count == 1201
@@ -450,7 +450,7 @@ class TestClassify:
     def test_matches_the_oracle_on_enumerated_models(self):
         for preset, mode in product(GrammarPreset, Mode):
             bounds = GenBounds(max_adjunctions=5, mode=mode)
-            for _, model in enumerate_models(restrict(preset), bounds):
+            for model in enumerate_models(restrict(preset), bounds):
                 assert classify(model) == class_tags(model), format_model_text(model)
 
     def test_matches_the_oracle_on_random_models(self):

@@ -178,7 +178,7 @@ class TestAdjunctionsNeeded:
                 bounds = GenBounds(max_adjunctions=5, mode=mode)
                 models = {
                     model.structure(): model
-                    for _, model in enumerate_models(restrict(preset), bounds)
+                    for model in enumerate_models(restrict(preset), bounds)
                 }
                 for model in models.values():
                     needed = adjunctions_needed(model)

@@ -113,7 +113,7 @@ class TestTrustedDerivations:
 class TestTrustedTerms:
     def test_enumerated_models_rebuild(self):
         grammar = restrict(GrammarPreset.NARMAX)
-        for _, model in enumerate_models(grammar, GenBounds(max_adjunctions=4)):
+        for model in enumerate_models(grammar, GenBounds(max_adjunctions=4)):
             terms = tuple(
                 Monomial(term.coeff_id, term.factors, term.coeff_value) for term in model.terms
             )
