@@ -9,8 +9,22 @@ functions over the annotated field names, only what the package uses:
 the dataclass ``__repr__`` text; field-tuple ``__eq__`` and
 ``__hash__``, or under ``eq=False`` those the class defines itself or
 identity; and frozen attributes.
+
+A record is slotted: :func:`record` returns a new class with
+``__slots__`` over the fields, so an instance has no ``__dict__`` (a
+derivation node or a label is the most numerous object the package
+holds).  The fields' defaults move from the class into ``__init__``,
+where the slots would clash with them, and ``__init__`` sets the fields
+through ``object.__setattr__``, past the frozen ``__setattr__``.  The
+frozen ``__setattr__`` would also refuse the field-by-field restore that
+``copy``, ``deepcopy`` and ``pickle`` do by default, so ``__reduce__``
+rebuilds a record by calling its class with its field values.  A class
+with a ``cached_property`` (``ElementaryTree._table``,
+``Grammar._tables``) keeps a ``__dict__`` slot, where the property
+stores its value.
 """
 
+from functools import cached_property
 from operator import attrgetter
 
 
@@ -27,10 +41,11 @@ def record(eq=True):
     of which those with a class-level default come last."""
 
     def wrap(cls):
-        names = tuple(cls.__dict__.get("__annotations__", {}))
-        defaults = tuple(cls.__dict__[name] for name in names if name in cls.__dict__)
+        namespace = dict(cls.__dict__)
+        names = tuple(namespace.get("__annotations__", {}))
+        defaults = tuple(namespace.pop(name) for name in names if name in namespace)
         required = len(names) - len(defaults)
-        post_init = cls.__dict__.get("__post_init__")
+        post_init = namespace.get("__post_init__")
         key = attrgetter(*names)  # the field tuple, for two or more fields
 
         def __init__(self, *args, **kwargs):
@@ -38,7 +53,8 @@ def record(eq=True):
                 args = _bind(cls.__qualname__, names, defaults, args, kwargs)
             else:
                 args += defaults[len(args) - required :]
-            self.__dict__.update(zip(names, args))  # past the frozen __setattr__
+            for name, value in zip(names, args):
+                object.__setattr__(self, name, value)  # past the frozen __setattr__
             if post_init is not None:
                 post_init(self)
 
@@ -54,13 +70,18 @@ def record(eq=True):
         def __hash__(self):
             return hash(key(self))
 
-        methods = {"__init__": __init__, "__repr__": __repr__}
+        def __reduce__(self):
+            return type(self), tuple(getattr(self, name) for name in names)
+
+        namespace.update(__init__=__init__, __repr__=__repr__, __reduce__=__reduce__)
         if eq:
-            methods.update(__eq__=__eq__, __hash__=__hash__)
-        methods.update(__setattr__=_frozen_set, __delattr__=_frozen_del)
-        for name, method in methods.items():
-            setattr(cls, name, method)
-        return cls
+            namespace.update(__eq__=__eq__, __hash__=__hash__)
+        namespace.update(__setattr__=_frozen_set, __delattr__=_frozen_del)
+        cached = any(isinstance(value, cached_property) for value in namespace.values())
+        namespace["__slots__"] = names + ("__dict__",) * cached
+        namespace.pop("__dict__", None)
+        namespace.pop("__weakref__", None)
+        return type(cls.__name__, cls.__bases__, namespace)
 
     return wrap
 

@@ -344,8 +344,8 @@ def restrict(preset: GrammarPreset) -> Grammar:
 # The most adjunctions a model's derivation may have.  Each adjunction is
 # one derivation node and a few derived-tree nodes, so this bounds the
 # memory of every command that builds a derivation: at the limit,
-# ``narmaxtag roundtrip`` peaks at 322 MiB resident on CPython 3.11
-# (x86-64 Linux), its heaviest case (see README).
+# ``narmaxtag roundtrip`` peaks at 276 MiB resident on CPython 3.11
+# (x86-64 Linux; 3 runs per shape), its heaviest case (see README).
 MAX_ADJUNCTIONS = 500_000
 
 

@@ -79,6 +79,7 @@ _TREE_TOKEN_RE = re.compile(
     rf'[()]|(?:"(?:[^"\\]|\\.)*"|{_BARE_LABEL_RE.pattern})[{_MARKERS}]?|\S', re.DOTALL
 )
 _STRAY_TOKENS = frozenset('"' + _MARKERS)
+_PARENS = frozenset("()")
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _NAME_RE = re.compile(r"[\w.\-]+")
 _BLOCK_RE = re.compile(rf"(initial|auxiliary)\s+({_NAME_RE.pattern})\s*=\s*(.+)$")
@@ -130,23 +131,18 @@ def _label_parts(token: str) -> tuple[str, bool, str]:
 
 
 def _resolve_label(
-    text: str,
-    tokens: list[str],
-    index: int,
+    token: str,
     internal: bool,
     nonterminals: frozenset[str] | None,
     terminals: frozenset[str] | None,
-) -> NodeLabel:
-    """The label of token ``index``, a label token, at an internal node or a leaf."""
-    name, quoted, marker = _label_parts(tokens[index])
+) -> NodeLabel | str:
+    """The label of a label token at an internal node or a leaf, or the
+    text of the error it is."""
+    name, quoted, marker = _label_parts(token)
     site = marker == SUBSTITUTION_MARK
     foot = marker == FOOT_MARK
-
-    def error(message: str) -> TextFormatError:
-        return TextFormatError(message, _token_start(text, index))
-
     if not name:
-        raise error("empty label")
+        return "empty label"
     if nonterminals is not None or terminals is not None:
         if not quoted and name in (nonterminals or frozenset()):
             return NodeLabel.nonterminal(name, site=site, foot=foot)
@@ -154,16 +150,23 @@ def _resolve_label(
             return NodeLabel.epsilon()
         if name in (terminals or frozenset()):
             if marker:
-                raise error(f"terminal {name!r} cannot carry a marker")
+                return f"terminal {name!r} cannot carry a marker"
             return NodeLabel.terminal(name)
-        raise error(f"label {name!r} is not in the alphabets")
+        return f"label {name!r} is not in the alphabets"
     if internal or marker:
         if quoted:
-            raise error("quoted labels denote terminals")
+            return "quoted labels denote terminals"
         return NodeLabel.nonterminal(name, site=site, foot=foot)
     if name == EPSILON and not quoted:
         return NodeLabel.epsilon()
     return NodeLabel.terminal(name)
+
+
+def _label_start(text: str, tokens: list[str], nid: int) -> int:
+    """The position of node ``nid``'s label token, the ``nid``-th token
+    that is not a parenthesis, for error reports."""
+    heads = (index for index, token in enumerate(tokens) if token not in _PARENS)
+    return _token_start(text, next(itertools.islice(heads, nid - 1, None)))
 
 
 def parse_tree(
@@ -176,18 +179,18 @@ def parse_tree(
     if not tokens:
         raise TextFormatError("empty tree text", 0)
     # structure first, labels after: a structural error anywhere in the
-    # text wins over a label error; node ids are 1..n in pre-order
-    heads: list[int] = []  # the label token of each node, by node id - 1
+    # text wins over a label error; node ids are 1..n in pre-order, so
+    # node k's label is the k-th token that is not a parenthesis
     children: dict[int, tuple[int, ...]] = {}
     pending: list[tuple[int, list[int]]] = []  # the nodes whose ')' is pending, with their kids
     count = len(tokens)
+    nid = 0
     i = 0
     while True:
         token = tokens[i]
         if token == "(" or token == ")":
             raise TextFormatError("expected a node label", _token_start(text, i))
-        heads.append(i)
-        nid = len(heads)
+        nid += 1
         if pending:
             pending[-1][1].append(nid)
         children[nid] = ()  # a leaf until its child list is closed
@@ -211,15 +214,19 @@ def parse_tree(
     ts = None if terminals is None else frozenset(terminals)
     # each distinct label token is resolved once for leaves and once for
     # internal nodes; an error is not kept, so it is raised at the first
-    # node that has it
+    # node that has it, whose position is only then looked up; ``children``
+    # is in pre-order, and ``labels`` shares its keys
     resolved: tuple[dict[str, NodeLabel], dict[str, NodeLabel]] = ({}, {})
     labels: dict[int, NodeLabel] = {}
-    for nid, index in enumerate(heads, 1):
-        internal = bool(children[nid])
-        label = resolved[internal].get(tokens[index])
+    label_tokens = itertools.filterfalse(_PARENS.__contains__, tokens)
+    for (nid, kids), token in zip(children.items(), label_tokens):
+        internal = bool(kids)
+        label = resolved[internal].get(token)
         if label is None:
-            label = _resolve_label(text, tokens, index, internal, nts, ts)
-            resolved[internal][tokens[index]] = label
+            label = _resolve_label(token, internal, nts, ts)
+            if isinstance(label, str):
+                raise TextFormatError(label, _label_start(text, tokens, nid))
+            resolved[internal][token] = label
         labels[nid] = label
     return SyntacticTree._build(1, labels, children)
 

@@ -740,17 +740,29 @@ def _walk(top: _Part) -> Iterator[tuple[NodeLabel, int, tuple[int, ...]]]:
 
 def _emit(top: _Part) -> SyntacticTree:
     """Build the derived tree of a checked part from :func:`_walk`, with
-    the walk's numbers as node ids."""
-    labels: list[NodeLabel] = []  # by id - 1
-    children: list[list[int]] = [[]]  # by id; entry 0 receives the root
-    for label, parent, _ in _walk(top):
-        labels.append(label)
-        children[parent].append(len(labels))
-        children.append([])
-    ids = range(1, len(labels) + 1)
-    return SyntacticTree._build(
-        1, dict(zip(ids, labels)), dict(zip(ids, map(tuple, children[1:])))
-    )
+    the walk's numbers as node ids.
+
+    Only the nodes on the path from the root to the current node hold a
+    list of their children so far; a node's list becomes its tuple when
+    the walk leaves its subtree, which in pre-order is when a node comes
+    whose parent is an ancestor.  A node's keys are inserted when it
+    comes, so both maps are in pre-order.
+    """
+    labels: dict[int, NodeLabel] = {}
+    children: dict[int, tuple[int, ...]] = {}
+    path: list[tuple[int, list[int]]] = [(0, [])]  # open nodes, with their children so far
+    for number, (label, parent, kids) in enumerate(_walk(top), 1):
+        while path[-1][0] != parent:
+            done, ids = path.pop()
+            children[done] = tuple(ids)
+        path[-1][1].append(number)
+        labels[number] = label
+        children[number] = ()  # a leaf, unless its list below is closed
+        if kids:
+            path.append((number, []))
+    for done, ids in path[1:]:
+        children[done] = tuple(ids)
+    return SyntacticTree._build(1, labels, children)
 
 
 # ---------------------------------------------------------------------------

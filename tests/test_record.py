@@ -3,8 +3,12 @@
 Each case builds a class twice from one argument tuple.  The ``repr``
 texts were captured from the dataclass versions of these classes.
 Classes built with ``eq=False`` compare by identity, except
-``DerivationTree``, which compares by its shape.
+``DerivationTree``, which compares by its shape.  The classes are
+slotted, and copies and pickles are rebuilt from the field values.
 """
+
+import copy
+import pickle
 
 import pytest
 
@@ -27,6 +31,7 @@ from narmaxtag import (
     SyntacticTree,
     TreeKind,
 )
+from narmaxtag import trees
 from narmaxtag.narmax import Catalog, SumRoles
 
 A = NodeLabel(LabelKind.NONTERMINAL, "A")
@@ -172,3 +177,50 @@ def test_post_init_checks_still_run():
     # and normalise their fields
     assert Grammar({"A"}, set(), "A", [ALPHA], []).initials == (ALPHA,)
     assert NarmaxModel([TERM]).terms == (TERM,)
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+@pytest.mark.parametrize("how", COPIES)
+@pytest.mark.parametrize(
+    "cls, args, text, by_fields", CASES, ids=[case[0].__name__ for case in CASES]
+)
+def test_copies_are_rebuilt_from_the_fields(cls, args, text, by_fields, how):
+    first = cls(*args)
+    second = COPIES[how](first)
+    assert type(second) is cls and second is not first
+    assert repr(second) == text
+    if by_fields:
+        assert second == first
+
+
+@pytest.mark.parametrize(
+    "cls, args", [case[:2] for case in CASES], ids=[case[0].__name__ for case in CASES]
+)
+def test_slotted(cls, args):
+    # only a class with a cached property keeps a __dict__, to store it in
+    value = cls(*args)
+    assert cls.__slots__[: len(args)] == tuple(cls.__annotations__)
+    assert hasattr(value, "__dict__") == (cls in (ElementaryTree, Grammar))
+
+
+def test_cached_properties_compute_once(monkeypatch):
+    made = []
+    table = trees._Table
+    monkeypatch.setattr(trees, "_Table", lambda entry: made.append(entry) or table(entry))
+    checked = []
+    validate = trees.validate_grammar
+    monkeypatch.setattr(trees, "validate_grammar", lambda g: checked.append(g) or validate(g))
+    entry = ElementaryTree("alpha", TreeKind.INITIAL, TREE)
+    grammar = Grammar(frozenset({"A"}), frozenset(), "A", (entry,), ())
+    assert grammar._tables is grammar._tables
+    assert grammar._tables["alpha"] is entry._table is entry._table
+    assert (made, checked) == ([entry], [grammar])
+    assert vars(entry) == {"_table": entry._table}
+    with pytest.raises(AttributeError):
+        entry._table = None

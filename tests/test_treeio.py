@@ -122,6 +122,26 @@ class TestTreeFormat:
             parse_tree('A("q" "q"(b) "q"(c))')
         assert err.value.position == 6
 
+    @pytest.mark.parametrize(
+        "bad, alphabets, message",
+        [
+            ("a↓", True, "terminal 'a' cannot carry a marker"),
+            ("zz", True, "label 'zz' is not in the alphabets"),
+            ('"q"(a)', False, "quoted labels denote terminals"),
+            ('""', False, "empty label"),
+        ],
+    )
+    def test_label_errors_deep_in_a_large_tree(self, bad, alphabets, message):
+        # a label error's position is looked up only once it is raised:
+        # here, ~12,000 nodes in, at depth 6,000 and after whitespace
+        top = "A(" * 6_000 + "a  a\t(a) " * 1_000
+        text = top + bad + " a" * 1_000 + ")" * 6_000
+        kinds = {"nonterminals": {"A"}, "terminals": {"a"}} if alphabets else {}
+        assert len(parse_tree(top + "a" + text[len(top) + len(bad) :], **kinds).labels) > 10**4
+        with pytest.raises(TextFormatError) as err:
+            parse_tree(text, **kinds)
+        assert (err.value.message, err.value.position) == (message, len(top))
+
     def test_unknown_label_with_alphabets(self):
         with pytest.raises(TextFormatError):
             parse_tree("A(z)", nonterminals={"A"}, terminals={"a"})

@@ -725,6 +725,48 @@ class TestCheckedPartMemory:
         assert per_adjunction <= 220, f"{per_adjunction:.0f} B per adjunction"
 
 
+class TestDerivationMemory:
+    """A derivation node and edge are slotted records, without a
+    ``__dict__``: a long chain's derivation holds at most 170 B per
+    adjunction (152 B on CPython 3.11, x86-64).  ``derive`` builds the
+    derived tree's maps in one pass, so its peak above the tree it
+    returns is its checked part plus the open path of child lists."""
+
+    @pytest.mark.parametrize("text", ["c1*u[-10000] + xi", "c1*u[0]^10000 + xi"])
+    def test_bytes_per_adjunction(self, text):
+        model_to_derivation(parse_model_text("c1*u[-1] + xi"))  # warm every lazy table
+        model = parse_model_text(text)
+        tracemalloc.start()
+        try:
+            derivation = model_to_derivation(model)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert derivation.tree_name == "alpha1"
+        per_adjunction = held / adjunctions_needed(model)
+        assert per_adjunction <= 170, f"{per_adjunction:.0f} B per adjunction"
+
+    def test_derive_peak_above_its_tree(self):
+        grammar = build_narmax_grammar().grammar
+        text = " + ".join(f"c{k}*u[-{k % 10}]*y[-{k % 7 + 1}]" for k in range(1, 101))
+        derivation = model_to_derivation(parse_model_text(text + " + xi"))
+        derive(derivation, grammar)  # warm every lazy table
+        tracemalloc.start()
+        try:
+            part = trees._checked(derivation, grammar)
+            parts, _ = tracemalloc.get_traced_memory()
+            del part
+            tracemalloc.reset_peak()
+            tree = derive(derivation, grammar)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tree.labels) == 2172
+        # ~17 kB on CPython 3.11, x86-64; a list per node would add ~200 kB
+        above = peak - held - parts
+        assert above <= 64 * 1024, f"{above} B above the tree and its checked parts"
+
+
 class TestMalformedGrammars:
     """A grammar that ``validate_grammar`` flags can be built, read and
     validated, and everything that derives over it or looks a tree up
