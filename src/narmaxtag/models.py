@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 import re
 from enum import Enum
+from itertools import chain, repeat
+from operator import add, mul
 from sys import float_info
 from typing import Iterable, Mapping, Sequence
 
@@ -242,21 +244,33 @@ def simulate(
     Out-of-range (pre-record) samples read as zero.  When
     ``coefficients`` is None each term's attached value is used; given
     coefficients must be finite, as attached values are, or a
-    :class:`ModelError` is raised, as it is for a record value past the
-    float range.  The first step whose output is not a
+    :class:`ModelError` is raised, as it is for a record value or an
+    exponent past the float range.  The first step whose output is not a
     finite float (or overflows while being computed) raises
     :class:`SimulationDivergedError`.
 
-    The model is lowered once into a plan: per term, its coefficient and
-    one ``(record, offset, exponent)`` per factor in ``factors`` order.
-    The records (float copies of the inputs and noise, and the output
-    list the loop appends to) each start with ``min(max delay, n)``
-    zeros, so step ``k`` reads a factor at ``record[k + offset]``.  A
-    delay of ``n`` or more only ever reads a pre-record zero and is
-    clamped to the padding, so memory grows with the record length, not
-    with the delay.  Each step sums ``noise[k]`` and the terms in term
-    order, each term a product taken factor by factor from its
-    coefficient.
+    The model is built once into a pipeline of nested ``map`` iterators,
+    so each step's arithmetic runs in C.  A factor is its record (a float
+    copy of the inputs or the noise, or the output list) behind
+    ``min(delay, n)`` zeros, raised by ``pow`` when its exponent is not 1;
+    a delay of ``n`` or more reads zeros only, so memory grows with the
+    record length, not with the delay.  A term is ``map(mul, ...)``
+    folded left from its coefficient over its factors in ``factors``
+    order, and the output is ``map(add, ...)`` folded left from the noise
+    record over the terms in term order: each step takes the same
+    products and sums in the same order as a loop over the terms would.
+    Output factors read the output list through its iterator while the
+    step loop appends to it.  Their delay is at least 1, so a step reads
+    only samples already appended, and the noise record, pulled first at
+    every step, ends the pipeline at the end of the record before any
+    factor is read.
+
+    Pulling a sample recurses in C once per level of nesting, so no chain
+    is deeper than ``_MAX_CHAIN_DEPTH``.  A longer fold, over the terms
+    or over one term's factors, is cut into segments; each segment ends
+    in a relay list, which the step loop fills, in creation order, before
+    it pulls the top chain, and which the next segment empties.  Models
+    within the bound take no relay.
     """
     n = len(inputs)
     if n != len(noise):
@@ -279,43 +293,94 @@ def simulate(
             raise ModelError(
                 f"expected {len(model.terms)} coefficients, got {len(coeffs)}"
             )
-    pad = min(max(max_lags(model)), n)
-    out = [0.0] * pad
+    out: list[float] = []
     records = {
-        SignalKind.INPUT: out + _floats(inputs, "input"),
+        SignalKind.INPUT: _floats(inputs, "input"),
         SignalKind.OUTPUT: out,
-        SignalKind.NOISE: out + _floats(noise, "noise"),
+        SignalKind.NOISE: _floats(noise, "noise"),
     }
-    plan = [
-        (
-            coeff,
-            tuple(
-                (records[signal], pad - min(delay, pad), exponent)
-                for (signal, delay), exponent in term.factors.items()
-            ),
-        )
-        for coeff, term in zip(coeffs, model.terms)
-    ]
-    noise_record = records[SignalKind.NOISE]
+    top, relays = _pipeline(model.terms, coeffs, records, n)
+    steps = _relayed(top, relays, n) if relays else top
+    isfinite, append = math.isfinite, out.append
     # only ``**`` raises OverflowError: float ``*`` and ``+`` round to inf
     try:
-        for k in range(n):
-            value = noise_record[k + pad]
-            for product, factors in plan:
-                for record, offset, exponent in factors:
-                    # pow(x, 1.0) == x for every float, so this is exact
-                    if exponent == 1:
-                        product *= record[k + offset]
-                    else:
-                        product *= record[k + offset] ** exponent
-                value += product
-            if not math.isfinite(value):
-                raise SimulationDivergedError(k)
-            out.append(value)
+        for value in steps:
+            if not isfinite(value):
+                raise SimulationDivergedError(len(out))
+            append(value)
     except OverflowError:
-        raise SimulationDivergedError(k) from None
-    del out[:pad]
+        raise SimulationDivergedError(len(out)) from None
     return out
+
+
+# Pulling a sample from nested iterators recurses in C once per level, and
+# ~10**5 levels overflow the C stack: no chain in a simulation pipeline is
+# deeper than this.
+_MAX_CHAIN_DEPTH = 1000
+
+
+def _pipeline(
+    terms: Sequence[Monomial], coeffs: Sequence[float], records: dict, n: int
+) -> tuple:
+    """The top chain of :func:`simulate`'s pipeline over ``records`` (a
+    list per signal) and its relays, as ``(list.append, segment)`` pairs
+    in creation order."""
+    relays: list[tuple] = []
+    folded = []
+    for coeff, term in zip(coeffs, terms):
+        factors = []
+        for (signal, delay), exponent in term.factors.items():
+            # chain, then its repeat or list iterator: 2 levels
+            factor = chain(repeat(0.0, min(delay, n)), records[signal])
+            if exponent == 1:  # pow(x, 1.0) == x for every float, so this is exact
+                factors.append((factor, 2))
+                continue
+            try:
+                exponent = float(exponent)
+            except OverflowError:
+                raise ModelError(
+                    f"the exponent of {signal.value}[{-delay}] is past the float range"
+                ) from None
+            factors.append((map(pow, factor, repeat(exponent)), 3))
+        folded.append(_fold(mul, (repeat(coeff), 1), factors, relays))
+    top, _ = _fold(add, (iter(records[SignalKind.NOISE]), 1), folded, relays)
+    return top, relays
+
+
+def _fold(function, start: tuple, items: Iterable[tuple], relays: list) -> tuple:
+    """``map(function, ...)`` folded left from ``start`` over ``items``.
+
+    ``start``, each item and the result are ``(iterator, depth)`` pairs,
+    the depth counting levels of nesting.  A side that would take the
+    fold past ``_MAX_CHAIN_DEPTH`` is read through a new relay list
+    instead, and ``relays`` gets the list's ``append`` and that side.
+    """
+    acc, depth = start
+    for item, item_depth in items:
+        if depth >= _MAX_CHAIN_DEPTH:
+            acc, depth = _relay(acc, relays), 1
+        if item_depth >= _MAX_CHAIN_DEPTH:
+            item, item_depth = _relay(item, relays), 1
+        acc, depth = map(function, acc, item), 1 + max(depth, item_depth)
+    return acc, depth
+
+
+def _relay(segment, relays: list):
+    """An iterator that takes each sample off a new relay list, which the
+    step loop fills from ``segment``; the list holds one sample at most."""
+    relay: list[float] = []
+    relays.append((relay.append, segment))
+    return iter(relay.pop, None)
+
+
+def _relayed(top, relays: list, n: int):
+    """``n`` samples of ``top``; each step first appends a sample of every
+    relay's segment to its list, in creation order, so a segment reads
+    only relays that already hold the step's sample."""
+    for _ in range(n):
+        for put, segment in relays:
+            put(next(segment))
+        yield next(top)
 
 
 def _floats(record: Sequence[float], name: str) -> list[float]:

@@ -483,6 +483,12 @@ class TestDomainErrors:
                 ["simulate", "c1*u[0] + xi", "--n", "2", "--coeffs", "1,2"],
                 "expected 1 coefficients, got 2",
             ),
+            # float ** int converts the exponent: past the float range it
+            # is refused when the model is built, not read as divergence
+            (
+                ["simulate", "c1:0.5*u[0]^1" + "0" * 400 + " + xi", "--n", "2"],
+                "the exponent of u[0] is past the float range",
+            ),
         ],
     )
     def test_exit_one_with_one_line(self, capsys, argv, message):

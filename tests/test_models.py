@@ -1,6 +1,12 @@
+import gc
+import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
-from itertools import product
+from itertools import chain, product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +33,7 @@ from narmaxtag import (
     restrict,
     simulate,
 )
+from narmaxtag.models import _MAX_CHAIN_DEPTH, _pipeline
 
 from oracles import class_tags, random_model, reference_canonicalize, reference_simulate
 
@@ -283,6 +290,42 @@ class TestSimulate:
         assert caught.value.step == 2
         assert isinstance(caught.value, ModelError)
 
+    def test_exponent_past_the_float_range(self):
+        # float ** int converts the exponent, which raised OverflowError
+        # at step 0 and read as divergence
+        model = parse_model_text("c1:0.5*u[0]*xi[-2]^1" + "0" * 400 + " + xi")
+        for n in (0, 2):
+            with pytest.raises(ModelError) as caught:
+                simulate(model, None, [0.0] * n, [0.0] * n)
+            assert type(caught.value) is ModelError
+            assert str(caught.value) == "the exponent of xi[-2] is past the float range"
+
+    def test_no_python_call_per_step(self):
+        model = parse_model_text(
+            "c1:0.5*y[-1] + c2:0.2*u[0]^2 + c3:0.1*xi[-1]*u[-2] + c4:0.1*y[-2]*u[-1]^3 + xi"
+        )
+        rng = random.Random(5)
+
+        def calls(n):
+            inputs = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+            noise = [rng.uniform(-0.1, 0.1) for _ in range(n)]
+            events = []
+            # a collection would call the Python gc callbacks that other
+            # libraries install (Hypothesis does), a call simulate never makes
+            enabled = gc.isenabled()
+            gc.disable()
+            sys.setprofile(lambda frame, event, arg: event == "call" and events.append(frame))
+            try:
+                out = simulate(model, None, inputs, noise)
+            finally:
+                sys.setprofile(None)
+                if enabled:
+                    gc.enable()
+            assert len(out) == n
+            return len(events)
+
+        assert calls(1000) == calls(2000)
+
     @given(models())
     # a squared-feedback model whose run overflows a float within 30 steps
     @example(
@@ -376,6 +419,24 @@ def _outcome(run, model, coeffs, inputs, noise):
         return exc.step
 
 
+def _corpus_model(rng, n):
+    """Up to 4 terms of up to 3 factors over u, y and xi, exponents 1-3;
+    one delay in ten sits around the record length ``n``."""
+    terms = []
+    for coeff_id in range(1, rng.randint(0, 4) + 1):
+        factors = {}
+        for _ in range(rng.randint(0, 3)):
+            signal = rng.choice(list(SignalKind))
+            low = 1 if signal is SignalKind.OUTPUT else 0
+            if rng.random() < 0.1:
+                delay = max(low, n + rng.randint(-1, 3))
+            else:
+                delay = rng.randint(low, 6)
+            factors[(signal, delay)] = rng.randint(1, 3)
+        terms.append(Monomial(coeff_id, factors))
+    return NarmaxModel(tuple(terms))
+
+
 class TestSimulateParity:
     """``simulate`` against the loop that walks the factor maps every step."""
 
@@ -402,23 +463,23 @@ class TestSimulateParity:
         outcomes = []
         for _ in range(2000):
             n = rng.randint(0, 120)
-            terms = []
-            for coeff_id in range(1, rng.randint(0, 4) + 1):
-                factors = {}
-                for _ in range(rng.randint(0, 3)):
-                    signal = rng.choice(list(SignalKind))
-                    low = 1 if signal is SignalKind.OUTPUT else 0
-                    # one delay in ten sits around the record length
-                    if rng.random() < 0.1:
-                        delay = max(low, n + rng.randint(-1, 3))
-                    else:
-                        delay = rng.randint(low, 6)
-                    factors[(signal, delay)] = rng.randint(1, 3)
-                terms.append(Monomial(coeff_id, factors))
-            outcomes.append(self._check(rng, NarmaxModel(tuple(terms)), n))
+            outcomes.append(self._check(rng, _corpus_model(rng, n), n))
         finished = sum(isinstance(o, list) for o in outcomes)
         # the corpus must exercise both endings
         assert 200 < finished < 1800
+
+    @pytest.mark.parametrize("bound", [2, 3, 5])
+    def test_relays_at_a_small_bound(self, monkeypatch, bound):
+        # with the depth bound this low, every fold of the corpus is cut
+        # into segments: relays inside terms, across terms and of relays
+        monkeypatch.setattr("narmaxtag.models._MAX_CHAIN_DEPTH", bound)
+        rng = random.Random(bound)
+        outcomes = []
+        for _ in range(300):
+            n = rng.randint(0, 60)
+            outcomes.append(self._check(rng, _corpus_model(rng, n), n))
+        finished = sum(isinstance(o, list) for o in outcomes)
+        assert 30 < finished < 270
 
     def test_huge_delay_allocates_by_record_length(self):
         model = parse_model_text("c1*u[-100000000] + xi")
@@ -430,6 +491,159 @@ class TestSimulateParity:
             tracemalloc.stop()
         assert out == [0.0] * 3
         assert peak < 2**20
+
+
+def _near_one(rng, n):
+    """``n`` samples of magnitude 0.99-1.01 and random sign: products of
+    thousands of them stay well inside the float range."""
+    return [rng.choice((-1.0, 1.0)) * rng.uniform(0.99, 1.01) for _ in range(n)]
+
+
+def _many_terms(rng, count, signals=tuple(SignalKind), last=None):
+    """``count`` terms of 1-3 factors over ``signals`` with delays up to 5
+    and exponents 1-3, then the factor map ``last`` if given."""
+    terms = []
+    for _ in range(count):
+        factors = {}
+        for _ in range(rng.randint(1, 3)):
+            signal = rng.choice(signals)
+            factors[(signal, rng.randint(signal is SignalKind.OUTPUT, 5))] = rng.randint(1, 3)
+        terms.append(factors)
+    terms += [last] if last else []
+    return NarmaxModel(tuple(Monomial(i, f) for i, f in enumerate(terms, 1)))
+
+
+def _long_term(rng, count, extra=()):
+    """``y[-1]``, ``u[0]`` and one term of ``count`` distinct factors over
+    u, y and xi in shuffled order, exponents 1-3; the ``extra`` factors
+    go last, in place of an equal key."""
+    signals = tuple(SignalKind)
+    keys = [(s, d) for d in range(count) for s in signals if d or s is not SignalKind.OUTPUT][:count]
+    rng.shuffle(keys)
+    factors = {key: rng.randint(1, 3) for key in keys}
+    for key, exponent in extra:
+        factors.pop(key, None)
+        factors[key] = exponent
+    return NarmaxModel(
+        (
+            Monomial(1, {(SignalKind.OUTPUT, 1): 1}),
+            Monomial(2, {(SignalKind.INPUT, 0): 1}),
+            Monomial(3, factors),
+        )
+    )
+
+
+_PAST_TWICE_THE_BOUND = 2 * _MAX_CHAIN_DEPTH + 500
+
+
+def _chain_depth(top):
+    """The deepest nesting of iterators under ``top``, read through
+    ``__reduce__``; a ``chain`` and its repeat or list iterator are 2."""
+    deepest, stack = 0, [(top, 1)]
+    while stack:
+        iterator, depth = stack.pop()
+        if type(iterator) is map:
+            stack.extend((inner, depth + 1) for inner in iterator.__reduce__()[1][1:])
+        else:
+            deepest = max(deepest, depth + (type(iterator) is chain))
+    return deepest
+
+
+_SIMULATE_IN_A_CHILD = """
+import json, sys
+from narmaxtag import parse_model_text, simulate
+text, inputs, noise = json.load(sys.stdin)
+print(json.dumps([v.hex() for v in simulate(parse_model_text(text), None, inputs, noise)]))
+"""
+
+
+class TestDeepModels:
+    """Models past ``models._MAX_CHAIN_DEPTH``, whose folds are cut by
+    relays, against the reference loop bit by bit."""
+
+    def _outcomes(self, model, coeffs, inputs, noise):
+        expected = _outcome(reference_simulate, model, coeffs, inputs, noise)
+        assert _outcome(simulate, model, coeffs, inputs, noise) == expected
+        return expected
+
+    def test_terms_past_twice_the_bound(self):
+        rng = random.Random(31)
+        model = _many_terms(rng, _PAST_TWICE_THE_BOUND)
+        coeffs = [rng.uniform(-1.0, 1.0) / len(model.terms) for _ in model.terms]
+        n = 40
+        outcome = self._outcomes(model, coeffs, _record(rng, n), _near_one(rng, n))
+        assert isinstance(outcome, list) and len(set(outcome)) == n
+
+    def test_factors_past_twice_the_bound(self):
+        # the long term reads real samples once the step passes its
+        # largest delay (833), so its segments' relays carry nonzero products
+        rng = random.Random(32)
+        model = _long_term(rng, _PAST_TWICE_THE_BOUND)
+        n = 850
+        records = (_near_one(rng, n), _near_one(rng, n))
+        outcome = self._outcomes(model, [1e-3, 1e-3, 1e-3], *records)
+        without = _outcome(reference_simulate, model, [1e-3, 1e-3, 0.0], *records)
+        assert outcome[:833] == without[:833]
+        assert all(a != b for a, b in zip(outcome[833:], without[833:]))
+
+    def test_divergence_past_the_bound(self):
+        # the last term, reached through relays, takes y to ~1e200 and
+        # then past the floats by a product; no other term reads y
+        rng = random.Random(33)
+        signals = (SignalKind.INPUT, SignalKind.NOISE)
+        model = _many_terms(rng, _PAST_TWICE_THE_BOUND, signals, {(SignalKind.OUTPUT, 1): 1})
+        coeffs = [1e-4] * (len(model.terms) - 1) + [1e200]
+        n = 10
+        assert self._outcomes(model, coeffs, _near_one(rng, n), _near_one(rng, n)) == 2
+
+    def test_power_overflow_past_the_bound(self):
+        # y[-1] ** 3 is the long term's last factor, past the bound, and
+        # overflows once y[-1] is ~1e120, whatever the product
+        rng = random.Random(34)
+        model = _long_term(rng, _PAST_TWICE_THE_BOUND, [((SignalKind.OUTPUT, 1), 3)])
+        n = 10
+        assert self._outcomes(model, [1e120, 1.0, 1.0], _near_one(rng, n), _near_one(rng, n)) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # 10**5 terms, one per factor over u, y (y[-1] first) and xi
+            " + ".join(
+                f"c{i + 1}:1e-3*{('y', 'u', 'xi')[i % 3]}[-{i // 3 + 1}]^{1 + i % 3}"
+                for i in range(10**5)
+            )
+            + " + xi",
+            # y[-1] and one term of 10**5 factors
+            "c1:0.5*y[-1] + c2:1e-3"
+            + "".join(f"*{s}[-{d}]" for d in range(1, 33335) for s in ("u", "y", "xi"))
+            + " + xi",
+        ],
+        ids=["terms", "factors"],
+    )
+    def test_deep_model_in_a_child(self, text):
+        # a pipeline nested this deep would overflow the C stack and end
+        # the process with a signal, so it runs in a child
+        model = parse_model_text(text)
+        rng = random.Random(36)
+        inputs, noise = _near_one(rng, 5), _near_one(rng, 5)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", _SIMULATE_IN_A_CHILD],
+            input=json.dumps([text, inputs, noise]),
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == _outcome(reference_simulate, model, None, inputs, noise)
+
+    @pytest.mark.parametrize("build", [_many_terms, _long_term])
+    def test_no_chain_deeper_than_the_bound(self, build):
+        model = build(random.Random(35), _PAST_TWICE_THE_BOUND)
+        n = 5
+        records = {signal: [0.5] * n for signal in SignalKind}
+        top, relays = _pipeline(model.terms, [1.0] * len(model.terms), records, n)
+        assert len(relays) >= 2
+        depths = [_chain_depth(chained) for chained in [top, *(seg for _, seg in relays)]]
+        assert max(depths) <= _MAX_CHAIN_DEPTH
 
 
 class TestClassify:
