@@ -29,7 +29,6 @@ from .models import (
     canonicalize,
     classify,
     format_model_text,
-    max_lags,
     parse_model_text,
     simulate,
 )

@@ -15,12 +15,12 @@ refused at the first item, with its first diagnostic.
 There is one traversal, and it hands each completed derivation node to
 a completion step.  :func:`enumerate_derivations` builds the node.
 :func:`enumerate_models` yields only models, one per derivation in the
-same order (zip the two streams, in extended mode, for pairs).  Over
-the model catalog's own trees (the full grammar and every preset) its
-step builds no node: it reads what each subtree adds, a delay tree a
-backshift, a multiplicative tree a factor, an additive tree a term.
-Any other grammar goes through :func:`~narmaxtag.trees.derived_leaves`
-and the yield reader.
+same order (zip the two streams, in extended mode, for pairs).  It
+reads the model catalog's trees only (the full grammar, every preset,
+and any grammar whose trees equal theirs, such as one read back from
+its own text), and its step builds no node: it reads what each subtree
+adds, a delay tree a backshift, a multiplicative tree a factor, an
+additive tree a term.
 
 Sampling grows a random model over the polynomial-model grammar (or one
 of its presets) extension by extension: it draws a number of
@@ -38,17 +38,17 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from operator import attrgetter
 from typing import Iterator
 
 from ._record import record
-from .models import _CLASSES, CausalityError, FactorKey, Mode, NarmaxModel, SignalKind, _canonical
+from .models import _CLASSES, FactorKey, Mode, NarmaxModel, SignalKind, _canonical
 from .narmax import (
     _PRESET_CLASS,
     GrammarPreset,
     _derivation,
     _factor_cost,
     _factor_delay,
-    _leaves_to_model,
     adjunctions_needed,
     build_narmax_grammar,
 )
@@ -59,7 +59,6 @@ from .trees import (
     Operation,
     TagError,
     TreeKind,
-    derived_leaves,
 )
 
 
@@ -235,26 +234,25 @@ def enumerate_models(grammar: Grammar, bounds: GenBounds) -> Iterator[NarmaxMode
     each derivation with its model.  Strict mode's refusals are dropped
     by an ``is None`` test, never by a model's truth value.
 
-    A grammar whose every elementary tree is one of the model catalog's
-    own (checked by identity: the full grammar and every preset
-    :func:`~narmaxtag.narmax.restrict` cuts from it) has each model read
-    off the traversal (see :func:`_model_step`), with no derivation
-    built and no check pass, leaf walk or yield parse.  Any other
-    grammar takes the reference route: each derivation of
-    :func:`enumerate_derivations` has its model read off
-    :func:`~narmaxtag.trees.derived_leaves`.
+    Each elementary tree of ``grammar`` must be the model catalog's tree
+    of its name, of the same kind and compiled structure (labels and
+    children), as in the full grammar, every preset
+    :func:`~narmaxtag.narmax.restrict` cuts from it and a grammar read
+    back from their text.  Any other grammar is refused at the first
+    item, a malformed one with its ``MalformedGrammarError``, any other
+    with a :class:`~narmaxtag.trees.TagError` that names its first tree
+    that is not the catalog's.  Each model is read off the traversal
+    (see :func:`_model_step`), with no derivation built and no check
+    pass, leaf walk or yield parse.
     """
-    catalog = {entry.name: entry for entry in build_narmax_grammar().grammar.elementary()}
-    if all(catalog.get(entry.name) is entry for entry in grammar.elementary()):
-        for model in _enumerate(grammar, bounds, _model_step(bounds.mode)):
-            if model is not None:
-                yield model
-        return
-    for derivation in enumerate_derivations(grammar, bounds):
-        try:
-            yield _leaves_to_model(derived_leaves(derivation, grammar), bounds.mode)
-        except CausalityError:
-            continue
+    shape = attrgetter("entry.kind", "labels", "children")
+    catalog = build_narmax_grammar().grammar._tables
+    for name, table in grammar._tables.items():
+        if name not in catalog or shape(catalog[name]) != shape(table):
+            raise TagError(f"not a tree of the model catalog: {name!r}")
+    for model in _enumerate(grammar, bounds, _model_step(bounds.mode)):
+        if model is not None:
+            yield model
 
 
 # what a completed subtree of the catalog adds to its parent: backshifts

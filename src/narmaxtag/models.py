@@ -190,15 +190,6 @@ class NarmaxModel:
         return tuple(_factor_key(term.factors) for term in self.terms)
 
 
-def max_lags(model: NarmaxModel) -> tuple[int, int, int]:
-    """Componentwise maximum delays ``(input, output, noise)``; 0 if absent."""
-    lags = {kind: 0 for kind in SignalKind}
-    for term in model.terms:
-        for (signal, delay), _ in term.factors.items():
-            lags[signal] = max(lags[signal], delay)
-    return (lags[SignalKind.INPUT], lags[SignalKind.OUTPUT], lags[SignalKind.NOISE])
-
-
 def canonicalize(model: NarmaxModel) -> NarmaxModel:
     """Sorted, merged, renumbered form; idempotent.
 

@@ -652,13 +652,7 @@ def model_to_derivation(model: NarmaxModel) -> DerivationTree:
 
 def derived_to_model(tree: SyntacticTree, mode: Mode = Mode.EXTENDED) -> NarmaxModel:
     """Parse a saturated derived tree's yield into a canonical model."""
-    return _leaves_to_model([tree.labels[nid] for nid in tree.leaves()], mode)
-
-
-def _leaves_to_model(leaves: Iterable[NodeLabel], mode: Mode) -> NarmaxModel:
-    """:func:`derived_to_model` over a derived tree's leaf labels, such as
-    :func:`~narmaxtag.trees.derived_leaves` returns."""
-    return _to_parts(build_narmax_grammar(), leaves, mode)[0]
+    return _to_parts(build_narmax_grammar(), [tree.labels[nid] for nid in tree.leaves()], mode)[0]
 
 
 def roundtrip_check(model: NarmaxModel) -> bool:

@@ -13,7 +13,10 @@ import random
 import re
 from typing import Iterator, Sequence
 
+from narmaxtag import narmax
+from narmaxtag.generate import GenBounds, enumerate_derivations
 from narmaxtag.models import (
+    CausalityError,
     Mode,
     ModelError,
     Monomial,
@@ -40,6 +43,7 @@ from narmaxtag.trees import (
     UndefinedAdjunctionError,
     UndefinedSubstitutionError,
     adjoin,
+    derived_leaves,
     format_address,
     node_at,
     substitute,
@@ -379,6 +383,20 @@ def reference_enumerate(grammar: Grammar, budget: int) -> Iterator[DerivationTre
     for entry in sorted(roots, key=lambda e: e.name):
         for derivation, _ in expand(entry, budget):
             yield derivation
+
+
+def reference_models(grammar: Grammar, bounds: GenBounds) -> Iterator[NarmaxModel]:
+    """``enumerate_models`` by the checked route: every derivation of
+    ``enumerate_derivations`` read through ``derived_leaves`` and the
+    yield reader, the ones strict mode refuses dropped.  Those three are
+    the package's own, held to ``reference_enumerate`` and
+    ``reference_derive`` by their own tests."""
+    catalog = narmax.build_narmax_grammar()
+    for derivation in enumerate_derivations(grammar, bounds):
+        try:
+            yield narmax._to_parts(catalog, derived_leaves(derivation, grammar), bounds.mode)[0]
+        except CausalityError:
+            continue
 
 
 # ---------------------------------------------------------------------------

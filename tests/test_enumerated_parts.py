@@ -1,34 +1,27 @@
 """Enumeration reads each model off its derivation over the model
-catalog's trees, and any other grammar's through ``derived_leaves``.
+catalog's trees, and refuses any other grammar.
 
-``enumerate_models`` must give, position by position, the models the
-reference route gives, reading every derivation of
-``enumerate_derivations`` through ``derived_leaves`` and the yield
-reader, and in extended mode one model per derivation; it must raise
-that route's error on the same derivation, and over the catalog's trees
-build no derivation node.  Each enumerated derivation's checked part
-must give the leaves of the set-level reference, and every part under
-it must have a foot exactly when its tree is auxiliary and the root
-label of its own tree.
+``enumerate_models`` must give, position by position, the models of the
+reference route, ``oracles.reference_models``: every derivation of
+``enumerate_derivations`` read through ``derived_leaves`` and the yield
+reader.  In extended mode it gives one model per derivation, and it
+builds no derivation node and makes no check pass.  A grammar whose
+trees equal the catalog's, such as one read back from ``grammar-show``,
+is read the same way; any other is refused at the first item.  Each
+enumerated derivation's checked part must give the leaves of the
+set-level reference, and every part under it must have a foot exactly
+when its tree is auxiliary and the root label of its own tree.
 """
 
-import random
 from itertools import islice
 
 import pytest
 
-from narmaxtag import generate, narmax, trees
+from narmaxtag import narmax, trees
 from narmaxtag.cli import main
 from narmaxtag.generate import GenBounds, enumerate_derivations, enumerate_models
-from narmaxtag.models import CausalityError, Mode, format_model_text
-from narmaxtag.narmax import (
-    GrammarPreset,
-    _leaves_to_model,
-    _to_parts,
-    build_narmax_grammar,
-    build_nbj_grammar,
-    restrict,
-)
+from narmaxtag.models import Mode, format_model_text
+from narmaxtag.narmax import GrammarPreset, build_narmax_grammar, build_nbj_grammar, restrict
 from narmaxtag.treeio import parse_grammar
 from narmaxtag.trees import (
     DerivationEdge,
@@ -49,11 +42,14 @@ from narmaxtag.trees import (
 from test_golden import ENUMERATE_DERIVATION_DIGESTS, sha256, stdout_of
 
 from oracles import (
+    entries_by_name,
     random_derivation,
     random_grammars,
     reference_derive,
     reference_derive_node,
+    reference_models,
     refusal,
+    structurally_equal,
 )
 
 GRAMMARS = [preset.value for preset in GrammarPreset] + ["nbj"]
@@ -61,52 +57,44 @@ GRAMMARS = [preset.value for preset in GrammarPreset] + ["nbj"]
 BUDGET = 4
 
 
-class _Parts(tuple):
-    """The two equations of an NBJ yield, with one structure."""
-
-    def structure(self) -> tuple:
-        return tuple(part.structure() for part in self)
-
-
-def _grammar_and_reader(name):
-    """The grammar, and the reader of its derived leaves into a model."""
+def _grammar(name):
     if name == "nbj":
-        catalog = build_nbj_grammar()
-        return catalog.grammar, lambda leaves, mode: _Parts(_to_parts(catalog, leaves, mode))
-    return restrict(GrammarPreset(name)), _leaves_to_model
+        return build_nbj_grammar().grammar
+    return restrict(GrammarPreset(name))
 
 
-def _reference_models(grammar, bounds, read):
-    """``enumerate_models`` by the checked route: every derivation of
-    ``enumerate_derivations`` through ``derived_leaves``, the refused
-    ones dropped."""
-    for derivation in enumerate_derivations(grammar, bounds):
-        try:
-            yield read(derived_leaves(derivation, grammar), bounds.mode)
-        except CausalityError:
-            continue
+def _shown(capsys, preset):
+    """The preset's ``grammar-show`` text."""
+    assert main(["grammar-show", "--preset", preset.value]) == 0
+    return capsys.readouterr().out
 
 
-def _same_stream(grammar, bounds, fast, slow):
-    """Assert the two model streams are equal position by position and,
-    in extended mode, hold one model per enumerated derivation."""
-    assert fast == slow
-    if bounds.mode is Mode.EXTENDED:
-        assert len(fast) == sum(1 for _ in enumerate_derivations(grammar, bounds))
+def _outcome(read, *args):
+    try:
+        return read(*args), None
+    except TagError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _first_item(grammar):
+    """The (type, text) of the error ``enumerate_models`` raises at its
+    first item, or None when it yields one."""
+    return _outcome(next, enumerate_models(grammar, GenBounds(max_adjunctions=2)))[1]
+
+
+def _catalog_refusal(grammar):
+    """The error ``enumerate_models`` must raise over a well-formed
+    grammar: it names the first tree with no catalog tree of its name,
+    kind and shape, and is None when there is none."""
+    catalog = entries_by_name(build_narmax_grammar().grammar)
+    for entry in grammar.elementary():
+        own = catalog.get(entry.name)
+        if own is None or own.kind is not entry.kind or not structurally_equal(own.tree, entry.tree):
+            return TagError, f"not a tree of the model catalog: {entry.name!r}"
+    return None
 
 
 class TestModelStreamParity:
-    @pytest.mark.parametrize("mode", list(Mode))
-    @pytest.mark.parametrize("name", GRAMMARS)
-    def test_same_stream_as_the_checked_route(self, monkeypatch, name, mode):
-        grammar, read = _grammar_and_reader(name)
-        monkeypatch.setattr(generate, "_leaves_to_model", read)
-        bounds = GenBounds(max_adjunctions=BUDGET, mode=mode)
-        fast = [m.structure() for m in enumerate_models(grammar, bounds)]
-        slow = [m.structure() for m in _reference_models(grammar, bounds, read)]
-        _same_stream(grammar, bounds, fast, slow)
-        assert len(fast) > 1
-
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("preset", list(GrammarPreset))
     def test_same_text_stream_as_the_reference_route(self, preset, mode):
@@ -115,15 +103,16 @@ class TestModelStreamParity:
         grammar = restrict(preset)
         bounds = GenBounds(max_adjunctions=5, mode=mode)
         fast = [format_model_text(m) for m in enumerate_models(grammar, bounds)]
-        slow = [format_model_text(m) for m in _reference_models(grammar, bounds, _leaves_to_model)]
-        _same_stream(grammar, bounds, fast, slow)
-        assert len(fast) > 30
+        slow = [format_model_text(m) for m in reference_models(grammar, bounds)]
+        assert fast == slow and len(fast) > 30
+        if mode is Mode.EXTENDED:
+            assert len(fast) == sum(1 for _ in enumerate_derivations(grammar, bounds))
 
     @pytest.mark.parametrize("name", GRAMMARS)
     def test_every_derivation_has_a_part(self, name):
         # each enumerated derivation passes the check pass, and the leaf
         # walk over its part gives the leaves of the set-level reference
-        grammar, _ = _grammar_and_reader(name)
+        grammar = _grammar(name)
         for derivation in enumerate_derivations(grammar, GenBounds(max_adjunctions=BUDGET)):
             tree = reference_derive(derivation, grammar)
             assert _leaves(_checked(derivation, grammar)) == [
@@ -151,9 +140,8 @@ class TestModelStreamParity:
         bounds = GenBounds(max_adjunctions=BUDGET)
         models = list(enumerate_models(grammar, bounds))
         assert models and calls == []
-        *_, last = enumerate_derivations(grammar, bounds)
-        model = _leaves_to_model(derived_leaves(last, grammar), Mode.EXTENDED)
-        assert calls == ["_check", "_leaves", "_to_parts"]  # the spies see the reference route
+        *_, model = reference_models(grammar, bounds)
+        assert set(calls) == {"_check", "_leaves", "_to_parts"}  # the spies see the oracle
         assert model == models[-1]
 
     @pytest.mark.parametrize("preset", list(GrammarPreset))
@@ -182,87 +170,97 @@ class TestModelStreamParity:
         assert (len(out.splitlines()), sha256(out)) == ENUMERATE_DERIVATION_DIGESTS[name]
         assert len(calls) > len(out.splitlines())
 
-    def test_fresh_trees_take_the_reference_route(self, monkeypatch, capsys):
-        # a grammar read back from its own text has equal trees but not
-        # the catalog's: its stream is the same, through derived_leaves
-        assert main(["grammar-show", "--preset", "narx"]) == 0
-        grammar = parse_grammar(capsys.readouterr().out)
-        catalog = {e.name: e for e in build_narmax_grammar().grammar.elementary()}
+    @pytest.mark.parametrize("preset", list(GrammarPreset))
+    def test_reread_grammar_is_the_catalog(self, monkeypatch, capsys, preset):
+        # a grammar read back from its own text has equal trees, not the
+        # catalog's objects: it is read off the traversal all the same,
+        # with no check pass
+        grammar = parse_grammar(_shown(capsys, preset))
+        catalog = entries_by_name(build_narmax_grammar().grammar)
         entries = list(grammar.elementary())
         assert entries and not any(catalog[e.name] is e for e in entries)
         calls = []
         self._spy(monkeypatch, trees, "_check", calls)
         bounds = GenBounds(max_adjunctions=BUDGET)
         fresh = [format_model_text(m) for m in enumerate_models(grammar, bounds)]
-        narx = restrict(GrammarPreset.NARX)
-        shared = [format_model_text(m) for m in enumerate_models(narx, bounds)]
-        assert fresh == shared and len(calls) == len(fresh)
+        shared = [format_model_text(m) for m in enumerate_models(restrict(preset), bounds)]
+        assert fresh == shared and len(fresh) > 1 and calls == []
 
+    # ARX grammar text edits: the delay tree mirrored (other labels in
+    # pre-order), and an additive tree with its "+" moved into the term
+    # (the same labels in pre-order, other children)
+    EDITS = {
+        "mirrored": ("beta7 = expr2(expr2★ q⁻¹)", "beta7 = expr2(q⁻¹ expr2★)"),
+        "reshaped": (
+            "beta1 = expr0(expr1(par(c) op(×) expr2(u)) op(+) expr0★)",
+            "beta1 = expr0(expr1(par(c) op(×) expr2(u) op(+)) expr0★)",
+        ),
+    }
 
-def _outcome(read, *args):
-    try:
-        return read(*args), None
-    except TagError as exc:
-        return None, (type(exc), str(exc))
+    @pytest.mark.parametrize("name", ["nbj", *EDITS])
+    def test_other_grammars_are_refused(self, capsys, name):
+        # the NBJ grammar's initial tree is not the model grammar's, and
+        # an edited tree is not the catalog's; each is refused before any
+        # model
+        if name == "nbj":
+            grammar, tree = build_nbj_grammar().grammar, "alpha1"
+        else:
+            text = _shown(capsys, GrammarPreset.ARX)
+            old, new = self.EDITS[name]
+            assert old in text
+            grammar, tree = parse_grammar(text.replace(old, new)), new.split()[0]
+        assert refusal(grammar) is None
+        models = []
+        with pytest.raises(TagError) as info:
+            models += enumerate_models(grammar, GenBounds(max_adjunctions=BUDGET))
+        assert type(info.value) is TagError and models == []
+        assert str(info.value) == f"not a tree of the model catalog: {tree!r}"
+        assert _catalog_refusal(grammar) == (TagError, str(info.value))
 
 
 class TestRandomGrammars:
-    """Random grammars: ``enumerate_models`` raises the reference route's
-    error on the same derivation, and each enumerated derivation gives
-    the leaves of the tree ``derive`` builds.  A malformed grammar is
-    refused by both routes at the first item."""
+    """Random grammars, none of them the model catalog's:
+    ``enumerate_models`` refuses each at the first item, a malformed one
+    with its first diagnostic.  The reference route reads, on each
+    enumerated derivation, the leaves of the tree ``derive`` builds, and
+    refuses a malformed grammar at the first item too."""
 
     LIMIT = 200
 
-    def _streams(self, monkeypatch, grammar):
-        # the leaves as the model, so any grammar goes through
-        monkeypatch.setattr(generate, "_leaves_to_model", lambda leaves, mode: leaves)
-        bounds = GenBounds(max_adjunctions=2)
-        fast, fast_error = [], None
+    def _leaf_stream(self, grammar):
+        """Each enumerated derivation with its ``derived_leaves``, as
+        ``reference_models`` reads them, up to the first error."""
+        found, error = [], None
         try:
-            # paired as a caller pairs them; the models are drawn first,
-            # so an error is enumerate_models' own
-            pairs = zip(enumerate_models(grammar, bounds), enumerate_derivations(grammar, bounds))
-            fast.extend((d, leaves) for leaves, d in islice(pairs, self.LIMIT))
+            derivations = enumerate_derivations(grammar, GenBounds(max_adjunctions=2))
+            for derivation in islice(derivations, self.LIMIT):
+                found.append((derivation, derived_leaves(derivation, grammar)))
         except TagError as exc:
-            fast_error = (type(exc), str(exc))
-        slow, slow_error = [], None
-        try:
-            for derivation in islice(enumerate_derivations(grammar, bounds), self.LIMIT):
-                leaves, slow_error = _outcome(derived_leaves, derivation, grammar)
-                if slow_error:
-                    break
-                slow.append((derivation, leaves))
-        except TagError as exc:
-            slow_error = (type(exc), str(exc))
-        return (fast, fast_error), (slow, slow_error)
+            error = (type(exc), str(exc))
+        return found, error
 
-    def test_same_leaves_or_same_error(self, monkeypatch):
+    def test_refused_and_same_leaves(self):
         cycles = refused = parts = 0
         for seed in range(2000):
             for _, grammar in random_grammars(seed):
-                fast, slow = self._streams(monkeypatch, grammar)
-                assert fast == slow, seed
                 malformed = refusal(grammar)
+                assert _first_item(grammar) == (malformed or _catalog_refusal(grammar)), seed
+                stream, error = self._leaf_stream(grammar)
                 if malformed:
-                    assert fast == ([], malformed), seed
+                    assert (stream, error) == ([], malformed), seed
                     refused += 1
                     continue
-                cycles += fast[1] is not None
-                bounds = GenBounds(max_adjunctions=2)
-                derivations = islice(enumerate_derivations(grammar, bounds), self.LIMIT)
-                try:
-                    for derivation in derivations:
-                        tree = derive(derivation, grammar)
-                        leaves = _leaves(_checked(derivation, grammar))
-                        assert leaves == [tree.labels[n] for n in tree.leaves()], seed
-                        parts += 1
-                except TagError as exc:
-                    assert "without end" in str(exc), seed  # compared above
+                if error:
+                    assert "without end" in error[1], seed
+                    cycles += 1
+                for derivation, leaves in stream:
+                    tree = derive(derivation, grammar)
+                    assert leaves == [tree.labels[n] for n in tree.leaves()], seed
+                    parts += 1
         assert cycles > 100 and refused > 1000 and parts > 2000
 
     @pytest.mark.parametrize("kind", list(TreeKind))
-    def test_terminal_root_fails_the_label_check(self, monkeypatch, kind):
+    def test_terminal_root_fails_the_label_check(self, kind):
         # a tree rooted at a terminal named like a nonterminal needs the
         # alphabets to overlap, so its grammar is refused before any slot
         nt, t = NodeLabel.nonterminal, NodeLabel.terminal
@@ -282,8 +280,8 @@ class TestRandomGrammars:
             "malformed grammar: alphabets-overlap: nonterminals and terminals share A",
         )
         assert _outcome(_checked, DerivationTree("s"), grammar)[1] == error
-        fast, slow = self._streams(monkeypatch, grammar)
-        assert fast == slow == ([], error)
+        assert self._leaf_stream(grammar) == ([], error)
+        assert _first_item(grammar) == error
 
 
 def _sub_derivations(derivation):
@@ -335,7 +333,7 @@ class TestPartsOfEnumeratedDerivations:
 
     @pytest.mark.parametrize("name", GRAMMARS)
     def test_enumerated_parts(self, name):
-        grammar, _ = _grammar_and_reader(name)
+        grammar = _grammar(name)
         derivations = list(enumerate_derivations(grammar, GenBounds(max_adjunctions=BUDGET)))
         for derivation in derivations:
             _check_parts(derivation, grammar)

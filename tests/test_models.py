@@ -28,7 +28,6 @@ from narmaxtag import (
     classify,
     enumerate_models,
     format_model_text,
-    max_lags,
     parse_model_text,
     restrict,
     simulate,
@@ -218,17 +217,6 @@ class TestOverflowingMerge:
         model = parse_model_text("c1:1e308*u[0] + c2:-1e308*u[0] + c3:1e308*u[0] + xi")
         assert format_model_text(model) == "c1:1e+308*u[0] + xi"
         assert parse_model_text(format_model_text(model)) == model
-
-
-class TestMaxLags:
-    def test_first_example(self):
-        assert max_lags(parse_model_text(FIG_A)) == (0, 1, 0)
-
-    def test_pure_noise(self):
-        assert max_lags(parse_model_text("xi")) == (0, 0, 0)
-
-    def test_third_example(self):
-        assert max_lags(parse_model_text(FIG_C)) == (0, 1, 2)
 
 
 class TestSimulate:
