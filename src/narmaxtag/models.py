@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from enum import Enum
+from functools import reduce
 from itertools import chain, repeat
 from operator import add, mul
 from sys import float_info
@@ -96,6 +97,13 @@ class Monomial:
         factors = dict(self.factors)
         object.__setattr__(self, "factors", factors)
         for (signal, delay), exponent in factors.items():
+            # only these keys and exponents print as model text that reads back
+            if not isinstance(signal, SignalKind):
+                raise ModelError(f"factor signals must be SignalKind members, got {signal!r}")
+            if not isinstance(delay, int):
+                raise ModelError(f"delays must be integers, got {delay!r}")
+            if not isinstance(exponent, int):
+                raise ModelError(f"exponents must be integers, got {exponent!r}")
             if exponent < 1:
                 raise ModelError("zero exponents must be absent keys")
             if delay < 0:
@@ -257,11 +265,11 @@ def simulate(
     factor is read.
 
     Pulling a sample recurses in C once per level of nesting, so no chain
-    is deeper than ``_MAX_CHAIN_DEPTH``.  A longer fold, over the terms
-    or over one term's factors, is cut into segments; each segment ends
-    in a relay list, which the step loop fills, in creation order, before
-    it pulls the top chain, and which the next segment empties.  Models
-    within the bound take no relay.
+    is deeper than ``_MAX_CHAIN_DEPTH``.  A fold, over the terms or over
+    one term's factors, nests its first items only; the rest are read
+    through one ``zip`` and folded by ``functools.reduce``, which takes
+    the same sums or products in the same order.  Models within the
+    bound build no ``zip``, and every model runs through one pipeline.
     """
     n = len(inputs)
     if n != len(noise):
@@ -290,8 +298,7 @@ def simulate(
         SignalKind.OUTPUT: out,
         SignalKind.NOISE: _floats(noise, "noise"),
     }
-    top, relays = _pipeline(model.terms, coeffs, records, n)
-    steps = _relayed(top, relays, n) if relays else top
+    steps = _pipeline(model.terms, coeffs, records, n)
     isfinite, append = math.isfinite, out.append
     # only ``**`` raises OverflowError: float ``*`` and ``+`` round to inf
     try:
@@ -306,25 +313,20 @@ def simulate(
 
 # Pulling a sample from nested iterators recurses in C once per level, and
 # ~10**5 levels overflow the C stack: no chain in a simulation pipeline is
-# deeper than this.
+# deeper than this.  It sets how many items a fold nests (see _fold).
 _MAX_CHAIN_DEPTH = 1000
 
 
-def _pipeline(
-    terms: Sequence[Monomial], coeffs: Sequence[float], records: dict, n: int
-) -> tuple:
-    """The top chain of :func:`simulate`'s pipeline over ``records`` (a
-    list per signal) and its relays, as ``(list.append, segment)`` pairs
-    in creation order."""
-    relays: list[tuple] = []
+def _pipeline(terms: Sequence[Monomial], coeffs: Sequence[float], records: dict, n: int):
+    """The iterator of :func:`simulate`'s outputs over ``records`` (a list
+    per signal)."""
     folded = []
     for coeff, term in zip(coeffs, terms):
         factors = []
         for (signal, delay), exponent in term.factors.items():
-            # chain, then its repeat or list iterator: 2 levels
             factor = chain(repeat(0.0, min(delay, n)), records[signal])
             if exponent == 1:  # pow(x, 1.0) == x for every float, so this is exact
-                factors.append((factor, 2))
+                factors.append(factor)
                 continue
             try:
                 exponent = float(exponent)
@@ -332,46 +334,27 @@ def _pipeline(
                 raise ModelError(
                     f"the exponent of {signal.value}[{-delay}] is past the float range"
                 ) from None
-            factors.append((map(pow, factor, repeat(exponent)), 3))
-        folded.append(_fold(mul, (repeat(coeff), 1), factors, relays))
-    top, _ = _fold(add, (iter(records[SignalKind.NOISE]), 1), folded, relays)
-    return top, relays
+            factors.append(map(pow, factor, repeat(exponent)))
+        folded.append(_fold(mul, repeat(coeff), factors))
+    return _fold(add, iter(records[SignalKind.NOISE]), folded)
 
 
-def _fold(function, start: tuple, items: Iterable[tuple], relays: list) -> tuple:
-    """``map(function, ...)`` folded left from ``start`` over ``items``.
+def _fold(function, acc, items: Sequence):
+    """``function`` folded left from ``acc`` over ``items``, sample by
+    sample: ``map(function, ...)`` nested over the first ``nested``
+    items, ``(_MAX_CHAIN_DEPTH - 7) // 2``, then one ``map(reduce, ...)``
+    over a ``zip`` of the result and the rest, which applies ``function``
+    in the same order without nesting.
 
-    ``start``, each item and the result are ``(iterator, depth)`` pairs,
-    the depth counting levels of nesting.  A side that would take the
-    fold past ``_MAX_CHAIN_DEPTH`` is read through a new relay list
-    instead, and ``relays`` gets the list's ``append`` and that side.
+    A factor is at most 3 levels deep, so a term is at most
+    ``nested + 5`` levels and the output at most ``2 * nested + 7``.
     """
-    acc, depth = start
-    for item, item_depth in items:
-        if depth >= _MAX_CHAIN_DEPTH:
-            acc, depth = _relay(acc, relays), 1
-        if item_depth >= _MAX_CHAIN_DEPTH:
-            item, item_depth = _relay(item, relays), 1
-        acc, depth = map(function, acc, item), 1 + max(depth, item_depth)
-    return acc, depth
-
-
-def _relay(segment, relays: list):
-    """An iterator that takes each sample off a new relay list, which the
-    step loop fills from ``segment``; the list holds one sample at most."""
-    relay: list[float] = []
-    relays.append((relay.append, segment))
-    return iter(relay.pop, None)
-
-
-def _relayed(top, relays: list, n: int):
-    """``n`` samples of ``top``; each step first appends a sample of every
-    relay's segment to its list, in creation order, so a segment reads
-    only relays that already hold the step's sample."""
-    for _ in range(n):
-        for put, segment in relays:
-            put(next(segment))
-        yield next(top)
+    nested = (_MAX_CHAIN_DEPTH - 7) // 2
+    for item in items[:nested]:
+        acc = map(function, acc, item)
+    if len(items) > nested:
+        acc = map(reduce, repeat(function), zip(acc, *items[nested:]))
+    return acc
 
 
 def _floats(record: Sequence[float], name: str) -> list[float]:

@@ -39,6 +39,7 @@ from oracles import class_tags, random_model, reference_canonicalize, reference_
 FIG_A = "c1*y[-1] + c2*u[0] + xi"
 FIG_B = "c1*y[-1]^2 + c2*u[0] + xi"
 FIG_C = "c1*y[-1]^2 + c2*u[0] + c3*xi[0]*xi[-1]*xi[-2] + xi"
+FOUR_TERMS = "c1:0.5*y[-1] + c2:0.2*u[0]^2 + c3:0.1*xi[-1]*u[-2] + c4:0.1*y[-2]*u[-1]^3 + xi"
 
 
 def factor_keys(extended=True):
@@ -88,6 +89,20 @@ class TestMonomial:
     def test_rejects_zero_id_and_negative_delay(self, coeff_id, factors, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             Monomial(coeff_id, factors)
+
+    @pytest.mark.parametrize(
+        "factors, message",
+        [
+            # printed as u[0]^1.5, which the text reader refuses
+            ({(SignalKind.INPUT, 0): 1.5}, "exponents must be integers, got 1.5"),
+            ({(SignalKind.INPUT, 1.5): 1}, "delays must be integers, got 1.5"),
+            ({("u", 0): 1}, "factor signals must be SignalKind members, got 'u'"),
+        ],
+        ids=["exponent", "delay", "signal"],
+    )
+    def test_rejects_a_factor_model_text_cannot_hold(self, factors, message):
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            Monomial(1, factors)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -(10**400)])
     def test_rejects_non_finite_value(self, value):
@@ -219,6 +234,25 @@ class TestOverflowingMerge:
         assert parse_model_text(format_model_text(model)) == model
 
 
+def _python_calls(model, coeffs, inputs, noise):
+    """The Python function calls that ``simulate`` makes over the records,
+    which it must run to their end."""
+    events = []
+    # a collection would call the Python gc callbacks that other
+    # libraries install (Hypothesis does), a call simulate never makes
+    enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(lambda frame, event, arg: event == "call" and events.append(frame))
+    try:
+        out = simulate(model, coeffs, inputs, noise)
+    finally:
+        sys.setprofile(None)
+        if enabled:
+            gc.enable()
+    assert len(out) == len(inputs)
+    return len(events)
+
+
 class TestSimulate:
     def test_pure_noise_passthrough(self):
         model = parse_model_text("xi")
@@ -289,28 +323,13 @@ class TestSimulate:
             assert str(caught.value) == "the exponent of xi[-2] is past the float range"
 
     def test_no_python_call_per_step(self):
-        model = parse_model_text(
-            "c1:0.5*y[-1] + c2:0.2*u[0]^2 + c3:0.1*xi[-1]*u[-2] + c4:0.1*y[-2]*u[-1]^3 + xi"
-        )
+        model = parse_model_text(FOUR_TERMS)
         rng = random.Random(5)
 
         def calls(n):
             inputs = [rng.uniform(-1.0, 1.0) for _ in range(n)]
             noise = [rng.uniform(-0.1, 0.1) for _ in range(n)]
-            events = []
-            # a collection would call the Python gc callbacks that other
-            # libraries install (Hypothesis does), a call simulate never makes
-            enabled = gc.isenabled()
-            gc.disable()
-            sys.setprofile(lambda frame, event, arg: event == "call" and events.append(frame))
-            try:
-                out = simulate(model, None, inputs, noise)
-            finally:
-                sys.setprofile(None)
-                if enabled:
-                    gc.enable()
-            assert len(out) == n
-            return len(events)
+            return _python_calls(model, None, inputs, noise)
 
         assert calls(1000) == calls(2000)
 
@@ -407,13 +426,13 @@ def _outcome(run, model, coeffs, inputs, noise):
         return exc.step
 
 
-def _corpus_model(rng, n):
-    """Up to 4 terms of up to 3 factors over u, y and xi, exponents 1-3;
-    one delay in ten sits around the record length ``n``."""
+def _corpus_model(rng, n, most=4):
+    """Up to ``most`` terms of up to ``most - 1`` factors over u, y and xi,
+    exponents 1-3; one delay in ten sits around the record length ``n``."""
     terms = []
-    for coeff_id in range(1, rng.randint(0, 4) + 1):
+    for coeff_id in range(1, rng.randint(0, most) + 1):
         factors = {}
-        for _ in range(rng.randint(0, 3)):
+        for _ in range(rng.randint(0, most - 1)):
             signal = rng.choice(list(SignalKind))
             low = 1 if signal is SignalKind.OUTPUT else 0
             if rng.random() < 0.1:
@@ -458,14 +477,23 @@ class TestSimulateParity:
 
     @pytest.mark.parametrize("bound", [2, 3, 5])
     def test_relays_at_a_small_bound(self, monkeypatch, bound):
-        # with the depth bound this low, every fold of the corpus is cut
-        # into segments: relays inside terms, across terms and of relays
-        monkeypatch.setattr("narmaxtag.models._MAX_CHAIN_DEPTH", bound)
+        # with the depth bound this low, a fold nests only ``bound`` items
+        # and folds the rest flat: the corpus, of up to ``bound + 3`` terms
+        # of up to ``bound + 2`` factors, takes flat tails inside terms and
+        # across terms, and no chain is deeper than the bound, which a
+        # fold nesting one more item would pass
+        depth = 2 * bound + 7
+        monkeypatch.setattr("narmaxtag.models._MAX_CHAIN_DEPTH", depth)
         rng = random.Random(bound)
-        outcomes = []
+        outcomes, shapes = [], set()
         for _ in range(300):
             n = rng.randint(0, 60)
-            outcomes.append(self._check(rng, _corpus_model(rng, n), n))
+            model = _corpus_model(rng, n, bound + 3)
+            top = _pipeline(model.terms, [1.0] * len(model.terms), _records(n), n)
+            assert _chain_depth(top) <= depth
+            shapes |= _shapes(top)
+            outcomes.append(self._check(rng, model, n))
+        assert shapes == {"nested", "flat"}
         finished = sum(isinstance(o, list) for o in outcomes)
         assert 30 < finished < 270
 
@@ -524,17 +552,46 @@ def _long_term(rng, count, extra=()):
 _PAST_TWICE_THE_BOUND = 2 * _MAX_CHAIN_DEPTH + 500
 
 
-def _chain_depth(top):
-    """The deepest nesting of iterators under ``top``, read through
-    ``__reduce__``; a ``chain`` and its repeat or list iterator are 2."""
-    deepest, stack = 0, [(top, 1)]
+def _records(n):
+    """A record of ``n`` samples per signal, to build a pipeline over."""
+    return {signal: [0.5] * n for signal in SignalKind}
+
+
+def _inner(iterator):
+    """The iterators that a ``map`` or ``zip`` of a pipeline pulls from,
+    read through ``__reduce__``."""
+    if type(iterator) is map:
+        return iterator.__reduce__()[1][1:]
+    if type(iterator) is zip:
+        return iterator.__reduce__()[1]
+    return ()
+
+
+def _walk(top):
+    """Every iterator of the pipeline ``top`` with its level, ``top`` at 1."""
+    stack = [(top, 1)]
     while stack:
         iterator, depth = stack.pop()
-        if type(iterator) is map:
-            stack.extend((inner, depth + 1) for inner in iterator.__reduce__()[1][1:])
-        else:
-            deepest = max(deepest, depth + (type(iterator) is chain))
-    return deepest
+        yield iterator, depth
+        stack.extend((inner, depth + 1) for inner in _inner(iterator))
+
+
+def _chain_depth(top):
+    """The deepest nesting of iterators under ``top``; a ``chain`` and its
+    repeat or list iterator are 2."""
+    return max(depth + (type(iterator) is chain) for iterator, depth in _walk(top))
+
+
+def _shapes(top):
+    """``"nested"`` if ``top`` nests a fold's maps, and ``"flat"`` if it
+    folds flat through a ``zip``."""
+    shapes = set()
+    for iterator, _ in _walk(top):
+        if type(iterator) is map and type(_inner(iterator)[0]) is map:
+            shapes.add("nested")
+        elif type(iterator) is zip:
+            shapes.add("flat")
+    return shapes
 
 
 _SIMULATE_IN_A_CHILD = """
@@ -546,8 +603,8 @@ print(json.dumps([v.hex() for v in simulate(parse_model_text(text), None, inputs
 
 
 class TestDeepModels:
-    """Models past ``models._MAX_CHAIN_DEPTH``, whose folds are cut by
-    relays, against the reference loop bit by bit."""
+    """Models too long to nest within ``models._MAX_CHAIN_DEPTH``, whose
+    folds end in a flat tail, against the reference loop bit by bit."""
 
     def _outcomes(self, model, coeffs, inputs, noise):
         expected = _outcome(reference_simulate, model, coeffs, inputs, noise)
@@ -564,7 +621,7 @@ class TestDeepModels:
 
     def test_factors_past_twice_the_bound(self):
         # the long term reads real samples once the step passes its
-        # largest delay (833), so its segments' relays carry nonzero products
+        # largest delay (833), so its flat tail carries nonzero products
         rng = random.Random(32)
         model = _long_term(rng, _PAST_TWICE_THE_BOUND)
         n = 850
@@ -575,7 +632,7 @@ class TestDeepModels:
         assert all(a != b for a, b in zip(outcome[833:], without[833:]))
 
     def test_divergence_past_the_bound(self):
-        # the last term, reached through relays, takes y to ~1e200 and
+        # the last term, in the flat tail, takes y to ~1e200 and
         # then past the floats by a product; no other term reads y
         rng = random.Random(33)
         signals = (SignalKind.INPUT, SignalKind.NOISE)
@@ -627,11 +684,26 @@ class TestDeepModels:
     def test_no_chain_deeper_than_the_bound(self, build):
         model = build(random.Random(35), _PAST_TWICE_THE_BOUND)
         n = 5
-        records = {signal: [0.5] * n for signal in SignalKind}
-        top, relays = _pipeline(model.terms, [1.0] * len(model.terms), records, n)
-        assert len(relays) >= 2
-        depths = [_chain_depth(chained) for chained in [top, *(seg for _, seg in relays)]]
-        assert max(depths) <= _MAX_CHAIN_DEPTH
+        top = _pipeline(model.terms, [1.0] * len(model.terms), _records(n), n)
+        assert _shapes(top) == {"nested", "flat"}
+        assert _chain_depth(top) <= _MAX_CHAIN_DEPTH
+
+    def test_no_zip_within_the_bound(self):
+        model = parse_model_text(FOUR_TERMS)
+        top = _pipeline(model.terms, [1.0] * len(model.terms), _records(5), 5)
+        assert _shapes(top) == {"nested"}
+
+    @pytest.mark.parametrize("build", [_many_terms, _long_term], ids=["terms", "factors"])
+    def test_no_python_call_per_step_past_the_bound(self, build):
+        # 2,500 terms, or y[-1], u[0] and one term of 2,500 factors
+        rng = random.Random(37)
+        model = build(rng, 2500)
+        coeffs = [1e-3 / len(model.terms)] * len(model.terms)
+
+        def calls(n):
+            return _python_calls(model, coeffs, _near_one(rng, n), _near_one(rng, n))
+
+        assert calls(1000) == calls(2000)
 
 
 class TestClassify:
