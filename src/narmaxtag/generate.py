@@ -42,7 +42,7 @@ from operator import attrgetter
 from typing import Iterator
 
 from ._record import record
-from .models import _CLASSES, FactorKey, Mode, NarmaxModel, SignalKind, _canonical
+from .models import _CLASSES, FactorKey, Mode, NarmaxModel, SignalKind, _canonical, _check_mode
 from .narmax import (
     _PRESET_CLASS,
     GrammarPreset,
@@ -74,8 +74,12 @@ class GenBounds:
 
     def __post_init__(self) -> None:
         for name in ("max_adjunctions", "max_terms", "max_delay", "max_exponent"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{name} must be >= 0")
+        _check_mode((), self.mode)  # a ModelError for a mode that is not a Mode member
 
 
 @record()

@@ -90,14 +90,23 @@ class Monomial:
     coeff_value: float | None = None
 
     def __post_init__(self) -> None:
+        # only these ids, values, keys and exponents print as model text
+        # that reads back; a bool is an int, but prints as True or False
+        if isinstance(self.coeff_id, bool) or not isinstance(self.coeff_id, int):
+            raise ModelError(f"coefficient ids must be integers, got {self.coeff_id!r}")
         if self.coeff_id < 1:
             raise ModelError(_ID_RULE)
-        if self.coeff_value is not None:
-            _finite(self.coeff_value)
+        value = self.coeff_value
+        if value is not None:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ModelError(f"coefficient values must be numbers, got {value!r}")
+            _finite(value)
         factors = dict(self.factors)
         object.__setattr__(self, "factors", factors)
-        for (signal, delay), exponent in factors.items():
-            # only these keys and exponents print as model text that reads back
+        for key, exponent in factors.items():
+            if not isinstance(key, tuple) or len(key) != 2:
+                raise ModelError(f"factor keys must be (signal, delay) pairs, got {key!r}")
+            signal, delay = key
             if not isinstance(signal, SignalKind):
                 raise ModelError(f"factor signals must be SignalKind members, got {signal!r}")
             if not isinstance(delay, int):
@@ -155,6 +164,9 @@ def _factor_key(factors: Mapping[FactorKey, int]) -> tuple:
 
 
 def _check_mode(terms: Sequence[Monomial], mode: Mode) -> None:
+    # identity tests: this runs on every enumerated model
+    if mode is not Mode.EXTENDED and mode is not Mode.STRICT:
+        raise ModelError(f"mode must be a Mode member, got {mode!r}")
     if mode is Mode.STRICT and any((SignalKind.NOISE, 0) in term.factors for term in terms):
         raise CausalityError("strict mode forbids the current noise sample in products")
 

@@ -40,10 +40,12 @@ once for leaves and once for internal nodes, the derivation reader
 converts each address text once and keeps one string per tree name, the
 tree writer renders each label once for leaves and once, with its
 ``(``, for internal nodes, and the derivation writer checks each tree
-name and renders each edge head once.  An error is never kept, so it is
-raised at the first node that has it.  Every parser and printer here is
-a loop over an explicit stack, so nesting depth is bounded by memory
-only.
+name and renders each edge head once.  The tree reader walks its tokens
+once, resolving labels as it reads the structure, and holds the first
+label error until the structure is whole, so errors rank lexical, then
+structural, then label errors in node order; every other error is raised
+where it is found.  Every parser and printer here is a loop over an
+explicit stack, so nesting depth is bounded by memory only.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ _TREE_TOKEN_RE = re.compile(
     rf'[()]|(?:"(?:[^"\\]|\\.)*"|{_BARE_LABEL_RE.pattern})[{_MARKERS}]?|\S', re.DOTALL
 )
 _STRAY_TOKENS = frozenset('"' + _MARKERS)
-_PARENS = frozenset("()")
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _NAME_RE = re.compile(r"[\w.\-]+")
 _BLOCK_RE = re.compile(rf"(initial|auxiliary)\s+({_NAME_RE.pattern})\s*=\s*(.+)$")
@@ -162,13 +163,6 @@ def _resolve_label(
     return NodeLabel.terminal(name)
 
 
-def _label_start(text: str, tokens: list[str], nid: int) -> int:
-    """The position of node ``nid``'s label token, the ``nid``-th token
-    that is not a parenthesis, for error reports."""
-    heads = (index for index, token in enumerate(tokens) if token not in _PARENS)
-    return _token_start(text, next(itertools.islice(heads, nid - 1, None)))
-
-
 def parse_tree(
     text: str,
     *,
@@ -178,9 +172,15 @@ def parse_tree(
     tokens = _lex_tree(text)
     if not tokens:
         raise TextFormatError("empty tree text", 0)
-    # structure first, labels after: a structural error anywhere in the
-    # text wins over a label error; node ids are 1..n in pre-order, so
-    # node k's label is the k-th token that is not a parenthesis
+    nts = None if nonterminals is None else frozenset(nonterminals)
+    ts = None if terminals is None else frozenset(terminals)
+    # node ids are 1..n in pre-order; a node's label token is resolved
+    # (once per distinct token and leaf or internal use) as soon as the
+    # next token shows whether the node is internal, and the first label
+    # error is held as (message, token index) until the structure is whole
+    resolved: tuple[dict[str, NodeLabel | str], dict[str, NodeLabel | str]] = ({}, {})
+    error: tuple[str, int] | None = None
+    labels: dict[int, NodeLabel | str] = {}
     children: dict[int, tuple[int, ...]] = {}
     pending: list[tuple[int, list[int]]] = []  # the nodes whose ')' is pending, with their kids
     count = len(tokens)
@@ -195,7 +195,14 @@ def parse_tree(
             pending[-1][1].append(nid)
         children[nid] = ()  # a leaf until its child list is closed
         i += 1
-        if i < count and tokens[i] == "(":
+        internal = i < count and tokens[i] == "("
+        label = resolved[internal].get(token)
+        if label is None:
+            label = resolved[internal][token] = _resolve_label(token, internal, nts, ts)
+            if error is None and isinstance(label, str):
+                error = (label, i - 1)
+        labels[nid] = label
+        if internal:
             i += 1
             if i < count and tokens[i] == ")":
                 raise TextFormatError("empty child list", _token_start(text, i))
@@ -210,24 +217,8 @@ def parse_tree(
             raise TextFormatError("missing ')'", len(text))
     if i != count:
         raise TextFormatError("trailing tokens after tree", _token_start(text, i))
-    nts = None if nonterminals is None else frozenset(nonterminals)
-    ts = None if terminals is None else frozenset(terminals)
-    # each distinct label token is resolved once for leaves and once for
-    # internal nodes; an error is not kept, so it is raised at the first
-    # node that has it, whose position is only then looked up; ``children``
-    # is in pre-order, and ``labels`` shares its keys
-    resolved: tuple[dict[str, NodeLabel], dict[str, NodeLabel]] = ({}, {})
-    labels: dict[int, NodeLabel] = {}
-    label_tokens = itertools.filterfalse(_PARENS.__contains__, tokens)
-    for (nid, kids), token in zip(children.items(), label_tokens):
-        internal = bool(kids)
-        label = resolved[internal].get(token)
-        if label is None:
-            label = _resolve_label(token, internal, nts, ts)
-            if isinstance(label, str):
-                raise TextFormatError(label, _label_start(text, tokens, nid))
-            resolved[internal][token] = label
-        labels[nid] = label
+    if error is not None:
+        raise TextFormatError(error[0], _token_start(text, error[1]))
     return SyntacticTree._build(1, labels, children)
 
 

@@ -819,6 +819,12 @@ def validate_grammar(grammar: Grammar) -> list[Diagnostic]:
             )
         seen.add(entry.name)
         out.extend(_check_tree(entry, grammar))
+    catalogs = ((TreeKind.INITIAL, grammar.initials), (TreeKind.AUXILIARY, grammar.auxiliaries))
+    for kind, catalog in catalogs:
+        for entry in catalog:
+            if entry.kind is not kind:
+                message = f"{entry.kind.value} tree among the {kind.value} trees"
+                out.append(Diagnostic("wrong-catalog", message, tree=entry.name))
     return out
 
 

@@ -319,6 +319,23 @@ class TestEnumeratedDerivationsDerive:
         assert derived > 2000 and cycles > 100
 
 
+class TestGenBounds:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            # read as extended, "strict" would let through models strict mode refuses
+            ({"mode": "strict"}, "mode must be a Mode member, got 'strict'"),
+            ({"max_terms": "3"}, "max_terms must be an integer, got '3'"),
+            ({"max_delay": 2.0}, "max_delay must be an integer, got 2.0"),
+            ({"max_adjunctions": True}, "max_adjunctions must be an integer, got True"),
+        ],
+        ids=["mode", "str-bound", "float-bound", "bool-bound"],
+    )
+    def test_refuses_a_field_of_the_wrong_type(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GenBounds(**fields)
+
+
 class TestSample:
     def test_seed_reproducibility(self):
         config = SampleConfig(GenBounds(max_adjunctions=8), seed=42)

@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -103,6 +104,29 @@ class TestMonomial:
     def test_rejects_a_factor_model_text_cannot_hold(self, factors, message):
         with pytest.raises(ModelError, match=f"^{message}$"):
             Monomial(1, factors)
+
+    @pytest.mark.parametrize(
+        "coeff_id, factors, value, message",
+        [
+            # printed as c1.5 + xi and cTrue*u[0] + xi, which the reader refuses
+            (1.5, {}, None, "coefficient ids must be integers, got 1.5"),
+            (True, {(SignalKind.INPUT, 0): 1}, None, "coefficient ids must be integers, got True"),
+            (1, {}, "2", "coefficient values must be numbers, got '2'"),
+            (1, {}, True, "coefficient values must be numbers, got True"),
+            (
+                1,
+                {(SignalKind.INPUT, 0, 1): 1},
+                None,
+                "factor keys must be (signal, delay) pairs, got (<SignalKind.INPUT: 'u'>, 0, 1)",
+            ),
+        ],
+        ids=["float-id", "bool-id", "str-value", "bool-value", "three-item-key"],
+    )
+    def test_rejects_an_id_value_or_key_model_text_cannot_hold(
+        self, coeff_id, factors, value, message
+    ):
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            Monomial(coeff_id, factors, value)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -(10**400)])
     def test_rejects_non_finite_value(self, value):
@@ -813,6 +837,26 @@ class TestTextFormat:
         canonical = canonicalize(model)
         assert parse_model_text(format_model_text(model)) == canonical
         assert parse_model_text(format_model_text(canonical)) == canonical
+
+
+class TestModeIsAMember:
+    """A mode given as its string is refused, not read as extended."""
+
+    MESSAGE = "^mode must be a Mode member, got 'strict'$"
+    NOISE = Monomial(1, {(SignalKind.NOISE, 0): 1})
+
+    def test_narmax_model(self):
+        for terms in ((), (self.NOISE,)):
+            with pytest.raises(ModelError, match=self.MESSAGE):
+                NarmaxModel(terms, "strict")
+
+    def test_nbj_model(self):
+        with pytest.raises(ModelError, match=self.MESSAGE):
+            NbjModel((), (self.NOISE,), "strict")
+
+    def test_parse_model_text(self):
+        with pytest.raises(ModelError, match=self.MESSAGE):
+            parse_model_text("c1*xi[0] + xi", mode="strict")
 
 
 class TestNbjModel:

@@ -9,6 +9,7 @@ from narmaxtag import (
     GenBounds,
     GrammarPreset,
     Mode,
+    ModelError,
     Monomial,
     NarmaxModel,
     NbjModel,
@@ -279,6 +280,12 @@ class TestDerivedToModel:
         model = derived_to_model(derived)
         assert [term.coeff_id for term in model.terms] == [1, 2, 3]
 
+    def test_a_mode_string_is_refused(self, narmax_catalog):
+        derivation = model_to_derivation(parse_model_text("c1*xi[0] + xi"))
+        derived = derive(derivation, narmax_catalog.grammar)
+        with pytest.raises(ModelError, match="^mode must be a Mode member, got 'strict'$"):
+            derived_to_model(derived, mode="strict")
+
 
 class TestRoundtrip:
     @pytest.mark.parametrize("text", [FIG_A, FIG_B, FIG_C, "xi"])
@@ -323,6 +330,11 @@ class TestNbj:
         model = nbj_derived_to_model(derived)
         assert model.process_terms == ()
         assert model.noise_terms == ()
+
+    def test_a_mode_string_is_refused(self, nbj_catalog):
+        derived = derive(DerivationTree("alpha1"), nbj_catalog.grammar)
+        with pytest.raises(ModelError, match="^mode must be a Mode member, got 'strict'$"):
+            nbj_derived_to_model(derived, mode="strict")
 
     def test_single_process_adjunction(self, nbj_catalog):
         derivation = DerivationTree(

@@ -122,6 +122,31 @@ class TestTreeFormat:
             parse_tree('A("q" "q"(b) "q"(c))')
         assert err.value.position == 6
 
+    ALPHABETS = {"nonterminals": {"A"}, "terminals": {"b", "c"}}
+
+    @pytest.mark.parametrize(
+        "text, alphabets, message, position",
+        [
+            # a label error comes first in the text, yet the lexical or
+            # structural error after it is the one reported
+            ('A("q"(b) c', False, "missing ')'", 10),
+            ("A(zz(b) c", True, "missing ')'", 9),
+            ('A("q"(b) c) d', False, "trailing tokens after tree", 12),
+            ("A(zz(b) c↓ ())", True, "empty child list", 12),
+            ('A(zz(b) "c)', True, "unterminated quoted label", 8),
+            # with the structure whole, the first label error in node order
+            ("A(zz yy(b))", True, "label 'zz' is not in the alphabets", 2),
+            ("A(b↓ zz)", True, "terminal 'b' cannot carry a marker", 2),
+            ('A("q"(b) "")', False, "quoted labels denote terminals", 2),
+            ('A("" "q"(b))', False, "empty label", 2),
+        ],
+    )
+    def test_error_precedence_in_one_pass(self, text, alphabets, message, position):
+        kinds = self.ALPHABETS if alphabets else {}
+        with pytest.raises(TextFormatError) as err:
+            parse_tree(text, **kinds)
+        assert (err.value.message, err.value.position) == (message, position)
+
     @pytest.mark.parametrize(
         "bad, alphabets, message",
         [

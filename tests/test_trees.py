@@ -828,6 +828,29 @@ class TestValidateGrammar:
     def test_clean_grammar(self, sentence_grammar):
         assert validate_grammar(sentence_grammar) == []
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("beta1", "wrong-catalog: auxiliary tree among the initial trees [beta1]"),
+            ("alpha1", "wrong-catalog: initial tree among the auxiliary trees [alpha1]"),
+        ],
+        ids=["auxiliary-among-initials", "initial-among-auxiliaries"],
+    )
+    def test_tree_in_the_wrong_catalog(self, name, message):
+        # the grammar format writes each tree's own kind, so a text round
+        # trip would move the tree back: such a grammar is refused instead
+        full = build_narmax_grammar().grammar
+        moved = full.find(name)
+        initials = [entry for entry in full.initials if entry is not moved]
+        auxiliaries = [entry for entry in full.auxiliaries if entry is not moved]
+        (auxiliaries if moved.kind is TreeKind.INITIAL else initials).append(moved)
+        grammar = Grammar(
+            full.nonterminals, full.terminals, full.start, tuple(initials), tuple(auxiliaries)
+        )
+        assert [str(diagnostic) for diagnostic in validate_grammar(grammar)] == [message]
+        with pytest.raises(MalformedGrammarError, match=re.escape(f"malformed grammar: {message}")):
+            next(enumerate_derivations(grammar, GenBounds()))
+
     def test_start_not_nonterminal(self):
         tree = parse_tree("A(a)", nonterminals={"A"}, terminals={"a"})
         grammar = Grammar(
